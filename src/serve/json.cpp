@@ -15,8 +15,26 @@ namespace {
 }
 
 struct Parser {
+  /// parse_value recurses once per nested array or object, so one request
+  /// line of unbounded depth could overflow the connection thread's stack.
+  static constexpr std::size_t kMaxDepth = 64;
+
   const std::string& text;
   std::size_t pos = 0;
+  std::size_t depth = 0;
+
+  /// Holds one nesting level for the lifetime of a container's parse.
+  struct Nest {
+    explicit Nest(Parser& parser) : p(parser) {
+      if (++p.depth > kMaxDepth) {
+        fail(p.pos, "nesting deeper than " + std::to_string(kMaxDepth));
+      }
+    }
+    ~Nest() { --p.depth; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    Parser& p;
+  };
 
   void skip_ws() {
     while (pos < text.size() &&
@@ -127,6 +145,7 @@ struct Parser {
     skip_ws();
     const char c = peek();
     if (c == '{') {
+      const Nest nest(*this);
       ++pos;
       Json obj = Json::object();
       skip_ws();
@@ -150,6 +169,7 @@ struct Parser {
       }
     }
     if (c == '[') {
+      const Nest nest(*this);
       ++pos;
       Json arr = Json::array();
       skip_ws();

@@ -110,13 +110,13 @@ struct CaseReport {
   /// guarantee, bounded by one snapshot + write_budget (+ codec slack).
   /// 0 for materialized ingest (the Dataset itself is the peak).
   std::size_t ingest_peak_bytes = 0;
-  /// High-water mark of live spill bytes on disk. memory backend: 0.
-  /// series backend and non-fused streaming skl2: the whole spilled store
-  /// (= store_bytes). Materialized skl2: one snapshot file (the
-  /// write/sample/delete contract). Fused streaming skl2 (no temporal
-  /// stage): one snapshot file — each spill is sampled and deleted before
-  /// the next is produced, so disk stays O(snapshot) for any series
-  /// length.
+  /// High-water mark of live spill bytes on disk, set by the retention
+  /// policy the config implies, for either ingest mode. memory backend:
+  /// 0. skl2 with the temporal stage off (rolling): one snapshot file —
+  /// each spill is sampled and deleted before the next is produced, so
+  /// disk stays O(snapshot) for any series length. series backend, and
+  /// skl2 with the temporal stage on (retain): the whole spilled store
+  /// (= store_bytes), because selection revisits snapshots.
   std::size_t ingest_peak_disk_bytes = 0;
   ml::TrainReport train;
   double training_kilojoules = 0.0;

@@ -7,14 +7,15 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 
 #include "common/timer.hpp"
 #include "field/hypercube.hpp"
+#include "flow/producer.hpp"
 #include "ml/models.hpp"
 #include "obs/trace.hpp"
 #include "sampling/point_samplers.hpp"
@@ -43,7 +44,7 @@ struct VarScaler {
 /// (variables inner, snapshots outer — the exact accumulation order of a
 /// whole-series fit_scalers pass, so scalers computed incrementally
 /// during ingest are bit-identical to a dedicated post-hoc pass). The
-/// fused streaming-skl2 path folds each spilled snapshot in as it is
+/// rolling ingest policy folds each spilled snapshot in as it is
 /// sampled, eliminating the scaler pass over the store entirely.
 class ScalerAccumulator {
  public:
@@ -87,6 +88,14 @@ class ScalerAccumulator {
   std::vector<Acc> accs_;
 };
 
+/// Every variable the training tensors standardize: inputs, then outputs.
+std::vector<std::string> scaler_vars(const CaseConfig& cfg) {
+  std::vector<std::string> vars = cfg.pipeline.input_vars;
+  vars.insert(vars.end(), cfg.pipeline.output_vars.begin(),
+              cfg.pipeline.output_vars.end());
+  return vars;
+}
+
 /// Fit z-score scalers by streaming the series snapshot-major (one pass
 /// over the store, all variables accumulated per visit — out-of-core
 /// sources pay one reader/cache walk per snapshot, not one per variable).
@@ -95,8 +104,8 @@ class ScalerAccumulator {
 /// so scalers (and therefore training tensors) are bit-identical across
 /// the memory/skl2/series backends for lossless codecs.
 std::map<std::string, VarScaler> fit_scalers(
-    const field::SeriesSource& series, std::span<const std::string> vars) {
-  ScalerAccumulator acc(std::vector<std::string>(vars.begin(), vars.end()));
+    const field::SeriesSource& series, const CaseConfig& cfg) {
+  ScalerAccumulator acc(scaler_vars(cfg));
   for (std::size_t t = 0; t < series.num_snapshots(); ++t) {
     acc.accumulate(series.source(t));
   }
@@ -165,15 +174,13 @@ std::vector<float> standardize(std::span<const double> raw,
 /// snapshot source that produced them (its blocks are still warm in the
 /// store's LRU cache) — no second pass over the raw data and no
 /// accumulation of the full PipelineResult. Standardization is deferred
-/// to take(): scalers need only exist by then, so the fused streaming
-/// path can accumulate their moments DURING ingest instead of paying a
-/// dedicated pass over the spilled store up front. Both modes run the
+/// to take(scalers): scalers need only exist by then, so the rolling
+/// ingest policy can accumulate their moments DURING ingest instead of
+/// paying a dedicated pass over the spilled store. Every caller runs the
 /// identical per-variable float arithmetic in the identical order, so
-/// tensors are bit-identical either way.
+/// tensors are bit-identical however the scalers were fit.
 class TrainingSetBuilder {
  public:
-  /// Deferred-scaler mode: no pass over any series; pair with
-  /// take(scalers) once the moments are in.
   TrainingSetBuilder(const CaseConfig& cfg, const field::GridShape& grid)
       : cfg_(cfg), tiling_(grid, cfg.pipeline.cube),
         edge_(cfg.pipeline.cube.ex) {
@@ -185,18 +192,6 @@ class TrainingSetBuilder {
                          cfg.arch == "CNN_Transformer" ||
                          cfg.arch == "Foundation",
                      "build_training_set: unsupported arch " + cfg.arch);
-  }
-
-  /// Immediate-scaler mode: fit global z-score scalers with a dedicated
-  /// pass over `series` now; take() uses them.
-  TrainingSetBuilder(const field::SeriesSource& series, const CaseConfig& cfg)
-      : TrainingSetBuilder(cfg, series.source(0).shape()) {
-    const auto& pl = cfg.pipeline;
-    std::vector<std::string> all_vars = pl.input_vars;
-    all_vars.insert(all_vars.end(), pl.output_vars.begin(),
-                    pl.output_vars.end());
-    scalers_ = fit_scalers(series, std::span<const std::string>(all_vars));
-    have_scalers_ = true;
   }
 
   /// Capture one sampled cube's raw values. `src` must be the snapshot
@@ -216,13 +211,6 @@ class TrainingSetBuilder {
     raw_.push_back(std::move(ex));
   }
 
-  /// Standardize with the immediate-mode scalers fit at construction.
-  [[nodiscard]] ml::TensorDataset take() {
-    SICKLE_CHECK_MSG(have_scalers_,
-                     "deferred TrainingSetBuilder needs take(scalers)");
-    return take(scalers_);
-  }
-
   /// Standardize every captured example with `sc` and build the tensors.
   [[nodiscard]] ml::TensorDataset take(
       const std::map<std::string, VarScaler>& sc) {
@@ -237,33 +225,26 @@ class TrainingSetBuilder {
       auto in1 = standardize(std::span<const double>(ex.input),
                              std::span<const std::string>(pl.input_vars),
                              sc);
-      if (cfg_.arch == "MLP_Transformer") {
-        const std::size_t f = pl.input_vars.size() * pl.num_samples;
-        std::vector<float> in;
-        in.reserve(cfg_.window * f);
-        // Window: this cube's samples from the `window` most recent
-        // snapshots (repeating the earliest when history is short).
-        for (std::size_t w = 0; w < cfg_.window; ++w) {
-          in.insert(in.end(), in1.begin(), in1.end());
-        }
-        out.push(ml::Tensor({cfg_.window, f}, std::move(in)),
-                 std::move(target));
-      } else if (cfg_.arch == "CNN_Transformer") {
-        std::vector<float> seq;
-        seq.reserve(cfg_.window * in1.size());
-        for (std::size_t w = 0; w < cfg_.window; ++w) {
-          seq.insert(seq.end(), in1.begin(), in1.end());
-        }
-        out.push(ml::Tensor({cfg_.window, pl.input_vars.size(), edge_,
-                             edge_, edge_},
-                            std::move(seq)),
-                 std::move(target));
-      } else {  // Foundation (arch validated at construction)
+      ex = RawExample{};  // release raw doubles as tensors replace them
+      if (cfg_.arch == "Foundation") {  // no time axis
         out.push(ml::Tensor({pl.input_vars.size(), edge_, edge_, edge_},
                             std::move(in1)),
                  std::move(target));
+        continue;
       }
-      ex = RawExample{};  // release raw doubles as tensors replace them
+      // Window: this cube's input from the `window` most recent snapshots
+      // (repeating the earliest when history is short).
+      std::vector<float> seq;
+      seq.reserve(cfg_.window * in1.size());
+      for (std::size_t w = 0; w < cfg_.window; ++w) {
+        seq.insert(seq.end(), in1.begin(), in1.end());
+      }
+      std::vector<std::size_t> shape{cfg_.window, in1.size()};  // MLP
+      if (cfg_.arch == "CNN_Transformer") {
+        shape = {cfg_.window, pl.input_vars.size(), edge_, edge_, edge_};
+      }
+      out.push(ml::Tensor(std::move(shape), std::move(seq)),
+               std::move(target));
     }
     raw_.clear();
     return out;
@@ -278,8 +259,6 @@ class TrainingSetBuilder {
   const CaseConfig& cfg_;
   field::CubeTiling tiling_;
   std::size_t edge_;
-  std::map<std::string, VarScaler> scalers_;
-  bool have_scalers_ = false;
   std::vector<RawExample> raw_;
 };
 
@@ -291,129 +270,14 @@ struct SpillIoStats {
   store::CacheStats cache;
   std::uint64_t bytes_read = 0;
 
-  void fold(const store::ChunkReader& reader) {
-    fold(reader.cache_stats(), reader.io_bytes_read());
-  }
-  void fold(const store::CacheStats& cs, std::uint64_t io_bytes) {
+  /// Add a ChunkReader's or SeriesReader's lifetime tallies.
+  template <typename Reader>
+  void fold(const Reader& reader) {
+    const store::CacheStats cs = reader.cache_stats();
     cache.hits += cs.hits;
     cache.misses += cs.misses;
     cache.evictions += cs.evictions;
-    bytes_read += io_bytes;
-  }
-};
-
-void record_spill_metrics(CaseReport& report, const SpillIoStats& io) {
-  report.metrics["store.cache_hits"] = static_cast<double>(io.cache.hits);
-  report.metrics["store.cache_misses"] =
-      static_cast<double>(io.cache.misses);
-  report.metrics["store.cache_evictions"] =
-      static_cast<double>(io.cache.evictions);
-  report.metrics["store.io_bytes_read"] =
-      static_cast<double>(io.bytes_read);
-}
-
-/// Per-snapshot SKL2 spill presented as a SeriesSource (the legacy
-/// "skl2" backend, kept for compatibility with single-snapshot `.skl2`
-/// tooling). Exactly one spill file exists on disk at a time — the
-/// legacy write/sample/delete contract, O(one compressed snapshot) of
-/// scratch space no matter how long the series. source(t) encodes
-/// snapshot t on demand and deletes the previous spill, so a stage that
-/// revisits snapshots (the temporal PDF passes) re-encodes them; runs
-/// that need every snapshot resident at once should use the "series"
-/// backend, which pays one SKL3 container instead. source(t) invalidates
-/// the previously borrowed view when t changes — the documented
-/// SeriesSource contract for sequential drivers.
-class Skl2SpillSeries final : public field::SeriesSource {
- public:
-  Skl2SpillSeries(const field::Dataset& data, const fs::path& dir,
-                  const store::StoreOptions& opts, std::size_t* store_bytes,
-                  std::size_t* peak_disk_bytes = nullptr)
-      : data_(data),
-        dir_(dir),
-        opts_(opts),
-        store_bytes_(store_bytes),
-        peak_disk_bytes_(peak_disk_bytes),
-        counted_(data.num_snapshots(), false) {}
-
-  [[nodiscard]] std::size_t num_snapshots() const override {
-    return data_.num_snapshots();
-  }
-
-  [[nodiscard]] const field::FieldSource& source(
-      std::size_t t) const override {
-    SICKLE_CHECK(t < num_snapshots());
-    if (reader_ == nullptr || current_ != t) {
-      if (reader_ != nullptr) io_.fold(*reader_);
-      reader_.reset();  // close before deleting the previous spill file
-      if (current_ != kNone) {
-        std::error_code ec;
-        fs::remove(path(current_), ec);
-      }
-      const auto written =
-          store::write_store(data_.snapshot(t), path(t), opts_);
-      // store_bytes reports the series' compressed footprint: count each
-      // snapshot once, not once per re-encode.
-      if (store_bytes_ != nullptr && !counted_[t]) {
-        *store_bytes_ += written.file_bytes;
-        counted_[t] = true;
-      }
-      // The previous spill was deleted above, so exactly one file is live.
-      if (peak_disk_bytes_ != nullptr) {
-        *peak_disk_bytes_ = std::max(*peak_disk_bytes_, written.file_bytes);
-      }
-      reader_ =
-          std::make_unique<store::ChunkReader>(path(t), opts_.cache_bytes);
-      current_ = t;
-    }
-    return *reader_;
-  }
-
-  /// Lifetime I/O tallies including the currently open reader.
-  [[nodiscard]] SpillIoStats io_stats() const {
-    SpillIoStats out = io_;
-    if (reader_ != nullptr) out.fold(*reader_);
-    return out;
-  }
-
- private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  [[nodiscard]] std::string path(std::size_t t) const {
-    return (dir_ / ("snap_" + std::to_string(t) + ".skl2")).string();
-  }
-
-  const field::Dataset& data_;
-  fs::path dir_;
-  store::StoreOptions opts_;
-  std::size_t* store_bytes_;
-  std::size_t* peak_disk_bytes_;
-  mutable std::vector<bool> counted_;
-  mutable std::unique_ptr<store::ChunkReader> reader_;
-  mutable std::size_t current_ = kNone;
-  mutable SpillIoStats io_;
-};
-
-/// Spill lifecycle (config-controlled): the directory is removed as soon
-/// as the training set is built; if the run throws first, it is kept and
-/// its path logged so a failed multi-hour spill can be inspected or
-/// resumed instead of silently vanishing.
-struct SpillGuard {
-  fs::path dir;
-  bool armed = false;
-
-  void remove_now() {
-    if (!armed) return;
-    armed = false;
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
-
-  ~SpillGuard() {
-    if (armed) {
-      std::fprintf(stderr,
-                   "sickle: run_case failed; spilled store kept at %s\n",
-                   dir.string().c_str());
-    }
+    bytes_read += reader.io_bytes_read();
   }
 };
 
@@ -456,17 +320,34 @@ struct Fnv64 {
   }
 };
 
-/// Streaming-ingest skl2 backend: one SKL2 file per snapshot, written
-/// up front as the producer yields them (so peak memory is one snapshot,
-/// unlike Skl2SpillSeries which re-encodes from RAM on demand). A single
-/// reader is recycled across source(t) calls — the documented sequential
-/// SeriesSource borrow contract — so reader memory stays O(one cache) no
-/// matter how long the series is; revisits (the temporal PDF passes)
-/// reopen files instead of re-encoding snapshots.
+/// The skl2 spill: one SKL2 file per snapshot, written as snapshots
+/// arrive and presented as a SeriesSource. A single reader is recycled
+/// across source(t) calls — the documented sequential SeriesSource borrow
+/// contract — so reader memory stays O(one cache) no matter how long the
+/// series is; revisits (the temporal PDF passes) reopen files instead of
+/// re-encoding snapshots.
 class Skl2FilesSeries final : public field::SeriesSource {
  public:
-  Skl2FilesSeries(std::vector<std::string> paths, std::size_t cache_bytes)
-      : paths_(std::move(paths)), cache_bytes_(cache_bytes) {}
+  Skl2FilesSeries(fs::path dir, const store::StoreOptions& opts)
+      : dir_(std::move(dir)), opts_(opts) {}
+
+  /// Write `snap` as the next snapshot's file.
+  store::StoreWriteReport append(const field::Snapshot& snap) {
+    paths_.push_back(
+        (dir_ / ("snap_" + std::to_string(paths_.size()) + ".skl2"))
+            .string());
+    return store::write_store(snap, paths_.back(), opts_);
+  }
+
+  /// Delete snapshot t's file, closing its reader first.
+  void drop(std::size_t t) {
+    if (reader_ != nullptr && current_ == t) {
+      io_.fold(*reader_);
+      reader_.reset();
+    }
+    std::error_code ec;
+    fs::remove(paths_[t], ec);
+  }
 
   [[nodiscard]] std::size_t num_snapshots() const override {
     return paths_.size();
@@ -478,7 +359,7 @@ class Skl2FilesSeries final : public field::SeriesSource {
     if (reader_ == nullptr || current_ != t) {
       if (reader_ != nullptr) io_.fold(*reader_);
       reader_ =
-          std::make_unique<store::ChunkReader>(paths_[t], cache_bytes_);
+          std::make_unique<store::ChunkReader>(paths_[t], opts_.cache_bytes);
       current_ = t;
     }
     return *reader_;
@@ -492,11 +373,134 @@ class Skl2FilesSeries final : public field::SeriesSource {
   }
 
  private:
+  fs::path dir_;
+  store::StoreOptions opts_;
   std::vector<std::string> paths_;
-  std::size_t cache_bytes_;
   mutable std::unique_ptr<store::ChunkReader> reader_;
   mutable std::size_t current_ = static_cast<std::size_t>(-1);
   mutable SpillIoStats io_;
+};
+
+/// Stage A's spill sink, in a fresh directory under the config's
+/// spill_dir: one SKL2 file per snapshot (backend "skl2") or one SKL3
+/// container (backend "series"). It fills the case report's store_bytes,
+/// ingest_peak_disk_bytes (live spill bytes), ingest_peak_bytes
+/// (streaming ingest only) and reader I/O metrics. remove() it once the
+/// training set is built or the case is cancelled; a sink destroyed
+/// without remove() belongs to a failed run and is kept, its path
+/// logged, so a failed multi-hour spill can be inspected or resumed.
+class SpillSink {
+ public:
+  SpillSink(const CaseConfig& cfg, CaseReport& report)
+      : dir_(make_spill_dir(cfg.spill_dir)),
+        opts_(cfg.store),
+        streaming_(cfg.ingest == "streaming"),
+        report_(report) {
+    if (cfg.backend == "series") {
+      writer_ = std::make_unique<store::SeriesWriter>(
+          (dir_ / "series.skl3").string(), opts_);
+    } else {
+      files_ = std::make_unique<Skl2FilesSeries>(dir_, opts_);
+    }
+  }
+
+  SpillSink(const SpillSink&) = delete;
+  SpillSink& operator=(const SpillSink&) = delete;
+
+  ~SpillSink() {
+    if (!removed_) {
+      std::fprintf(stderr,
+                   "sickle: run_case failed; spilled store kept at %s\n",
+                   dir_.string().c_str());
+    }
+  }
+
+  void append(const field::Snapshot& snap) {
+    max_snapshot_bytes_ = std::max(max_snapshot_bytes_, snap.bytes());
+    if (writer_ != nullptr) {
+      writer_->append(snap);
+      return;
+    }
+    const auto wr = files_->append(snap);
+    file_bytes_.push_back(wr.file_bytes);
+    wrote(wr.file_bytes, wr.peak_buffered_bytes);
+  }
+
+  /// Delete spilled snapshot t (the rolling policy; skl2 only).
+  void drop(std::size_t t) {
+    files_->drop(t);
+    live_bytes_ -= file_bytes_[t];
+  }
+
+  /// Seal for reading: the SKL3 container is closed and reopened through
+  /// a SeriesReader (on CaseSession's shared block cache when
+  /// StoreOptions::shared_cache is set); SKL2 files are read in place.
+  void seal() {
+    if (writer_ == nullptr) return;
+    const auto wr = writer_->close();
+    wrote(wr.file_bytes, wr.peak_buffered_bytes);
+    store::ReaderOptions ropts{opts_.cache_bytes, 0, opts_.prefetch_depth,
+                               opts_.pool};
+    ropts.shared_cache = opts_.shared_cache;
+    reader_ = std::make_unique<store::SeriesReader>(writer_->path(), ropts);
+    writer_.reset();
+  }
+
+  /// The spilled series: SKL2 files at any time, SKL3 once sealed.
+  [[nodiscard]] const field::SeriesSource& series() const {
+    if (reader_ != nullptr) return *reader_;
+    return *files_;
+  }
+
+  /// Fold the readers' cache and I/O tallies into CaseReport::metrics.
+  void record_io() const {
+    SpillIoStats io = files_ != nullptr ? files_->io_stats() : SpillIoStats{};
+    if (reader_ != nullptr) io.fold(*reader_);
+    report_.metrics["store.cache_hits"] = static_cast<double>(io.cache.hits);
+    report_.metrics["store.cache_misses"] =
+        static_cast<double>(io.cache.misses);
+    report_.metrics["store.cache_evictions"] =
+        static_cast<double>(io.cache.evictions);
+    report_.metrics["store.io_bytes_read"] =
+        static_cast<double>(io.bytes_read);
+  }
+
+  /// Close every reader and writer and delete the spill directory.
+  void remove() {
+    if (removed_) return;
+    removed_ = true;
+    reader_.reset();
+    writer_.reset();
+    files_.reset();
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+ private:
+  void wrote(std::size_t file_bytes, std::size_t buffered_bytes) {
+    live_bytes_ += file_bytes;
+    report_.store_bytes += file_bytes;
+    report_.ingest_peak_disk_bytes =
+        std::max(report_.ingest_peak_disk_bytes, live_bytes_);
+    peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes);
+    // Materialized ingest reports 0: the Dataset itself is the peak.
+    if (streaming_) {
+      report_.ingest_peak_bytes = max_snapshot_bytes_ + peak_buffered_bytes_;
+    }
+  }
+
+  fs::path dir_;
+  store::StoreOptions opts_;
+  bool streaming_;
+  CaseReport& report_;
+  std::unique_ptr<store::SeriesWriter> writer_;  ///< series, until seal()
+  std::unique_ptr<store::SeriesReader> reader_;  ///< series, after seal()
+  std::unique_ptr<Skl2FilesSeries> files_;       ///< skl2
+  std::vector<std::size_t> file_bytes_;          ///< per skl2 file
+  std::size_t live_bytes_ = 0;
+  std::size_t max_snapshot_bytes_ = 0;
+  std::size_t peak_buffered_bytes_ = 0;
+  bool removed_ = false;
 };
 
 /// Mirror the scalar CaseReport fields into the metrics map so one
@@ -514,129 +518,14 @@ void finalize_case_metrics(CaseReport& report) {
       static_cast<double>(report.selected_snapshots.size());
 }
 
-/// Reader options for the "series" backend, carrying the session-shared
-/// block cache through when the caller opted in (StoreOptions::
-/// shared_cache, set by CaseSession).
-store::ReaderOptions series_reader_options(const store::StoreOptions& s) {
-  store::ReaderOptions ropts{s.cache_bytes, 0, s.prefetch_depth, s.pool};
-  ropts.shared_cache = s.shared_cache;
-  return ropts;
-}
-
-/// Fused rolling-window streaming-skl2 case: with the temporal stage off
-/// every snapshot is selected, so ingest, scaler-moment accumulation, and
-/// sampling collapse into ONE producer pass — each spill file is written,
-/// sampled straight into the (deferred) training-set builder, folded into
-/// the z-score moments, and deleted before the next snapshot is produced.
-/// Live disk stays O(one compressed snapshot) for any series length
-/// (CaseReport::ingest_peak_disk_bytes), while sample_hash and the
-/// training tensors stay bit-identical to the non-fused path: the same
-/// per-snapshot pipeline over the same SKL2 blocks, the same
-/// snapshot-major accumulation order, and the same standardization
-/// arithmetic — only WHEN each piece of work happens moves.
-CaseReport run_case_fused_skl2(ProducerBundle& bundle, const CaseConfig& cfg,
-                               Observer* obs) {
-  CaseReport report;
-  obs::Span case_span("case.run", "case");
-  energy::EnergyCounter sampling_energy;
-  ml::TensorDataset data;
-  {
-    SpillGuard guard;
-    guard.dir = make_spill_dir(cfg.spill_dir);
-    guard.armed = true;
-    const auto& pl = cfg.pipeline;
-    std::vector<std::string> all_vars = pl.input_vars;
-    all_vars.insert(all_vars.end(), pl.output_vars.begin(),
-                    pl.output_vars.end());
-    ScalerAccumulator scalers(all_vars);
-    std::unique_ptr<TrainingSetBuilder> builder;
-    Fnv64 hash;
-    const PoolHandle pool = resolve_threads(pl.threads);
-    SpillIoStats io;
-    std::size_t max_snap_bytes = 0;
-    std::size_t max_wave_bytes = 0;
-    double ingest_seconds = 0.0;
-    Timer stage_timer;
-    std::size_t t = 0;
-    const std::size_t planned = bundle.producer->num_snapshots();
-    {
-      obs::Span ingest_span("case.ingest", "case");
-      if (obs != nullptr) obs->on_state(CaseState::kIngesting);
-      while (auto snap = bundle.producer->next()) {
-        checkpoint(obs);
-        max_snap_bytes = std::max(max_snap_bytes, snap->bytes());
-        const std::string path =
-            (guard.dir / ("snap_" + std::to_string(t) + ".skl2")).string();
-        std::unique_ptr<store::ChunkReader> reader;
-        {
-          ScopedTimer ingest_timer(ingest_seconds);
-          const auto wr = store::write_store(*snap, path, cfg.store);
-          report.store_bytes += wr.file_bytes;
-          max_wave_bytes = std::max(max_wave_bytes, wr.peak_buffered_bytes);
-          // Exactly one spill file is alive at this point.
-          report.ingest_peak_disk_bytes =
-              std::max(report.ingest_peak_disk_bytes, wr.file_bytes);
-          reader = std::make_unique<store::ChunkReader>(
-              path, cfg.store.cache_bytes);
-        }
-        snap.reset();  // values live in the spill now; free the snapshot
-        if (builder == nullptr) {
-          builder = std::make_unique<TrainingSetBuilder>(cfg,
-                                                         reader->shape());
-        }
-        scalers.accumulate(*reader);
-        auto r = sampling::run_pipeline_streaming(*reader, pl, t, pool.get());
-        report.sampled_points += r.total_points();
-        report.sampling_seconds += r.sampling_seconds;
-        sampling_energy.merge(r.energy);
-        for (const auto& cs : r.cubes) {
-          hash.pod<std::uint64_t>(cs.snapshot);
-          hash.pod<std::uint64_t>(cs.cube_id);
-          hash.pod<std::uint64_t>(cs.samples.points());
-          for (const std::size_t idx : cs.samples.indices) {
-            hash.pod<std::uint64_t>(idx);
-          }
-          for (const double x : cs.samples.features) hash.pod<double>(x);
-          builder->push(*reader, cs);
-        }
-        io.fold(*reader);
-        reader.reset();  // close before deleting the spill
-        std::error_code ec;
-        fs::remove(path, ec);
-        ++t;
-        if (obs != nullptr) obs->on_progress(t, planned);
-      }
-      SICKLE_CHECK_MSG(t > 0, "producer yielded no snapshots");
-    }
-    report.ingest_peak_bytes = max_snap_bytes + max_wave_bytes;
-    report.sampling_seconds += ingest_seconds;
-    report.sample_hash = hash.h;
-    report.metrics["case.ingest_seconds"] = ingest_seconds;
-    // Stage spans stay four-per-case even when fused: selection is an
-    // empty span (identity selection), sampling covers the deferred
-    // tensor build.
-    if (obs != nullptr) obs->on_state(CaseState::kSelecting);
-    { obs::Span selection_span("case.selection", "case"); }
-    report.metrics["case.selection_seconds"] = 0.0;
-    checkpoint(obs);
-    if (obs != nullptr) obs->on_state(CaseState::kSampling);
-    {
-      obs::Span sampling_span("case.sampling", "case");
-      data = builder->take(scalers.take());
-    }
-    report.metrics["case.sampling_seconds"] =
-        std::max(stage_timer.seconds() - ingest_seconds, 0.0);
-    record_spill_metrics(report, io);
-    guard.remove_now();
-  }
-  report.sampling_kilojoules = sampling_energy.projected_kilojoules();
-
-  training(data, cfg, report, obs);
-  finalize_case_metrics(report);
-  return report;
-}
-
-void check_backend_and_ingest(const CaseConfig& cfg) {
+/// Fill the variable roles the config left empty from the bundle, then
+/// validate the backend and ingest mode.
+template <typename Bundle>
+void resolve_roles(CaseConfig& cfg, const Bundle& bundle) {
+  auto& pl = cfg.pipeline;
+  if (pl.input_vars.empty()) pl.input_vars = bundle.input_vars;
+  if (pl.output_vars.empty()) pl.output_vars = bundle.output_vars;
+  if (pl.cluster_var.empty()) pl.cluster_var = bundle.cluster_var;
   SICKLE_CHECK_MSG(cfg.backend == "memory" || cfg.backend == "skl2" ||
                        cfg.backend == "series",
                    "unknown case backend: " + cfg.backend);
@@ -644,111 +533,10 @@ void check_backend_and_ingest(const CaseConfig& cfg) {
                    "unknown ingest mode: " + cfg.ingest);
 }
 
-/// Streaming run over a producer (skl2 non-fused / series backends).
-CaseReport run_streaming(ProducerBundle& bundle, const CaseConfig& cfg,
-                         Observer* obs) {
-  CaseReport report;
-  obs::Span case_span("case.run", "case");
-  energy::EnergyCounter sampling_energy;
-  ml::TensorDataset data;
-  {
-    // --- Stage A, streaming: simulate -> encode -> append -> drop. At
-    // most one produced snapshot is alive at any point (the loop
-    // variable), and the store writer buffers at most one
-    // write-budget-bounded wave of encoded blocks, so peak ingest memory
-    // is one snapshot + budget (+ codec slack) — never the series.
-    SpillGuard guard;
-    guard.dir = make_spill_dir(cfg.spill_dir);
-    guard.armed = true;
-    std::unique_ptr<field::SeriesSource> spilled;
-    double ingest_seconds = 0.0;
-    const std::size_t planned = bundle.producer->num_snapshots();
-    {
-      obs::Span ingest_span("case.ingest", "case");
-      if (obs != nullptr) obs->on_state(CaseState::kIngesting);
-      ScopedTimer spill_timer(ingest_seconds);
-      std::size_t max_snap_bytes = 0;
-      if (cfg.backend == "series") {
-        const std::string path = (guard.dir / "series.skl3").string();
-        store::SeriesWriter writer(path, cfg.store);
-        while (auto snap = bundle.producer->next()) {
-          checkpoint(obs);
-          max_snap_bytes = std::max(max_snap_bytes, snap->bytes());
-          writer.append(*snap);
-          if (obs != nullptr) {
-            obs->on_progress(writer.snapshots_appended(), planned);
-          }
-        }
-        // Check before close(): an empty series must fail with the
-        // producer-level message, not the store-internal one.
-        SICKLE_CHECK_MSG(writer.snapshots_appended() > 0,
-                         "producer yielded no snapshots");
-        const auto wr = writer.close();
-        report.store_bytes = wr.file_bytes;
-        report.ingest_peak_bytes = max_snap_bytes + wr.peak_buffered_bytes;
-        report.ingest_peak_disk_bytes = report.store_bytes;
-        spilled = std::make_unique<store::SeriesReader>(
-            path, series_reader_options(cfg.store));
-      } else {  // skl2: one file per snapshot, written as produced
-        std::vector<std::string> paths;
-        paths.reserve(bundle.producer->num_snapshots());
-        std::size_t max_wave_bytes = 0;
-        std::size_t t = 0;
-        while (auto snap = bundle.producer->next()) {
-          checkpoint(obs);
-          max_snap_bytes = std::max(max_snap_bytes, snap->bytes());
-          paths.push_back(
-              (guard.dir / ("snap_" + std::to_string(t++) + ".skl2"))
-                  .string());
-          const auto wr = store::write_store(*snap, paths.back(), cfg.store);
-          report.store_bytes += wr.file_bytes;
-          max_wave_bytes = std::max(max_wave_bytes, wr.peak_buffered_bytes);
-          if (obs != nullptr) obs->on_progress(t, planned);
-        }
-        SICKLE_CHECK_MSG(!paths.empty(), "producer yielded no snapshots");
-        report.ingest_peak_bytes = max_snap_bytes + max_wave_bytes;
-        // Non-fused (temporal selection revisits snapshots): every spill
-        // file stays until sampling completes.
-        report.ingest_peak_disk_bytes = report.store_bytes;
-        spilled = std::make_unique<Skl2FilesSeries>(std::move(paths),
-                                                   cfg.store.cache_bytes);
-      }
-    }
-    report.sampling_seconds += ingest_seconds;
-    report.metrics["case.ingest_seconds"] = ingest_seconds;
-
-    const auto selected = selection(*spilled, cfg, report, obs);
-    data = sampling(*spilled, std::span<const std::size_t>(selected), cfg,
-                    report, sampling_energy, obs);
-
-    if (cfg.backend == "series") {
-      auto* reader = static_cast<store::SeriesReader*>(spilled.get());
-      SpillIoStats io;
-      io.fold(reader->cache_stats(), reader->io_bytes_read());
-      record_spill_metrics(report, io);
-    } else {
-      record_spill_metrics(
-          report, static_cast<Skl2FilesSeries*>(spilled.get())->io_stats());
-    }
-
-    spilled.reset();
-    guard.remove_now();
-  }
-  report.sampling_kilojoules = sampling_energy.projected_kilojoules();
-
-  training(data, cfg, report, obs);
-  finalize_case_metrics(report);
-  return report;
-}
-
-}  // namespace
-
-void checkpoint(const Observer* obs) {
-  if (obs != nullptr && obs->cancel_requested()) {
-    throw CancelledError();
-  }
-}
-
+/// --- Stage B: temporal snapshot selection over streamed PDFs. Returns
+/// the snapshot indices to sample, ascending (identity when the stage is
+/// disabled). Emits the case.selection span and fills
+/// report.selected_snapshots / metrics["case.selection_seconds"].
 std::vector<std::size_t> selection(const field::SeriesSource& series,
                                    const CaseConfig& cfg, CaseReport& report,
                                    Observer* obs) {
@@ -777,50 +565,148 @@ std::vector<std::size_t> selection(const field::SeriesSource& series,
   return selected;
 }
 
-ml::TensorDataset sampling(const field::SeriesSource& series,
-                           std::span<const std::size_t> selected,
-                           const CaseConfig& cfg, CaseReport& report,
-                           energy::EnergyCounter& sampling_energy,
-                           Observer* obs) {
-  const auto& pl = cfg.pipeline;
-  if (obs != nullptr) obs->on_state(CaseState::kSampling);
-  obs::Span span("case.sampling", "case");
-  Timer stage_timer;
-  TrainingSetBuilder builder(series, cfg);
-  Fnv64 hash;
-  const PoolHandle pool = resolve_threads(pl.threads);
-  double source_seconds = 0.0;
-  std::size_t done = 0;
-  for (const std::size_t t : selected) {
-    checkpoint(obs);
-    const field::FieldSource* srcp = nullptr;
-    {
-      // source(t) is where the lazy skl2 backend encodes its spill, so
-      // time it as ingest — every backend's T1 cost lands in the report.
-      ScopedTimer ingest_timer(source_seconds);
-      srcp = &series.source(t);
-    }
-    const field::FieldSource& src = *srcp;
-    auto r = sampling::run_pipeline_streaming(src, pl, t, pool.get());
-    report.sampled_points += r.total_points();
-    report.sampling_seconds += r.sampling_seconds;
-    sampling_energy.merge(r.energy);
-    for (const auto& cs : r.cubes) {
-      hash.pod<std::uint64_t>(cs.snapshot);
-      hash.pod<std::uint64_t>(cs.cube_id);
-      hash.pod<std::uint64_t>(cs.samples.points());
-      for (const std::size_t idx : cs.samples.indices) {
-        hash.pod<std::uint64_t>(idx);
+/// The one orchestrator loop behind both run_staged overloads. Stage A
+/// drains `producer` into a spill sink (the memory backend passes none
+/// and borrows `memory`) under a retention policy derived from the
+/// config. Rolling (skl2, temporal stage off): no stage revisits a
+/// snapshot, so each spill is written, sampled and deleted before the
+/// next snapshot is produced and live disk stays one compressed
+/// snapshot. Retain (otherwise): selection, the scaler pass and sampling
+/// run over the sealed series. Both run the same per-snapshot step and
+/// scaler arithmetic in the same order, so sample_hash and the training
+/// tensors are bit-identical across backends and policies.
+CaseReport run_loop(flow::SnapshotProducer* producer,
+                    const field::SeriesSource* memory, const CaseConfig& cfg,
+                    Observer* obs) {
+  CaseReport report;
+  obs::Span case_span("case.run", "case");
+  const bool rolling = cfg.backend == "skl2" && !cfg.temporal.enabled();
+  std::optional<SpillSink> sink;
+  if (memory == nullptr) sink.emplace(cfg, report);
+  ml::TensorDataset data;
+  try {
+    // Stage C's per-snapshot step, shared by both policies: sample one
+    // snapshot, fold its cubes into sample_hash, and capture them as raw
+    // training examples while the snapshot's blocks are still cached.
+    const PoolHandle pool = resolve_threads(cfg.pipeline.threads);
+    std::optional<TrainingSetBuilder> builder;
+    Fnv64 hash;
+    energy::EnergyCounter sampling_energy;
+    const auto sample = [&](const field::FieldSource& src, std::size_t t) {
+      if (!builder) builder.emplace(cfg, src.shape());
+      auto r = sampling::run_pipeline_streaming(src, cfg.pipeline, t,
+                                                pool.get());
+      report.sampled_points += r.total_points();
+      report.sampling_seconds += r.sampling_seconds;
+      sampling_energy.merge(r.energy);
+      for (const auto& cs : r.cubes) {
+        hash.pod<std::uint64_t>(cs.snapshot);
+        hash.pod<std::uint64_t>(cs.cube_id);
+        hash.pod<std::uint64_t>(cs.samples.points());
+        for (const std::size_t idx : cs.samples.indices) {
+          hash.pod<std::uint64_t>(idx);
+        }
+        for (const double x : cs.samples.features) hash.pod<double>(x);
+        builder->push(src, cs);
       }
-      for (const double x : cs.samples.features) hash.pod<double>(x);
-      builder.push(src, cs);
+    };
+
+    // --- Stage A: produce -> encode -> append -> drop. At most one
+    // produced snapshot is alive at any point (the loop variable), and
+    // the store writers buffer at most one write-budget-bounded wave of
+    // encoded blocks, so peak ingest memory is one snapshot + budget
+    // (+ codec slack) — never the series.
+    ScalerAccumulator rolled(scaler_vars(cfg));
+    double ingest_seconds = 0.0;
+    double rolled_seconds = 0.0;
+    {
+      obs::Span ingest_span("case.ingest", "case");
+      if (obs != nullptr) obs->on_state(CaseState::kIngesting);
+      checkpoint(obs);
+      if (sink) {
+        const std::size_t planned = producer->num_snapshots();
+        std::size_t t = 0;
+        while (auto snap = producer->next()) {
+          checkpoint(obs);
+          {
+            ScopedTimer ingest_timer(ingest_seconds);
+            sink->append(*snap);
+          }
+          snap.reset();  // values live in the spill now; free the snapshot
+          if (rolling) {
+            ScopedTimer rolled_timer(rolled_seconds);
+            const field::FieldSource& src = sink->series().source(t);
+            rolled.accumulate(src);
+            sample(src, t);
+            sink->drop(t);
+          }
+          ++t;
+          if (obs != nullptr) obs->on_progress(t, planned);
+        }
+        // Check before seal(): an empty series must fail with the
+        // producer-level message, not the store-internal one.
+        SICKLE_CHECK_MSG(t > 0, "producer yielded no snapshots");
+        ScopedTimer ingest_timer(ingest_seconds);
+        sink->seal();
+      }
     }
-    if (obs != nullptr) obs->on_progress(++done, selected.size());
+    report.sampling_seconds += ingest_seconds;
+    report.metrics["case.ingest_seconds"] = ingest_seconds;
+
+    const field::SeriesSource& series = sink ? sink->series() : *memory;
+    const auto selected = selection(series, cfg, report, obs);
+
+    // --- Stage C: the retain policy fits the scalers with one pass over
+    // the series, then samples every selected snapshot; the rolling
+    // policy did both during ingest, leaving only the tensor build.
+    if (obs != nullptr) obs->on_state(CaseState::kSampling);
+    {
+      obs::Span sampling_span("case.sampling", "case");
+      Timer stage_timer;
+      const auto scalers = rolling ? rolled.take() : fit_scalers(series, cfg);
+      if (!rolling) {
+        std::size_t done = 0;
+        for (const std::size_t t : selected) {
+          checkpoint(obs);
+          sample(series.source(t), t);
+          if (obs != nullptr) obs->on_progress(++done, selected.size());
+        }
+      }
+      SICKLE_CHECK_MSG(builder.has_value(), "no snapshot was sampled");
+      data = builder->take(scalers);
+      report.sample_hash = hash.h;
+      report.metrics["case.sampling_seconds"] =
+          stage_timer.seconds() + rolled_seconds;
+    }
+    // Node-projected energy: static power charged against roofline node
+    // time, so ratios between cases track data volume and compute — the
+    // regime the paper measures (see energy::EnergyModel).
+    report.sampling_kilojoules = sampling_energy.projected_kilojoules();
+
+    if (sink) {
+      // Reader-side I/O tallies, folded before the readers close. The
+      // spill is only needed until the training set exists; reclaim the
+      // disk before the (potentially long) training stage.
+      sink->record_io();
+      sink->remove();
+    }
+  } catch (const CancelledError&) {
+    // A cancelled case is not a failure to inspect: reclaim its spill.
+    if (sink) sink->remove();
+    throw;
   }
-  report.sampling_seconds += source_seconds;
-  report.sample_hash = hash.h;
-  report.metrics["case.sampling_seconds"] = stage_timer.seconds();
-  return builder.take();
+
+  training(data, cfg, report, obs);
+  finalize_case_metrics(report);
+  return report;
+}
+
+}  // namespace
+
+void checkpoint(const Observer* obs) {
+  if (obs != nullptr && obs->cancel_requested()) {
+    throw CancelledError();
+  }
 }
 
 void training(const ml::TensorDataset& data, const CaseConfig& cfg,
@@ -881,97 +767,22 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
 
 CaseReport run_staged(const DatasetBundle& bundle, CaseConfig cfg,
                       Observer* obs) {
-  // Fill variable roles from the bundle when the config left them empty.
-  auto& pl = cfg.pipeline;
-  if (pl.input_vars.empty()) pl.input_vars = bundle.input_vars;
-  if (pl.output_vars.empty()) pl.output_vars = bundle.output_vars;
-  if (pl.cluster_var.empty()) pl.cluster_var = bundle.cluster_var;
-
-  CaseReport report;
-  check_backend_and_ingest(cfg);
-
-  obs::Span case_span("case.run", "case");
-  energy::EnergyCounter sampling_energy;
-  ml::TensorDataset data;
-  {
-    // --- Stage A: ingest. Materialize the dataset as a SeriesSource:
-    // borrowed RAM views, per-snapshot SKL2 spills, or one streaming
-    // SKL3 container whose writer memory is bounded by the write budget.
-    SpillGuard guard;
-    const field::DatasetSeriesSource mem_series(bundle.data);
-    std::unique_ptr<field::SeriesSource> spilled;
-    const field::SeriesSource* series = &mem_series;
-    double ingest_seconds = 0.0;
-    {
-      obs::Span ingest_span("case.ingest", "case");
-      if (obs != nullptr) obs->on_state(CaseState::kIngesting);
-      checkpoint(obs);
-      if (cfg.backend != "memory") {
-        ScopedTimer spill_timer(ingest_seconds);
-        guard.dir = make_spill_dir(cfg.spill_dir);
-        guard.armed = true;
-        if (cfg.backend == "skl2") {
-          spilled = std::make_unique<Skl2SpillSeries>(
-              bundle.data, guard.dir, cfg.store, &report.store_bytes,
-              &report.ingest_peak_disk_bytes);
-        } else {
-          const std::string path = (guard.dir / "series.skl3").string();
-          store::SeriesWriter writer(path, cfg.store);
-          for (std::size_t t = 0; t < bundle.data.num_snapshots(); ++t) {
-            writer.append(bundle.data.snapshot(t));
-            if (obs != nullptr) {
-              obs->on_progress(t + 1, bundle.data.num_snapshots());
-            }
-          }
-          report.store_bytes = writer.close().file_bytes;
-          report.ingest_peak_disk_bytes = report.store_bytes;
-          spilled = std::make_unique<store::SeriesReader>(
-              path, series_reader_options(cfg.store));
-        }
-        series = spilled.get();
-      }
-    }
-    report.sampling_seconds += ingest_seconds;
-    report.metrics["case.ingest_seconds"] = ingest_seconds;
-
-    const auto selected = selection(*series, cfg, report, obs);
-    data = sampling(*series, std::span<const std::size_t>(selected), cfg,
-                    report, sampling_energy, obs);
-
-    // Reader-side I/O tallies, folded before the readers close.
-    if (cfg.backend == "skl2") {
-      record_spill_metrics(
-          report, static_cast<Skl2SpillSeries*>(spilled.get())->io_stats());
-    } else if (cfg.backend == "series") {
-      auto* reader = static_cast<store::SeriesReader*>(spilled.get());
-      SpillIoStats io;
-      io.fold(reader->cache_stats(), reader->io_bytes_read());
-      record_spill_metrics(report, io);
-    }
-
-    // The spill is only needed until the training set exists; reclaim the
-    // disk before the (potentially long) training stage.
-    spilled.reset();
-    guard.remove_now();
+  resolve_roles(cfg, bundle);
+  // A Dataset is materialized by definition. The memory backend borrows
+  // RAM views of it; the spill backends replay it through the same loop
+  // a producer feeds.
+  cfg.ingest = "materialize";
+  if (cfg.backend == "memory") {
+    const field::DatasetSeriesSource series(bundle.data);
+    return run_loop(nullptr, &series, cfg, obs);
   }
-  // Node-projected energy: static power charged against roofline node
-  // time, so ratios between cases track data volume and compute — the
-  // regime the paper measures (see energy::EnergyModel).
-  report.sampling_kilojoules = sampling_energy.projected_kilojoules();
-
-  training(data, cfg, report, obs);
-  finalize_case_metrics(report);
-  return report;
+  flow::DatasetProducer replay(bundle.data);
+  return run_loop(&replay, nullptr, cfg, obs);
 }
 
 CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
                       Observer* obs) {
-  auto& pl = cfg.pipeline;
-  if (pl.input_vars.empty()) pl.input_vars = bundle.input_vars;
-  if (pl.output_vars.empty()) pl.output_vars = bundle.output_vars;
-  if (pl.cluster_var.empty()) pl.cluster_var = bundle.cluster_var;
-  check_backend_and_ingest(cfg);
-
+  resolve_roles(cfg, bundle);
   try {
     // The memory backend borrows views of a full Dataset, so it always
     // materializes; so does explicit ingest: materialize — both delegate
@@ -979,16 +790,7 @@ CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
     if (cfg.backend == "memory" || cfg.ingest == "materialize") {
       return run_staged(materialize_bundle(bundle), std::move(cfg), obs);
     }
-
-    // Rolling-window fast path: streaming skl2 with the temporal stage
-    // off never revisits a snapshot, so spill files are deleted as they
-    // are consumed — O(one snapshot) of disk instead of the whole series,
-    // with bit-identical samples and tensors (see run_case_fused_skl2).
-    if (cfg.backend == "skl2" && !cfg.temporal.enabled()) {
-      return run_case_fused_skl2(bundle, cfg, obs);
-    }
-
-    return run_streaming(bundle, cfg, obs);
+    return run_loop(bundle.producer.get(), nullptr, cfg, obs);
   } catch (...) {
     // A failed or cancelled run must not leave a half-consumed producer:
     // rewind it when the generator supports the reset() contract so the
@@ -1011,11 +813,11 @@ ml::TensorDataset build_training_set(const DatasetBundle& bundle,
                                      const sampling::PipelineResult& sampled,
                                      const CaseConfig& cfg) {
   const field::DatasetSeriesSource series(bundle.data);
-  stage::TrainingSetBuilder builder(series, cfg);
+  stage::TrainingSetBuilder builder(cfg, bundle.data.shape());
   for (const auto& cs : sampled.cubes) {
     builder.push(series.source(cs.snapshot), cs);
   }
-  return builder.take();
+  return builder.take(stage::fit_scalers(series, cfg));
 }
 
 }  // namespace sickle

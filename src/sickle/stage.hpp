@@ -17,10 +17,7 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
-#include "energy/energy.hpp"
 #include "sickle/case.hpp"
 #include "sickle/errors.hpp"
 
@@ -54,24 +51,6 @@ class Observer {
 /// The orchestrator calls this at every stage boundary and per snapshot.
 void checkpoint(const Observer* obs);
 
-/// --- Stage B: temporal snapshot selection over streamed PDFs. Returns
-/// the snapshot indices to sample, ascending (identity when the stage is
-/// disabled). Emits the case.selection span and fills
-/// report.selected_snapshots / metrics["case.selection_seconds"].
-[[nodiscard]] std::vector<std::size_t> selection(
-    const field::SeriesSource& series, const CaseConfig& cfg,
-    CaseReport& report, Observer* obs = nullptr);
-
-/// --- Stage C: per-snapshot sampling streamed straight into the
-/// training-set builder (scalers fit with a dedicated pass first).
-/// Accepted points become training rows while the snapshot's blocks are
-/// still cached; nothing is re-read later. Fills report.sample_hash,
-/// sampled_points, sampling_seconds.
-[[nodiscard]] ml::TensorDataset sampling(
-    const field::SeriesSource& series, std::span<const std::size_t> selected,
-    const CaseConfig& cfg, CaseReport& report,
-    energy::EnergyCounter& sampling_energy, Observer* obs = nullptr);
-
 /// --- Stage D: model construction + training. Fills report.train and
 /// metrics["case.training_seconds"].
 void training(const ml::TensorDataset& data, const CaseConfig& cfg,
@@ -79,7 +58,8 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
 
 /// Run the full staged case over a materialized dataset. Exactly
 /// `run_case(bundle, cfg)` plus the observer hooks; run_case passes
-/// nullptr.
+/// nullptr. The memory backend reads the dataset in place; the spill
+/// backends replay it through the same ingest loop a producer feeds.
 [[nodiscard]] CaseReport run_staged(const DatasetBundle& bundle,
                                     CaseConfig cfg, Observer* obs);
 
@@ -88,6 +68,8 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
 /// reset() when its generator supports rewinding (flow::CloneError is
 /// swallowed), so a rejected or cancelled submission does not leave a
 /// half-consumed producer behind; on success the producer is consumed.
+/// A cancelled case removes its spill directory; a failed one keeps it
+/// and logs its path.
 [[nodiscard]] CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
                                     Observer* obs);
 

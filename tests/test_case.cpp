@@ -1,7 +1,12 @@
 // Integration tests: dataset zoo + end-to-end case runner.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <string>
+#include <tuple>
 
 #include "sickle/case.hpp"
 #include "sickle/dataset_zoo.hpp"
@@ -152,6 +157,82 @@ TEST(Case, SamplingReducesEnergyVsFull) {
   EXPECT_LT(sparse_report.train.energy.flops(),
             dense_report.train.energy.flops());
 }
+
+// ------------------------------------- backend x ingest x temporal matrix
+
+/// (backend, ingest, temporal stage on)
+using MatrixParam = std::tuple<std::string, std::string, bool>;
+
+class CaseMatrix : public ::testing::TestWithParam<MatrixParam> {};
+
+CaseConfig matrix_case(const std::string& backend, const std::string& ingest,
+                       bool temporal, const std::string& spill_dir) {
+  CaseConfig cfg = tiny_case("MLP_Transformer");
+  cfg.train.epochs = 1;
+  cfg.backend = backend;
+  cfg.ingest = ingest;
+  cfg.store.chunk = {16, 16, 16};
+  cfg.store.codec = "delta";
+  cfg.store.write_budget_bytes = 1u << 20;
+  cfg.spill_dir = spill_dir;
+  if (temporal) {
+    cfg.temporal.num_snapshots = 3;
+    cfg.temporal.bins = 32;
+  }
+  return cfg;
+}
+
+/// Every backend x ingest combination, through both run_case overloads,
+/// samples and trains bit-identically to the in-memory reference, leaves
+/// no spill behind, and keeps the disk bound of the retention policy its
+/// config implies.
+TEST_P(CaseMatrix, MatchesMemoryReferenceAndHonorsRetention) {
+  const auto& [backend, ingest, temporal] = GetParam();
+  const auto spill =
+      std::filesystem::temp_directory_path() /
+      ("sickle_case_matrix_" + std::to_string(::getpid()) + "_" + backend +
+       "_" + ingest + (temporal ? "_temporal" : ""));
+  std::filesystem::remove_all(spill);
+  std::filesystem::create_directories(spill);
+
+  const auto reference =
+      run_case(make_dataset("SST-P1F4", 5, 0.5),
+               matrix_case("memory", "materialize", temporal, ""));
+  ASSERT_NE(reference.sample_hash, 0u);
+  EXPECT_EQ(reference.selected_snapshots.size(), temporal ? 3u : 0u);
+
+  const CaseConfig cfg = matrix_case(backend, ingest, temporal, spill.string());
+  ProducerBundle producer = make_dataset_producer("SST-P1F4", 5, 0.5);
+  const CaseReport via_producer = run_case(producer, cfg);
+  const CaseReport via_dataset = run_case(make_dataset("SST-P1F4", 5, 0.5), cfg);
+
+  const bool rolling = backend == "skl2" && !temporal;
+  for (const CaseReport* r : {&via_producer, &via_dataset}) {
+    EXPECT_EQ(r->sample_hash, reference.sample_hash);
+    EXPECT_EQ(r->train.test_loss, reference.train.test_loss);
+    EXPECT_EQ(r->selected_snapshots, reference.selected_snapshots);
+    if (backend == "memory") {
+      EXPECT_EQ(r->ingest_peak_disk_bytes, 0u);
+    } else if (rolling) {
+      EXPECT_GT(r->ingest_peak_disk_bytes, 0u);
+      EXPECT_LT(r->ingest_peak_disk_bytes, r->store_bytes);
+    } else {
+      EXPECT_EQ(r->ingest_peak_disk_bytes, r->store_bytes);
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(spill));
+  std::filesystem::remove_all(spill);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendIngestTemporal, CaseMatrix,
+    ::testing::Combine(::testing::Values("memory", "skl2", "series"),
+                       ::testing::Values("materialize", "streaming"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param) +
+             (std::get<2>(info.param) ? "_temporal" : "");
+    });
 
 TEST(Case, BuildDragDatasetShapes) {
   const auto bundle = make_dataset("OF2D", 5);

@@ -196,6 +196,31 @@ TEST(Session, CancelQueuedFreesItsQueueSlot) {
   EXPECT_EQ(hd.status().state, CaseState::kDone);
 }
 
+TEST(Session, CancelledCaseRemovesItsSpill) {
+  const auto spill = std::filesystem::temp_directory_path() /
+                     "sickle_test_session_cancel_spill";
+  std::filesystem::remove_all(spill);
+  std::filesystem::create_directories(spill);
+  {
+    CaseSession session({.max_concurrent_cases = 1});
+    TinyCase a = tiny_case(0);  // series backend, streaming ingest
+    a.cfg.spill_dir = spill.string();
+    auto* gate = new GateProducer(std::move(a.bundle.producer));
+    a.bundle.producer.reset(gate);
+    CaseHandle h = session.submit(std::move(a.bundle), std::move(a.cfg));
+    // Stage A has created the spill directory and the unsealed SKL3
+    // container by the time the producer is asked for a snapshot.
+    gate->wait_until_blocked();
+    EXPECT_FALSE(std::filesystem::is_empty(spill));
+    EXPECT_TRUE(h.cancel());
+    gate->release();
+    EXPECT_THROW((void)h.wait(), CancelledError);
+  }
+  // A cancel is not a failure to inspect: nothing is left behind.
+  EXPECT_TRUE(std::filesystem::is_empty(spill));
+  std::filesystem::remove_all(spill);
+}
+
 TEST(Session, SubmitRejectsBadConfigWithEveryIssueAtOnce) {
   CaseSession session;
   TinyCase t = tiny_case(0);
