@@ -13,6 +13,7 @@
 #include <cstring>
 #include <inttypes.h>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -36,6 +37,11 @@ std::string hash_hex(std::uint64_t h) {
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
   return buf;
 }
+
+/// Longest unfinished request line a connection may buffer. A client that
+/// sends more than this without a newline gets a `protocol` rejection and
+/// is disconnected, so no connection grows the daemon's memory unbounded.
+constexpr std::size_t kMaxRequestLineBytes = 1u << 20;
 
 Json error_response(const std::string& code, const std::string& what) {
   Json resp = Json::object();
@@ -298,6 +304,7 @@ struct Server::Impl {
 
   void connection_loop(Conn* conn) {
     std::string buf;
+    std::size_t scanned = 0;  // prefix of buf already known newline-free
     char chunk[4096];
     bool open = true;
     while (open && !stopping.load(std::memory_order_relaxed)) {
@@ -305,7 +312,7 @@ struct Server::Impl {
       if (n <= 0) break;
       buf.append(chunk, static_cast<std::size_t>(n));
       std::size_t start = 0;
-      for (std::size_t nl = buf.find('\n', start);
+      for (std::size_t nl = buf.find('\n', scanned);
            nl != std::string::npos && open;
            nl = buf.find('\n', start)) {
         std::string line = buf.substr(start, nl - start);
@@ -313,6 +320,16 @@ struct Server::Impl {
         if (!trim(line).empty()) open = handle_line(conn->fd, line);
       }
       buf.erase(0, start);
+      scanned = buf.size();
+      if (open && buf.size() > kMaxRequestLineBytes) {
+        send_all(conn->fd,
+                 error_response("protocol",
+                                "request line longer than " +
+                                    std::to_string(kMaxRequestLineBytes) +
+                                    " bytes")
+                     .dump());
+        break;
+      }
     }
     // Close under the registry lock so stop() can't shutdown() a reused
     // fd number.

@@ -73,26 +73,35 @@ class ChunkLayout {
     return b;
   }
 
-  /// Chunk containing a global flat grid index.
-  [[nodiscard]] std::size_t chunk_of(std::size_t flat) const noexcept {
-    const std::size_t iz = flat % grid_.nz;
-    const std::size_t iy = (flat / grid_.nz) % grid_.ny;
-    const std::size_t ix = flat / (grid_.nz * grid_.ny);
-    return ((ix / chunk_.nx) * ncy_ + iy / chunk_.ny) * ncz_ + iz / chunk_.nz;
-  }
+  /// Where one global flat grid index lives in the store: its chunk, its
+  /// position in that chunk's z-fastest serialization, and how many
+  /// points its chunk row holds from it on (itself included). Flat
+  /// indices flat .. flat + row_left - 1 are consecutive in the chunk
+  /// too, so one location serves a whole z-run.
+  struct Location {
+    std::size_t chunk = 0;
+    std::size_t offset = 0;
+    std::size_t row_left = 0;
+  };
 
-  /// Position of a global flat grid index within its chunk's z-fastest
-  /// serialization.
-  [[nodiscard]] std::size_t local_offset(std::size_t flat) const noexcept {
+  /// Locate a global flat grid index; throws CheckError when it lies
+  /// outside the grid.
+  [[nodiscard]] Location locate(std::size_t flat) const {
+    SICKLE_CHECK_MSG(flat < grid_.size(), "grid index out of range");
     const std::size_t iz = flat % grid_.nz;
-    const std::size_t iy = (flat / grid_.nz) % grid_.ny;
-    const std::size_t ix = flat / (grid_.nz * grid_.ny);
-    const std::size_t x0 = (ix / chunk_.nx) * chunk_.nx;
-    const std::size_t y0 = (iy / chunk_.ny) * chunk_.ny;
-    const std::size_t z0 = (iz / chunk_.nz) * chunk_.nz;
+    const std::size_t xy = flat / grid_.nz;
+    const std::size_t iy = xy % grid_.ny;
+    const std::size_t ix = xy / grid_.ny;
+    const std::size_t cx = ix / chunk_.nx;
+    const std::size_t cy = iy / chunk_.ny;
+    const std::size_t cz = iz / chunk_.nz;
+    const std::size_t y0 = cy * chunk_.ny;
+    const std::size_t z0 = cz * chunk_.nz;
     const std::size_t ey = std::min(chunk_.ny, grid_.ny - y0);
     const std::size_t ez = std::min(chunk_.nz, grid_.nz - z0);
-    return ((ix - x0) * ey + (iy - y0)) * ez + (iz - z0);
+    return {(cx * ncy_ + cy) * ncz_ + cz,
+            ((ix - cx * chunk_.nx) * ey + (iy - y0)) * ez + (iz - z0),
+            z0 + ez - iz};
   }
 
  private:
@@ -124,8 +133,8 @@ void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
 }
 
 /// Copy one chunk's values out of a full field, z-fastest within the box —
-/// the writer-side twin of ChunkLayout::local_offset, shared by the SKL2
-/// and SKL3 writers.
+/// the writer-side twin of ChunkLayout::locate, shared by the SKL2 and
+/// SKL3 writers.
 [[nodiscard]] inline std::vector<double> extract_chunk(
     std::span<const double> data, const field::GridShape& grid,
     const ChunkLayout::Box& b) {
@@ -138,6 +147,56 @@ void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
     }
   }
   return vals;
+}
+
+/// The gather behind every chunked reader (ChunkReader, SeriesSnapshotView):
+/// out[i] = the value at global flat index idx[i], in request order.
+///
+/// The request is split into z-runs — consecutive flat indices inside one
+/// chunk row, which are consecutive inside the chunk too — and each run is
+/// located once. The runs are visited grouped by chunk id, so
+/// `fetch(chunk_id)` (the reader's cached decode, returning a shared
+/// pointer to the block's values) runs once per distinct chunk per call,
+/// whatever the index order; a request already grouped (one chunk, or runs
+/// in ascending chunk order) is found so and not sorted. Scratch is one
+/// entry per run, and only one block is held at a time. Throws CheckError
+/// when the spans differ in size or an index lies outside the grid.
+template <typename Fetch>
+void gather_runs(const ChunkLayout& layout, std::span<const std::size_t> idx,
+                 std::span<double> out, Fetch&& fetch) {
+  SICKLE_CHECK(out.size() == idx.size());
+  struct Run {
+    std::size_t chunk;
+    std::size_t offset;
+    std::size_t pos;  ///< first request slot
+    std::size_t len;
+  };
+  std::vector<Run> runs;
+  bool grouped = true;
+  for (std::size_t i = 0; i < idx.size();) {
+    const auto loc = layout.locate(idx[i]);
+    std::size_t len = 1;
+    while (len < loc.row_left && i + len < idx.size() &&
+           idx[i + len] == idx[i] + len) {
+      ++len;
+    }
+    if (!runs.empty() && loc.chunk < runs.back().chunk) grouped = false;
+    runs.push_back({loc.chunk, loc.offset, i, len});
+    i += len;
+  }
+  if (!grouped) {
+    std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+      return a.chunk < b.chunk;
+    });
+  }
+  for (std::size_t r = 0; r < runs.size();) {
+    const std::size_t chunk = runs[r].chunk;
+    const auto values = fetch(chunk);
+    for (; r < runs.size() && runs[r].chunk == chunk; ++r) {
+      std::copy_n(values->data() + runs[r].offset, runs[r].len,
+                  out.data() + runs[r].pos);
+    }
+  }
 }
 
 }  // namespace sickle::store

@@ -46,7 +46,9 @@ constexpr double kMaxLevels = 281474976710655.0;  // 2^48 - 1
 std::vector<std::uint8_t> RawCodec::encode(
     std::span<const double> values) const {
   std::vector<std::uint8_t> out(values.size() * sizeof(double));
-  std::memcpy(out.data(), values.data(), out.size());
+  // An empty span may carry a null pointer, and memcpy from null is UB
+  // even for zero bytes.
+  if (!out.empty()) std::memcpy(out.data(), values.data(), out.size());
   return out;
 }
 
@@ -56,7 +58,7 @@ std::vector<double> RawCodec::decode(std::span<const std::uint8_t> block,
     throw RuntimeError("raw chunk block has wrong size");
   }
   std::vector<double> out(count);
-  std::memcpy(out.data(), block.data(), block.size());
+  if (count > 0) std::memcpy(out.data(), block.data(), block.size());
   return out;
 }
 

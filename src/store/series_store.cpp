@@ -606,24 +606,12 @@ double SeriesSnapshotView::time() const noexcept {
 void SeriesSnapshotView::gather(const std::string& var,
                                 std::span<const std::size_t> idx,
                                 std::span<double> out) const {
-  SICKLE_CHECK(out.size() == idx.size());
   const auto it = reader_->field_index_.find(var);
   SICKLE_CHECK_MSG(it != reader_->field_index_.end(),
                    "unknown field: " + var);
   const std::size_t f = it->second;
-  const ChunkLayout& layout = reader_->layout_;
-  // Same hot-path memoization as ChunkReader::gather: runs of indices
-  // within one chunk skip the cache lookup entirely.
-  std::size_t last_chunk = layout.count();
-  std::shared_ptr<const std::vector<double>> values;
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const std::size_t c = layout.chunk_of(idx[i]);
-    if (c != last_chunk) {
-      values = reader_->chunk(t_, f, c);
-      last_chunk = c;
-    }
-    out[i] = (*values)[layout.local_offset(idx[i])];
-  }
+  gather_runs(reader_->layout_, idx, out,
+              [&](std::size_t c) { return reader_->chunk(t_, f, c); });
 }
 
 }  // namespace sickle::store

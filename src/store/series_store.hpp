@@ -151,6 +151,11 @@ class SeriesSnapshotView final : public field::FieldSource {
   [[nodiscard]] const field::GridShape& shape() const noexcept override;
   [[nodiscard]] std::vector<std::string> variables() const override;
   [[nodiscard]] bool has(const std::string& var) const override;
+  /// Values of `var` at `idx` in snapshot t, in request order — the same
+  /// store::gather_runs as ChunkReader::gather: each distinct chunk is
+  /// fetched from the shared cache once per call whatever the index
+  /// order, with O(runs) scratch. Throws CheckError for an unknown field
+  /// or an index outside the grid.
   void gather(const std::string& var, std::span<const std::size_t> idx,
               std::span<double> out) const override;
   using field::FieldSource::gather;

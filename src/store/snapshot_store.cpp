@@ -416,23 +416,10 @@ std::shared_ptr<const std::vector<double>> ChunkReader::chunk(
 void ChunkReader::gather(const std::string& var,
                          std::span<const std::size_t> idx,
                          std::span<double> out) const {
-  SICKLE_CHECK(out.size() == idx.size());
   const auto it = field_index_.find(var);
   SICKLE_CHECK_MSG(it != field_index_.end(), "unknown field: " + var);
   const std::size_t f = it->second;
-  // Gather requests are runs of indices within one chunk (cube point sets,
-  // full-field scans); memoizing the last chunk skips the cache lookup and
-  // LRU bookkeeping on the hot path.
-  std::size_t last_chunk = layout_.count();
-  std::shared_ptr<const std::vector<double>> values;
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const std::size_t c = layout_.chunk_of(idx[i]);
-    if (c != last_chunk) {
-      values = chunk(f, c);
-      last_chunk = c;
-    }
-    out[i] = (*values)[layout_.local_offset(idx[i])];
-  }
+  gather_runs(layout_, idx, out, [&](std::size_t c) { return chunk(f, c); });
 }
 
 std::vector<double> ChunkReader::load_field(const std::string& var) const {

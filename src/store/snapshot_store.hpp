@@ -127,8 +127,10 @@ WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
 ///
 /// Chunks decode on demand and live in a byte-bounded LRU cache, so any
 /// access pattern — full-field scans, per-cube gathers, random point
-/// lookups — runs in O(cache) memory. Implements field::FieldSource, which
-/// is all the sampling pipeline needs.
+/// lookups — runs in O(request + cache) memory, and one gather decodes
+/// each chunk it touches at most once, however small the cache.
+/// Implements field::FieldSource, which is all the sampling pipeline
+/// needs.
 ///
 /// Thread-safety contract: one ChunkReader may be shared by any number of
 /// threads calling gather()/chunk()/load_field() concurrently. The block
@@ -162,6 +164,10 @@ class ChunkReader final : public field::FieldSource {
   [[nodiscard]] bool has(const std::string& var) const override {
     return field_index_.count(var) > 0;
   }
+  /// Values of `var` at `idx`, in request order, through
+  /// store::gather_runs: each distinct chunk is fetched from the cache once
+  /// per call whatever the index order, with O(runs) scratch. Throws
+  /// CheckError for an unknown field or an index outside the grid.
   void gather(const std::string& var, std::span<const std::size_t> idx,
               std::span<double> out) const override;
   using field::FieldSource::gather;

@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "gather_patterns.hpp"
 #include "stats/histogram.hpp"
 #include "sampling/pipeline.hpp"
 #include "sampling/temporal.hpp"
@@ -389,6 +390,122 @@ TEST_F(SeriesStoreTest, ConcurrentCrossSnapshotGathersMatchSource) {
   for (auto& worker : workers) worker.join();
   for (const auto& f : failures) EXPECT_EQ(f, "");
   EXPECT_GT(reader.cache_stats().evictions, 0u);
+}
+
+/// The SeriesSnapshotView twin of StoreTest's ScatteredGather table: every
+/// request shape on every snapshot returns the source snapshot's values
+/// in request order, and with a cache a quarter of one field's chunks deep
+/// each call misses exactly once per distinct chunk it touches.
+TEST_F(SeriesStoreTest, ScatteredGatherMatchesSourceAndFetchesEachChunkOnce) {
+  for (const auto& g : testing::gather_grids()) {
+    field::Dataset ds("scattered");
+    Rng fill(19);
+    for (std::size_t t = 0; t < 3; ++t) {
+      field::Snapshot snap(g.grid, 0.1 * static_cast<double>(t));
+      for (const char* name : {"u", "v"}) {
+        for (auto& x : snap.add(name).data()) x = fill.normal();
+      }
+      ds.push(snap);
+    }
+    StoreOptions opts;
+    opts.chunk = g.chunk;
+    SeriesWriter writer(path("sg.skl3"), opts);
+    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+      writer.append(ds.snapshot(t));
+    }
+    (void)writer.close();
+    const std::size_t cache_bytes =
+        testing::chunk_count(g) / 4 * g.chunk.size() * sizeof(double);
+
+    for (const auto& p : testing::gather_patterns(g.grid, 29)) {
+      SCOPED_TRACE(p.name + " on " + std::to_string(g.grid.size()) +
+                   " points");
+      const SeriesReader reader(path("sg.skl3"), cache_bytes);
+      const std::span<const std::size_t> idx(p.idx);
+      for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+        const field::SnapshotSource want(ds.snapshot(t));
+        const std::size_t before = reader.cache_stats().misses;
+        const auto got = reader.source(t).gather("v", idx);
+        const auto expected = want.gather("v", idx);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], expected[i]) << "t " << t << " slot " << i;
+        }
+        EXPECT_EQ(reader.cache_stats().misses - before,
+                  testing::distinct_chunks(g, p.idx))
+            << "t " << t;
+      }
+    }
+  }
+}
+
+TEST_F(SeriesStoreTest, ScatteredGatherRejectsOutOfRangeIndex) {
+  const auto ds = make_series(2);
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  SeriesWriter writer(path("oor.skl3"), opts);
+  writer.append(ds.snapshot(0));
+  writer.append(ds.snapshot(1));
+  (void)writer.close();
+  const SeriesReader reader(path("oor.skl3"));
+  const std::size_t n = ds.shape().size();
+  for (const auto& idx :
+       {std::vector<std::size_t>{n}, std::vector<std::size_t>{0, 1, n},
+        std::vector<std::size_t>{n + 1000, 3}}) {
+    EXPECT_THROW((void)reader.source(1).gather(
+                     "u", std::span<const std::size_t>(idx)),
+                 CheckError);
+  }
+  const std::vector<std::size_t> ok = {0};
+  EXPECT_THROW((void)reader.source(0).gather(
+                   "nope", std::span<const std::size_t>(ok)),
+               CheckError);
+}
+
+/// Random-order requests from 4 threads on one shared SeriesReader with
+/// readahead on and a two-chunk cache, so demand gathers race prefetch
+/// decodes and eviction (runs under TSan in CI). Every result must match
+/// the source snapshot.
+TEST_F(SeriesStoreTest, ConcurrentScatteredGather) {
+  const auto ds = make_series(4);
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  SeriesWriter writer(path("csg.skl3"), opts);
+  for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+    writer.append(ds.snapshot(t));
+  }
+  (void)writer.close();
+  ThreadPool pool(2);
+  ReaderOptions ropts;
+  ropts.cache_bytes = 2 * 64 * sizeof(double);
+  ropts.prefetch_depth = 2;
+  ropts.pool = &pool;
+  const SeriesReader reader(path("csg.skl3"), ropts);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 48;
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(900 + w);
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const std::size_t t = (round + w) % ds.num_snapshots();
+        const char* var = (round + w) % 2 == 0 ? "u" : "c";
+        std::vector<std::size_t> idx(1 + rng.uniform_int(96));
+        for (auto& i : idx) i = rng.uniform_int(ds.shape().size());
+        const std::span<const std::size_t> span(idx);
+        const field::SnapshotSource want(ds.snapshot(t));
+        if (reader.source(t).gather(var, span) != want.gather(var, span)) {
+          failures[w] = "thread " + std::to_string(w) + " snapshot " +
+                        std::to_string(t) + " differs";
+          return;
+        }
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  reader.drain_prefetch();
+  for (const auto& f : failures) EXPECT_EQ(f, "");
 }
 
 // ------------------------------------------------- staged case orchestrator

@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "gather_patterns.hpp"
 #include "sampling/pipeline.hpp"
 #include "sickle/case.hpp"
 #include "store/chunk_layout.hpp"
@@ -127,19 +128,28 @@ TEST(ChunkLayout, PartialEdgeChunksCoverTheGrid) {
 
 TEST(ChunkLayout, PointMappingIsABijection) {
   const ChunkLayout layout({10, 6, 5}, {4, 4, 4});
-  // (chunk_of, local_offset) must hit every slot of every chunk once.
+  // locate() must hit every slot of every chunk once, and its row_left
+  // must count the points from the index to the end of its chunk row.
   std::vector<std::vector<bool>> seen(layout.count());
   for (std::size_t c = 0; c < layout.count(); ++c) {
     seen[c].assign(layout.box(c).points(), false);
   }
-  for (std::size_t flat = 0; flat < layout.grid().size(); ++flat) {
-    const std::size_t c = layout.chunk_of(flat);
-    const std::size_t off = layout.local_offset(flat);
-    ASSERT_LT(c, layout.count());
-    ASSERT_LT(off, seen[c].size());
-    EXPECT_FALSE(seen[c][off]);
-    seen[c][off] = true;
+  const auto& grid = layout.grid();
+  for (std::size_t flat = 0; flat < grid.size(); ++flat) {
+    const auto loc = layout.locate(flat);
+    ASSERT_LT(loc.chunk, layout.count());
+    ASSERT_LT(loc.offset, seen[loc.chunk].size());
+    EXPECT_FALSE(seen[loc.chunk][loc.offset]);
+    seen[loc.chunk][loc.offset] = true;
+    const auto b = layout.box(loc.chunk);
+    EXPECT_EQ(loc.row_left, b.z0 + b.ez - flat % grid.nz) << flat;
+    // The rest of the row is consecutive in the chunk too.
+    const auto last = layout.locate(flat + loc.row_left - 1);
+    EXPECT_EQ(last.chunk, loc.chunk);
+    EXPECT_EQ(last.offset, loc.offset + loc.row_left - 1);
+    EXPECT_EQ(last.row_left, 1u);
   }
+  EXPECT_THROW((void)layout.locate(grid.size()), CheckError);
 }
 
 TEST(ChunkLayout, OversizedChunkClampsToOneChunk) {
@@ -484,6 +494,96 @@ TEST_F(StoreTest, ConcurrentGathersMatchSnapshotUnderEvictionChurn) {
     EXPECT_GT(stats.misses, 0u);
     EXPECT_GT(stats.evictions, 0u);
   }
+}
+
+/// Every scattered request shape returns SnapshotSource's values in
+/// request order, and with a cache only a quarter of the field's chunks
+/// deep each distinct chunk is still fetched once per call: misses equal
+/// the distinct chunks touched, whatever the index order.
+TEST_F(StoreTest, ScatteredGatherMatchesSourceAndFetchesEachChunkOnce) {
+  for (const auto& g : testing::gather_grids()) {
+    field::Snapshot snap(g.grid, 0.0);
+    Rng fill(17);
+    for (auto& x : snap.add("u").data()) x = fill.normal();
+    StoreOptions opts;
+    opts.chunk = g.chunk;
+    write_store(snap, path("sg.skl2"), opts);
+    const field::SnapshotSource want(snap);
+    const std::size_t cache_bytes =
+        testing::chunk_count(g) / 4 * g.chunk.size() * sizeof(double);
+
+    for (const auto& p : testing::gather_patterns(g.grid, 23)) {
+      SCOPED_TRACE(p.name + " on " + std::to_string(g.grid.size()) +
+                   " points");
+      const ChunkReader reader(path("sg.skl2"), cache_bytes);
+      const std::span<const std::size_t> idx(p.idx);
+      const auto got = reader.gather("u", idx);
+      const auto expected = want.gather("u", idx);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], expected[i]) << "slot " << i;
+      }
+      EXPECT_EQ(reader.cache_stats().misses,
+                testing::distinct_chunks(g, p.idx));
+    }
+  }
+}
+
+TEST_F(StoreTest, ScatteredGatherRejectsOutOfRangeIndex) {
+  const auto snap = make_snapshot();
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  write_store(snap, path("oor.skl2"), opts);
+  const ChunkReader reader(path("oor.skl2"));
+  const std::size_t n = snap.shape().size();
+  // n lands inside a valid chunk id on this grid (ix = nx rounds into the
+  // last chunk column), so only an explicit bound check catches it.
+  for (const auto& idx :
+       {std::vector<std::size_t>{n}, std::vector<std::size_t>{0, 1, n},
+        std::vector<std::size_t>{n + 1000, 3}}) {
+    EXPECT_THROW((void)reader.gather("u", std::span<const std::size_t>(idx)),
+                 CheckError);
+  }
+  std::vector<std::size_t> idx = {0, 1};
+  std::vector<double> out(3);
+  EXPECT_THROW(reader.gather("u", std::span<const std::size_t>(idx),
+                             std::span<double>(out)),
+               CheckError);
+}
+
+/// Random-order requests from 4 threads on one shared reader whose cache
+/// holds two chunks: the grouped gather keeps no per-reader state, so
+/// every result must match the snapshot (runs under TSan in CI).
+TEST_F(StoreTest, ConcurrentScatteredGather) {
+  const auto snap = make_snapshot();
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  write_store(snap, path("csg.skl2"), opts);
+  const ChunkReader reader(path("csg.skl2"),
+                           /*cache_bytes=*/2 * 64 * sizeof(double));
+  const field::SnapshotSource want(snap);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 64;
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(700 + w);
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const char* var = (round + w) % 3 == 0 ? "c" : "u";
+        std::vector<std::size_t> idx(1 + rng.uniform_int(96));
+        for (auto& i : idx) i = rng.uniform_int(snap.shape().size());
+        const std::span<const std::size_t> span(idx);
+        if (reader.gather(var, span) != want.gather(var, span)) {
+          failures[w] = "thread " + std::to_string(w) + " round " +
+                        std::to_string(round) + " differs";
+          return;
+        }
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  for (const auto& f : failures) EXPECT_EQ(f, "");
 }
 
 /// The byte budget is strict even when the shard count is absurd relative

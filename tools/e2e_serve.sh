@@ -5,7 +5,10 @@
 #      prints for the same config (the daemon is a transport, not a
 #      numerics fork),
 #   2. the metrics verb reports all submissions and the shared cache,
-#   3. SIGTERM shuts the daemon down cleanly (exit 0, farewell line).
+#   3. a 2 MiB request with no newline gets a typed `protocol` rejection
+#      (the daemon's request-line limit is 1 MiB) and the next connection
+#      is served normally,
+#   4. SIGTERM shuts the daemon down cleanly (exit 0, farewell line).
 #
 # Usage: tools/e2e_serve.sh [path/to/sickle_serve] [path/to/sickle_train]
 # Local repro:  cmake -B build -S . && cmake --build build -j
@@ -135,6 +138,45 @@ if [[ "$submitted" -ne "$NUM_CASES" ]]; then
 fi
 echo "serve.cases_submitted = $submitted OK"
 
+echo "=== oversized request line"
+# The flood runs on a thread so the rejection is read while the daemon
+# still has the connection open; the send fails once it hangs up.
+python3 - "$port" <<'PY'
+import json, socket, sys, threading
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=60)
+def flood():
+    try:
+        sock.sendall(b"x" * (2 << 20))
+    except OSError:
+        pass
+threading.Thread(target=flood, daemon=True).start()
+buf = b""
+while b"\n" not in buf:
+    chunk = sock.recv(65536)
+    if not chunk:
+        sys.exit("error: daemon closed without answering the oversized line")
+    buf += chunk
+resp = json.loads(buf.partition(b"\n")[0])
+if resp.get("ok") is not False or resp.get("code") != "protocol":
+    sys.exit(f"error: oversized line got {resp}, expected a protocol error")
+sock.settimeout(10)
+try:
+    rest = sock.recv(65536)
+except ConnectionResetError:
+    rest = b""
+except TimeoutError:
+    sys.exit("error: daemon kept the connection open after the rejection")
+if rest:
+    sys.exit(f"error: unexpected bytes after the rejection: {rest!r}")
+print(f"2 MiB without a newline: {resp['error']} OK")
+PY
+# serve_client.py exits 0 only on an "ok": true response.
+python3 "$CLIENT" --port "$port" metrics > /dev/null || {
+  echo "error: the connection after the oversized line was not served" >&2
+  exit 1
+}
+echo "next connection served OK"
+
 echo "=== SIGTERM shutdown"
 kill -TERM "$serve_pid"
 rc=0
@@ -152,4 +194,4 @@ grep -q "shut down cleanly" "$workdir/serve.log" || {
 
 echo
 echo "e2e-serve OK: $NUM_CASES concurrent cases bit-identical, metrics"
-echo "consistent, clean SIGTERM shutdown"
+echo "consistent, oversized line rejected, clean SIGTERM shutdown"
