@@ -44,8 +44,9 @@ struct VarScaler {
 /// (variables inner, snapshots outer — the exact accumulation order of a
 /// whole-series fit_scalers pass, so scalers computed incrementally
 /// during ingest are bit-identical to a dedicated post-hoc pass). The
-/// rolling ingest policy folds each spilled snapshot in as it is
-/// sampled, eliminating the scaler pass over the store entirely.
+/// orchestrator folds each produced snapshot in while it is still in RAM,
+/// before it is spilled, so no backend ever reads its store back for the
+/// scalers.
 class ScalerAccumulator {
  public:
   explicit ScalerAccumulator(std::vector<std::string> vars)
@@ -96,13 +97,11 @@ std::vector<std::string> scaler_vars(const CaseConfig& cfg) {
   return vars;
 }
 
-/// Fit z-score scalers by streaming the series snapshot-major (one pass
-/// over the store, all variables accumulated per visit — out-of-core
-/// sources pay one reader/cache walk per snapshot, not one per variable).
-/// Each variable's accumulator still sees its values in t-ascending flat
-/// order — the same sequence as a span scan over an in-memory Dataset —
-/// so scalers (and therefore training tensors) are bit-identical across
-/// the memory/skl2/series backends for lossless codecs.
+/// Fit z-score scalers over a whole series, snapshot-major — the one-shot
+/// form of the orchestrator's ingest-time fold, for build_training_set.
+/// Each variable's accumulator sees its values in t-ascending flat
+/// order, the same sequence the fold sees, so both give bit-identical
+/// scalers (and therefore training tensors).
 std::map<std::string, VarScaler> fit_scalers(
     const field::SeriesSource& series, const CaseConfig& cfg) {
   ScalerAccumulator acc(scaler_vars(cfg));
@@ -174,11 +173,11 @@ std::vector<float> standardize(std::span<const double> raw,
 /// snapshot source that produced them (its blocks are still warm in the
 /// store's LRU cache) — no second pass over the raw data and no
 /// accumulation of the full PipelineResult. Standardization is deferred
-/// to take(scalers): scalers need only exist by then, so the rolling
-/// ingest policy can accumulate their moments DURING ingest instead of
-/// paying a dedicated pass over the spilled store. Every caller runs the
-/// identical per-variable float arithmetic in the identical order, so
-/// tensors are bit-identical however the scalers were fit.
+/// to take(scalers): scalers need only exist by then, so the orchestrator
+/// folds their moments during ingest and build_training_set fits them in
+/// one pass at the end. Every caller runs the identical per-variable
+/// float arithmetic in the identical order, so tensors are bit-identical
+/// however the scalers were fit.
 class TrainingSetBuilder {
  public:
   TrainingSetBuilder(const CaseConfig& cfg, const field::GridShape& grid)
@@ -566,15 +565,17 @@ std::vector<std::size_t> selection(const field::SeriesSource& series,
 }
 
 /// The one orchestrator loop behind both run_staged overloads. Stage A
-/// drains `producer` into a spill sink (the memory backend passes none
-/// and borrows `memory`) under a retention policy derived from the
-/// config. Rolling (skl2, temporal stage off): no stage revisits a
-/// snapshot, so each spill is written, sampled and deleted before the
-/// next snapshot is produced and live disk stays one compressed
-/// snapshot. Retain (otherwise): selection, the scaler pass and sampling
-/// run over the sealed series. Both run the same per-snapshot step and
-/// scaler arithmetic in the same order, so sample_hash and the training
-/// tensors are bit-identical across backends and policies.
+/// folds every snapshot's scaler moments while it is in RAM — each
+/// produced snapshot before it is spilled, or the borrowed `memory`
+/// series of the memory backend — and drains `producer` into a spill
+/// sink under a retention policy derived from the config. Rolling (skl2,
+/// temporal stage off): no stage revisits a snapshot, so each spill is
+/// written, sampled and deleted before the next snapshot is produced and
+/// live disk stays one compressed snapshot. Retain (otherwise):
+/// selection and sampling run over the sealed series. The fold sees the
+/// values in t-ascending flat order and both policies run the same
+/// per-snapshot step, so sample_hash and the training tensors are
+/// bit-identical across backends and policies for lossless codecs.
 CaseReport run_loop(flow::SnapshotProducer* producer,
                     const field::SeriesSource* memory, const CaseConfig& cfg,
                     Observer* obs) {
@@ -611,23 +612,36 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
       }
     };
 
-    // --- Stage A: produce -> encode -> append -> drop. At most one
-    // produced snapshot is alive at any point (the loop variable), and
-    // the store writers buffer at most one write-budget-bounded wave of
-    // encoded blocks, so peak ingest memory is one snapshot + budget
-    // (+ codec slack) — never the series.
-    ScalerAccumulator rolled(scaler_vars(cfg));
+    // --- Stage A: produce -> fold scalers -> encode -> append -> drop.
+    // At most one produced snapshot is alive at any point (the loop
+    // variable), and the store writers buffer at most one
+    // write-budget-bounded wave of encoded blocks, so peak ingest memory
+    // is one snapshot + budget (+ codec slack) — never the series. The
+    // fold's time goes to the sampling stage's metric and stays out of
+    // ingest_seconds: scaler fitting is training-set (T2) cost, which
+    // CaseReport::sampling_seconds excludes.
+    ScalerAccumulator scalers(scaler_vars(cfg));
     double ingest_seconds = 0.0;
+    double scaler_seconds = 0.0;
     double rolled_seconds = 0.0;
+    const auto fold = [&](const field::FieldSource& src) {
+      ScopedTimer scaler_timer(scaler_seconds);
+      scalers.accumulate(src);
+    };
     {
       obs::Span ingest_span("case.ingest", "case");
       if (obs != nullptr) obs->on_state(CaseState::kIngesting);
       checkpoint(obs);
-      if (sink) {
+      if (!sink) {
+        for (std::size_t t = 0; t < memory->num_snapshots(); ++t) {
+          fold(memory->source(t));
+        }
+      } else {
         const std::size_t planned = producer->num_snapshots();
         std::size_t t = 0;
         while (auto snap = producer->next()) {
           checkpoint(obs);
+          fold(field::SnapshotSource(*snap));
           {
             ScopedTimer ingest_timer(ingest_seconds);
             sink->append(*snap);
@@ -635,9 +649,7 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
           snap.reset();  // values live in the spill now; free the snapshot
           if (rolling) {
             ScopedTimer rolled_timer(rolled_seconds);
-            const field::FieldSource& src = sink->series().source(t);
-            rolled.accumulate(src);
-            sample(src, t);
+            sample(sink->series().source(t), t);
             sink->drop(t);
           }
           ++t;
@@ -656,14 +668,13 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
     const field::SeriesSource& series = sink ? sink->series() : *memory;
     const auto selected = selection(series, cfg, report, obs);
 
-    // --- Stage C: the retain policy fits the scalers with one pass over
-    // the series, then samples every selected snapshot; the rolling
-    // policy did both during ingest, leaving only the tensor build.
+    // --- Stage C: the retain policy samples every selected snapshot (the
+    // rolling policy already did during ingest), then the tensors are
+    // built with the scalers folded in stage A.
     if (obs != nullptr) obs->on_state(CaseState::kSampling);
     {
       obs::Span sampling_span("case.sampling", "case");
       Timer stage_timer;
-      const auto scalers = rolling ? rolled.take() : fit_scalers(series, cfg);
       if (!rolling) {
         std::size_t done = 0;
         for (const std::size_t t : selected) {
@@ -673,10 +684,10 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
         }
       }
       SICKLE_CHECK_MSG(builder.has_value(), "no snapshot was sampled");
-      data = builder->take(scalers);
+      data = builder->take(scalers.take());
       report.sample_hash = hash.h;
       report.metrics["case.sampling_seconds"] =
-          stage_timer.seconds() + rolled_seconds;
+          stage_timer.seconds() + rolled_seconds + scaler_seconds;
     }
     // Node-projected energy: static power charged against roofline node
     // time, so ratios between cases track data volume and compute — the

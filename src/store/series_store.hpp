@@ -81,7 +81,8 @@ struct SeriesWriteReport {
   /// the streaming guarantee: bounded by write_budget_bytes (plus one
   /// wave's codec expansion), never by the series size.
   std::size_t peak_buffered_bytes = 0;
-  double encode_seconds = 0.0;  ///< wall time in chunk extraction + encode
+  /// Wall time in chunk extraction + encode + block checksum.
+  double encode_seconds = 0.0;
 
   [[nodiscard]] double compression_ratio() const noexcept {
     return file_bytes == 0 ? 0.0

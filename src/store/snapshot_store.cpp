@@ -76,9 +76,16 @@ WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
       wave_raw += raw;
       ++wave_end;
     }
-    std::vector<std::vector<std::uint8_t>> blocks(wave_end - wave_begin);
-    // encode_seconds is extract + encode only — stop the clock before the
-    // flush so storage benches report codec throughput, not disk speed.
+    // Each block is checksummed by the task that encoded it, so the
+    // caller's flush below is pure I/O.
+    struct EncodedBlock {
+      std::vector<std::uint8_t> bytes;
+      std::uint64_t checksum = 0;
+    };
+    std::vector<EncodedBlock> blocks(wave_end - wave_begin);
+    // encode_seconds is extract + encode + checksum only — stop the clock
+    // before the flush so storage benches report codec throughput, not
+    // disk speed.
     double wave_seconds = 0.0;
     {
       obs::Span span("codec.encode", "codec");
@@ -90,21 +97,22 @@ WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
             const auto& data = snap.get(names[b / nchunks]).data();
             const auto vals =
                 extract_chunk(data, snap.shape(), layout.box(b % nchunks));
-            blocks[i] = codec.encode(std::span<const double>(vals));
+            blocks[i].bytes = codec.encode(std::span<const double>(vals));
+            blocks[i].checksum =
+                fnv1a64(std::span<const std::uint8_t>(blocks[i].bytes));
           },
           pool, /*grain=*/1);
     }
     stats.encode_seconds += wave_seconds;
     if (obs::enabled()) add_codec_seconds("codec.encode_seconds", wave_seconds);
     std::size_t buffered = 0;
-    for (auto& b : blocks) {
+    for (const auto& b : blocks) {
       index.push_back(BlockRef{static_cast<std::uint64_t>(out.tellp()),
-                               b.size(),
-                               fnv1a64(std::span<const std::uint8_t>(b))});
-      out.write(reinterpret_cast<const char*>(b.data()),
-                static_cast<std::streamsize>(b.size()));
-      buffered += b.size();
-      stats.payload_bytes += b.size();
+                               b.bytes.size(), b.checksum});
+      out.write(reinterpret_cast<const char*>(b.bytes.data()),
+                static_cast<std::streamsize>(b.bytes.size()));
+      buffered += b.bytes.size();
+      stats.payload_bytes += b.bytes.size();
     }
     stats.peak_buffered_bytes = std::max(stats.peak_buffered_bytes, buffered);
     if (!out) throw RuntimeError("error writing: " + path);

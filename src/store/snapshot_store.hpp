@@ -69,7 +69,8 @@ struct StoreWriteReport {
   std::size_t payload_bytes = 0;  ///< encoded chunk payload only
   std::size_t raw_bytes = 0;      ///< nfields * grid points * sizeof(double)
   std::size_t chunks = 0;         ///< blocks written (nfields * layout count)
-  double encode_seconds = 0.0;    ///< wall time in chunk extraction + encode
+  /// Wall time in chunk extraction + encode (+ block checksums, v2+).
+  double encode_seconds = 0.0;
   /// High-water mark of encoded blocks buffered in memory: one
   /// write-budget-bounded wave for the v2 trailing-index layout, the whole
   /// payload for legacy v1 (which needs the index before the payload).
@@ -105,15 +106,18 @@ struct BlockRef {
 struct WaveWriteStats {
   std::size_t payload_bytes = 0;
   std::size_t peak_buffered_bytes = 0;
-  double encode_seconds = 0.0;  ///< chunk extraction + encode only, no I/O
+  /// Chunk extraction + encode + block checksum only, no I/O.
+  double encode_seconds = 0.0;
 };
 
 /// The shared streaming scheme behind the SKL2 v2 writer and
 /// SeriesWriter::append: encode one snapshot's (field, chunk) blocks in
 /// parallel waves whose raw input stays under `budget_bytes` (floored at
 /// one chunk), flush each wave to `out`, and append a BlockRef per block
-/// to `index`. Peak writer memory is one wave of encoded blocks — never
-/// the snapshot. Throws RuntimeError on I/O failure.
+/// to `index`. Each block's checksum is computed by the pool task that
+/// encoded it; the bytes written do not depend on the pool width. Peak
+/// writer memory is one wave of encoded blocks — never the snapshot.
+/// Throws RuntimeError on I/O failure.
 WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
                                      const ChunkLayout& layout,
                                      const std::vector<std::string>& names,

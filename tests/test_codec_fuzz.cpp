@@ -28,6 +28,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "field/field.hpp"
+#include "file_bytes.hpp"
 #include "store/codec.hpp"
 #include "store/series_store.hpp"
 #include "store/snapshot_store.hpp"
@@ -191,13 +192,6 @@ class ContainerFuzz : public ::testing::Test {
     return snap;
   }
 
-  [[nodiscard]] static std::vector<std::uint8_t> slurp(
-      const std::string& p) {
-    std::ifstream f(p, std::ios::binary);
-    return {std::istreambuf_iterator<char>(f),
-            std::istreambuf_iterator<char>()};
-  }
-
   static void spit(const std::string& p,
                    const std::vector<std::uint8_t>& bytes) {
     std::ofstream f(p, std::ios::binary | std::ios::trunc);
@@ -218,7 +212,7 @@ TEST_F(ContainerFuzz, Skl2BitFlipSweepIsExactOrTypedError) {
   opts.chunk = {4, 4, 4};
   opts.codec = "gorilla";
   write_store(snap, path("base.skl2"), opts);
-  const auto clean = slurp(path("base.skl2"));
+  const auto clean = testing::read_bytes(path("base.skl2"));
 
   // Baseline decode for bit-exact comparison.
   std::vector<std::vector<double>> ref;
@@ -266,7 +260,7 @@ TEST_F(ContainerFuzz, Skl2TruncationSweepIsTypedError) {
   opts.chunk = {4, 4, 4};
   opts.codec = "delta";
   write_store(snap, path("base.skl2"), opts);
-  const auto clean = slurp(path("base.skl2"));
+  const auto clean = testing::read_bytes(path("base.skl2"));
 
   // Any shortening removes index/footer bytes, so open (or the first
   // chunk access) must raise a typed error — never garbage data.
@@ -296,8 +290,8 @@ TEST_F(ContainerFuzz, Skl2PayloadSpliceFailsChecksum) {
   opts.codec = "raw";
   write_store(make_snapshot(0.0), path("a.skl2"), opts);
   write_store(make_snapshot(5.0), path("b.skl2"), opts);
-  const auto a = slurp(path("a.skl2"));
-  const auto b = slurp(path("b.skl2"));
+  const auto a = testing::read_bytes(path("a.skl2"));
+  const auto b = testing::read_bytes(path("b.skl2"));
   ASSERT_EQ(a.size(), b.size());
 
   // Identical headers, differing payloads: the first differing byte marks
@@ -340,7 +334,7 @@ TEST_F(ContainerFuzz, Skl3BitFlipSweepIsExactOrTypedError) {
   writer.append(make_snapshot(0.0));
   writer.append(make_snapshot(0.5));
   writer.close();
-  const auto clean = slurp(path("base.skl3"));
+  const auto clean = testing::read_bytes(path("base.skl3"));
 
   std::vector<std::vector<double>> ref;
   {
@@ -394,7 +388,7 @@ TEST_F(ContainerFuzz, Skl3TruncationSweepIsTypedError) {
   writer.append(make_snapshot(0.0));
   writer.append(make_snapshot(0.5));
   writer.close();
-  const auto clean = slurp(path("base.skl3"));
+  const auto clean = testing::read_bytes(path("base.skl3"));
 
   const std::size_t step = std::max<std::size_t>(1, clean.size() / 97);
   for (std::size_t len = 0; len < clean.size(); len += step) {

@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "file_bytes.hpp"
 #include "gather_patterns.hpp"
 #include "stats/histogram.hpp"
 #include "sampling/pipeline.hpp"
@@ -856,18 +857,8 @@ TEST_F(SeriesStoreTest, CorruptedHistogramCountsFailChecksum) {
   const std::size_t per_snap = 8 + 3 * 16 + 3 * 64 * 8 + 3 * 12 * 24;
   const auto size = std::filesystem::file_size(path("hflip.skl3"));
   // Flip a byte inside the LAST snapshot's histogram block.
-  const auto off =
-      static_cast<std::streamoff>(size - per_snap + 8 + 3 * 16 + 100);
-  {
-    std::fstream f(path("hflip.skl3"),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(off);
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x08);
-    f.seekp(off);
-    f.write(&b, 1);
-  }
+  testing::flip_byte(path("hflip.skl3"), size - per_snap + 8 + 3 * 16 + 100,
+                     0x08);
   try {
     SeriesReader reader(path("hflip.skl3"));
     FAIL() << "flipped histogram byte must be rejected";
@@ -937,19 +928,49 @@ TEST_F(SeriesStoreTest, IndexByteFlipFailsChecksum) {
 
   // The v2 index is the trailing section; flip one byte near the tail.
   const auto size = std::filesystem::file_size(path("flip.skl3"));
-  {
-    std::fstream f(path("flip.skl3"),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(static_cast<std::streamoff>(size - 5));
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x40);
-    f.seekp(static_cast<std::streamoff>(size - 5));
-    f.write(&b, 1);
-  }
+  testing::flip_byte(path("flip.skl3"), size - 5, 0x40);
   try {
     SeriesReader reader(path("flip.skl3"));
     FAIL() << "flipped index byte must be rejected";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// The encode pool only decides which worker encodes and checksums each
+/// block, never the bytes: series written through 1- and 4-wide pools are
+/// identical, and the wide-pool file still fails loudly on a flipped
+/// payload byte.
+TEST_F(SeriesStoreTest, WriterBytesDoNotDependOnPoolWidth) {
+  const auto ds = make_series(3);
+  ThreadPool narrow(1);
+  ThreadPool wide(4);
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  opts.write_budget_bytes = 3 * 4 * 4 * 4 * sizeof(double);  // 3-block waves
+  SeriesWriteReport report;
+  for (ThreadPool* pool : {&narrow, &wide}) {
+    opts.pool = pool;
+    SeriesWriter writer(path(pool == &wide ? "wide.skl3" : "narrow.skl3"),
+                        opts);
+    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+      writer.append(ds.snapshot(t));
+    }
+    report = writer.close();
+  }
+  ASSERT_EQ(testing::read_bytes(path("narrow.skl3")),
+            testing::read_bytes(path("wide.skl3")));
+
+  // The payload is most of the file, so the middle byte is a payload byte.
+  ASSERT_GT(2 * report.payload_bytes, report.file_bytes);
+  testing::flip_byte(path("wide.skl3"), report.file_bytes / 2, 0x01);
+  try {
+    const SeriesReader reader(path("wide.skl3"));
+    for (std::size_t t = 0; t < reader.num_snapshots(); ++t) {
+      (void)reader.load_snapshot(t);
+    }
+    FAIL() << "a flipped payload byte must fail its block checksum";
   } catch (const RuntimeError& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
         << e.what();

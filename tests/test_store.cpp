@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "file_bytes.hpp"
 #include "gather_patterns.hpp"
 #include "sampling/pipeline.hpp"
 #include "sickle/case.hpp"
@@ -361,19 +362,41 @@ TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
   // The v2 index is the trailing section; flip one byte near the tail in
   // a way that keeps the offsets plausible (low byte of a block size).
   const auto size = std::filesystem::file_size(path("flip.skl2"));
-  {
-    std::fstream f(path("flip.skl2"),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(static_cast<std::streamoff>(size - 16));
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x01);
-    f.seekp(static_cast<std::streamoff>(size - 16));
-    f.write(&b, 1);
-  }
+  testing::flip_byte(path("flip.skl2"), size - 16, 0x01);
   try {
     ChunkReader reader(path("flip.skl2"));
     FAIL() << "flipped SKL2 index byte must be rejected";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// The encode pool only decides which worker encodes and checksums each
+/// block, never the bytes: files written through 1- and 4-wide pools are
+/// identical, and the wide-pool file still fails loudly on a flipped
+/// payload byte.
+TEST_F(StoreTest, WriterBytesDoNotDependOnPoolWidth) {
+  const auto snap = make_snapshot();
+  ThreadPool narrow(1);
+  ThreadPool wide(4);
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  opts.write_budget_bytes = 3 * 4 * 4 * 4 * sizeof(double);  // 3-block waves
+  opts.pool = &narrow;
+  write_store(snap, path("narrow.skl2"), opts);
+  opts.pool = &wide;
+  const auto report = write_store(snap, path("wide.skl2"), opts);
+  ASSERT_EQ(testing::read_bytes(path("narrow.skl2")),
+            testing::read_bytes(path("wide.skl2")));
+
+  // The payload is most of the file, so the middle byte is a payload byte.
+  ASSERT_GT(2 * report.payload_bytes, report.file_bytes);
+  testing::flip_byte(path("wide.skl2"), report.file_bytes / 2, 0x01);
+  try {
+    const ChunkReader reader(path("wide.skl2"));
+    (void)reader.load_snapshot();
+    FAIL() << "a flipped payload byte must fail its block checksum";
   } catch (const RuntimeError& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
         << e.what();

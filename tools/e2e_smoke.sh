@@ -128,7 +128,9 @@ done
 # Traced combo: one series/streaming run with the observability section
 # set, temporal selection on, and a 2-worker sampling pool, so the trace
 # carries all four orchestrator stage spans plus store/codec/pool events.
-# The emitted Chrome trace is validated structurally by trace_check.py.
+# The emitted Chrome trace is validated structurally by trace_check.py,
+# then rolled up per span name (count, inclusive and self time) by
+# trace_report.py.
 echo "=== traced combo: series/streaming + temporal + observability"
 traced_cfg="$workdir/case_traced.yaml"
 write_cfg "$traced_cfg" series streaming delta 2
@@ -155,8 +157,9 @@ if command -v python3 > /dev/null 2>&1; then
     --require-span codec.decode --require-span pool.task \
     --require-cat case --require-cat store --require-cat codec \
     --require-cat pool
+  python3 "$(dirname "$0")/trace_report.py" "$workdir/run.trace.json"
 else
-  echo "    (python3 not found; trace structural check skipped)"
+  echo "    (python3 not found; trace check and rollup skipped)"
 fi
 
 # Inference combo: the OF2D LSTM drag surrogate trained end-to-end, then

@@ -85,42 +85,49 @@ def check_event_shape(i, ev, errors):
     return ok
 
 
-def check_nesting(events, errors):
-    """Replay each tid's events against an interval stack; the recorded
-    parent/depth must match the reconstruction and children must be
-    contained in their parents."""
+def replay_nesting(events):
+    """Replay each tid's events against an interval stack and yield
+    (event, enclosing event or None, depth) for every event — the nesting
+    the timestamps imply, whatever the recorded args say. Parents open
+    before children and (with equal start) outlive them, so replaying in
+    (ts asc, dur desc) order pushes enclosing spans first."""
     by_tid = {}
     for ev in events:
         by_tid.setdefault(ev["tid"], []).append(ev)
-    for tid, tid_events in sorted(by_tid.items()):
-        # Parents open before children and (with equal start) outlive
-        # them, so this order pushes enclosing spans first.
+    for _, tid_events in sorted(by_tid.items()):
         tid_events.sort(key=lambda e: (e["ts"], -e["dur"]))
-        stack = []  # (id, ts, end)
+        stack = []
         for ev in tid_events:
-            ts, end = ev["ts"], ev["ts"] + ev["dur"]
-            name, args = ev["name"], ev["args"]
-            while stack and stack[-1][2] <= ts + EPS_US:
+            while stack and (stack[-1]["ts"] + stack[-1]["dur"]
+                             <= ev["ts"] + EPS_US):
                 stack.pop()
-            want_parent = stack[-1][0] if stack else 0
-            if args["parent"] != want_parent:
+            yield ev, (stack[-1] if stack else None), len(stack)
+            stack.append(ev)
+
+
+def check_nesting(events, errors):
+    """The recorded parent/depth must match replay_nesting's
+    reconstruction, and children must be contained in their parents."""
+    for ev, parent, depth in replay_nesting(events):
+        tid, name, args = ev["tid"], ev["name"], ev["args"]
+        ts, end = ev["ts"], ev["ts"] + ev["dur"]
+        want_parent = parent["args"]["id"] if parent else 0
+        if args["parent"] != want_parent:
+            err(errors,
+                f"tid {tid} span {name!r} (id {args['id']}): recorded "
+                f"parent {args['parent']}, reconstruction says "
+                f"{want_parent}")
+        if args["depth"] != depth:
+            err(errors,
+                f"tid {tid} span {name!r} (id {args['id']}): recorded "
+                f"depth {args['depth']}, reconstruction says {depth}")
+        if parent:
+            pts, pend = parent["ts"], parent["ts"] + parent["dur"]
+            if ts < pts - EPS_US or end > pend + EPS_US:
                 err(errors,
-                    f"tid {tid} span {name!r} (id {args['id']}): recorded "
-                    f"parent {args['parent']}, reconstruction says "
-                    f"{want_parent}")
-            if args["depth"] != len(stack):
-                err(errors,
-                    f"tid {tid} span {name!r} (id {args['id']}): recorded "
-                    f"depth {args['depth']}, reconstruction says "
-                    f"{len(stack)}")
-            if stack:
-                _, pts, pend = stack[-1]
-                if ts < pts - EPS_US or end > pend + EPS_US:
-                    err(errors,
-                        f"tid {tid} span {name!r} (id {args['id']}): "
-                        f"interval [{ts}, {end}] escapes parent "
-                        f"[{pts}, {pend}]")
-            stack.append((args["id"], ts, end))
+                    f"tid {tid} span {name!r} (id {args['id']}): "
+                    f"interval [{ts}, {end}] escapes parent "
+                    f"[{pts}, {pend}]")
 
 
 def main():
