@@ -509,11 +509,10 @@ void record_pipeline_threads_row(sickle::bench::JsonReport* report) {
 /// 48^3 grid, 16^3 chunks (27 blocks/snapshot), per-snapshot phase drift
 /// so temporal selection has real novelty structure to rank.
 void write_bench_series(const std::string& path, std::size_t snapshots,
-                        const char* codec, std::uint32_t format_version) {
+                        const char* codec) {
   store::StoreOptions opts;
   opts.chunk = {16, 16, 16};
   opts.codec = codec;
-  opts.format_version = format_version;
   store::SeriesWriter writer(path, opts);
   for (std::size_t t = 0; t < snapshots; ++t) {
     field::Snapshot snap({48, 48, 48}, static_cast<double>(t));
@@ -530,57 +529,86 @@ void write_bench_series(const std::string& path, std::size_t snapshots,
   (void)writer.close();
 }
 
+/// A sealed series with its index histograms hidden and its ranges
+/// visible — what a source carrying ranges only gives temporal selection,
+/// which then seeds from a full coarse-histogram scan of the payload.
+class RangesOnlySeries final : public field::SeriesSource {
+ public:
+  explicit RangesOnlySeries(const store::SeriesReader& series)
+      : series_(series) {}
+  [[nodiscard]] std::size_t num_snapshots() const override {
+    return series_.num_snapshots();
+  }
+  [[nodiscard]] const field::FieldSource& source(
+      std::size_t t) const override {
+    return series_.source(t);
+  }
+  [[nodiscard]] double time(std::size_t t) const override {
+    return series_.time(t);
+  }
+  [[nodiscard]] std::optional<field::VarRange> value_range(
+      std::size_t t, const std::string& var) const override {
+    return series_.value_range(t, var);
+  }
+
+ private:
+  const store::SeriesReader& series_;
+};
+
 /// The single-pass selection acceptance row: temporal selection on a
-/// sealed v4 series (index-resident coarse histograms, zero payload
-/// decodes before candidate refinement — m snapshot scans) vs the same
-/// data sealed as v3 (one full coarse-histogram scan over all n
-/// snapshots, then the m-candidate refinement). With n = 16 and k = 2
-/// (m = 4 candidates) the payload I/O drops 5x, so CI gates the recorded
-/// speedup at >= 2x — far above noise, far below the I/O ratio. This row
-/// is I/O-count-driven, not parallelism-driven, so it runs (and is
-/// gated) on single-CPU runners too.
+/// sealed series through its index-resident coarse histograms (zero
+/// payload decodes before candidate refinement — m snapshot scans) vs the
+/// same series with its histograms hidden (one full coarse-histogram scan
+/// over all n snapshots, then the m-candidate refinement). With n = 16
+/// and k = 2 (m = 4 candidates) the payload I/O drops 5x, so CI gates the
+/// recorded speedup at >= 2x — far above noise, far below the I/O ratio.
+/// This row is I/O-count-driven, not parallelism-driven, so it runs (and
+/// is gated) on single-CPU runners too.
 void record_selection_single_pass(sickle::bench::JsonReport* report) {
   namespace fs = std::filesystem;
   const auto dir = fs::temp_directory_path() / "sickle_bench_selection";
   fs::create_directories(dir);
-  const std::string v3_path = (dir / "sel_v3.skl3").string();
-  const std::string v4_path = (dir / "sel_v4.skl3").string();
+  const std::string path = (dir / "sel.skl3").string();
   constexpr std::size_t kSnapshots = 16;
-  write_bench_series(v3_path, kSnapshots, "delta", /*format_version=*/3);
-  write_bench_series(v4_path, kSnapshots, "delta", /*format_version=*/0);
+  write_bench_series(path, kSnapshots, "delta");
 
   sampling::TemporalConfig tc;
   tc.variable = "cv";
   tc.num_snapshots = 2;  // m = refine_factor * k = 4 candidates < n = 16
   tc.bins = 64;
 
-  auto select_seconds = [&](const std::string& path) {
+  auto select_seconds = [&](bool hide_histograms) {
     double best = std::numeric_limits<double>::infinity();
     for (int r = 0; r < 3; ++r) {
       // A fresh reader per repeat: every run pays the cold-store decode
-      // pattern the format version dictates, never a warm block cache.
+      // pattern the visible summaries dictate, never a warm block cache.
       const store::SeriesReader reader(path, /*cache_bytes=*/64u << 20);
+      const RangesOnlySeries ranges_only(reader);
+      const field::SeriesSource& series =
+          hide_histograms ? static_cast<const field::SeriesSource&>(ranges_only)
+                          : reader;
       Timer timer;
-      const auto selected = sampling::select_snapshots(reader, tc);
+      const auto selected = sampling::select_snapshots(series, tc);
       benchmark::DoNotOptimize(selected.data());
       best = std::min(best, timer.seconds());
     }
     return best;
   };
-  (void)select_seconds(v3_path);  // warm-up: page cache + code paths
-  const double v3_seconds = select_seconds(v3_path);
-  const double v4_seconds = select_seconds(v4_path);
+  (void)select_seconds(true);  // warm-up: page cache + code paths
+  const double ranges_only_seconds = select_seconds(true);
+  const double indexed_seconds = select_seconds(false);
   fs::remove_all(dir);
 
-  const double speedup = v3_seconds / v4_seconds;
+  const double speedup = ranges_only_seconds / indexed_seconds;
   report->add("selection_single_pass",
-              {{"v3_seconds", v3_seconds},
-               {"v4_seconds", v4_seconds},
+              {{"ranges_only_seconds", ranges_only_seconds},
+               {"indexed_seconds", indexed_seconds},
                {"snapshots", static_cast<double>(kSnapshots)},
                {"candidates", 4.0},
                {"speedup", speedup}});
-  std::printf("selection single-pass row: v3 %.4fs, v4 %.4fs (%.2fx)\n",
-              v3_seconds, v4_seconds, speedup);
+  std::printf("selection single-pass row: ranges only %.4fs, indexed %.4fs "
+              "(%.2fx)\n",
+              ranges_only_seconds, indexed_seconds, speedup);
 }
 
 /// The async-readahead acceptance row: a cold sequential scan over every
@@ -604,7 +632,7 @@ void record_prefetch_streaming_scan(sickle::bench::JsonReport* report) {
   fs::create_directories(dir);
   const std::string path = (dir / "scan.skl3").string();
   constexpr std::size_t kSnapshots = 12;
-  write_bench_series(path, kSnapshots, "gorilla", /*format_version=*/0);
+  write_bench_series(path, kSnapshots, "gorilla");
 
   ThreadPool pool(hw);
   constexpr std::size_t kDepth = 8;

@@ -103,7 +103,7 @@ struct VarRange {
 };
 
 /// Bin count of the canonical per-snapshot coarse histogram summary
-/// (SeriesSource::coarse_histogram, SKL3 v4 index blocks). The contract
+/// (SeriesSource::coarse_histogram, SKL3 index records). The contract
 /// that makes index-resident and scanned counts interchangeable: counts
 /// are accumulated by stats::Histogram over exactly
 /// kCoarseHistogramBins equal-width bins spanning the snapshot's own
@@ -139,7 +139,8 @@ class SeriesSource {
   }
 
   /// Precomputed value range of `var` on snapshot `t`, when the source
-  /// carries one (SKL3 v2 index-resident summary blocks). nullopt means
+  /// carries one (the SKL3 reader's index-resident summaries; the
+  /// in-memory and SKL2 spill sources carry none). nullopt means
   /// the caller must scan — consumers like temporal selection use the
   /// summary to skip a full range pass over the series, halving cold-store
   /// selection I/O. Ranges are exact for lossless codecs, so
@@ -154,11 +155,12 @@ class SeriesSource {
   /// Precomputed coarse histogram of `var` on snapshot `t` — counts of
   /// the canonical kCoarseHistogramBins-bin histogram over the snapshot's
   /// own exact range (see kCoarseHistogramBins for the exact contract) —
-  /// when the source carries one (SKL3 v4 index summary blocks). nullopt
-  /// means the caller must scan. Together with value_range this lets
-  /// temporal selection seed its novelty ranking with ZERO payload
-  /// decodes on a sealed v4 series; only the selected candidates are
-  /// refined with an exact streamed pass.
+  /// when the source carries one (the SKL3 reader's index records; the
+  /// in-memory and SKL2 spill sources carry none). nullopt means the
+  /// caller must scan. Together with value_range this lets temporal
+  /// selection seed its novelty ranking with ZERO payload decodes on a
+  /// sealed series; only the selected candidates are refined with an
+  /// exact streamed pass.
   [[nodiscard]] virtual std::optional<std::vector<std::uint64_t>>
   coarse_histogram(std::size_t t, const std::string& var) const {
     (void)t;

@@ -184,7 +184,6 @@ void ThreadPool::submit(std::function<void()> task) {
   SICKLE_CHECK_MSG(!stop_.load(std::memory_order_relaxed),
                    "submit() on stopped pool");
   auto* t = new Task{std::move(task), enqueue_ns};
-  in_flight_.fetch_add(1, std::memory_order_seq_cst);
   if (t_worker.pool == this) {
     deques_[t_worker.index]->push(t);  // lock-free; seq_cst publish inside
   } else {
@@ -257,10 +256,6 @@ void ThreadPool::execute(Task* task) {
     m.tasks.add(1);
   } else {
     task->fn();
-  }
-  if (in_flight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    { std::lock_guard lock(mu_); }  // bridge for wait_idle's predicate
-    cv_idle_.notify_all();
   }
 }
 
@@ -344,13 +339,6 @@ void TaskGroup::wait() {
   });
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_seq_cst) == 0;
-  });
-}
-
 PoolHandle resolve_threads(std::size_t threads) {
   PoolHandle h;
   if (threads == 1) return h;  // serial: pool_ stays null
@@ -392,7 +380,7 @@ void parallel_for_range(
   // Pool tasks must not throw (they would terminate the worker thread);
   // capture the first chunk's exception and rethrow it on the calling
   // thread, so parallel loops fail the same catchable way serial ones do.
-  // Completion is a per-call TaskGroup, not pool-wide wait_idle, so
+  // Completion is a per-call TaskGroup, not a pool-wide wait, so
   // concurrent parallel_for calls sharing one pool never wait on each
   // other's tasks — and because TaskGroup::wait helps when the caller is
   // itself a pool worker, a chunk body may call parallel_for again

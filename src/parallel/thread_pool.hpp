@@ -43,15 +43,6 @@ class ThreadPool {
   /// the shared overflow queue.
   void submit(std::function<void()> task);
 
-  /// Block until all submitted tasks have finished — every task from
-  /// every submitter, which couples concurrent users of a shared pool to
-  /// each other's work. Deprecated: prefer TaskGroup, which tracks
-  /// exactly the tasks submitted through it and, on a worker thread,
-  /// helps run queued tasks instead of blocking. wait_idle never helps,
-  /// so calling it from inside a pool task deadlocks; TaskGroup::wait is
-  /// safe at any nesting depth.
-  void wait_idle();
-
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
   /// Process-wide default pool (lazily constructed, never destroyed before
@@ -72,7 +63,7 @@ class ThreadPool {
   class WorkDeque;  // Chase-Lev deque, defined in the .cpp
 
   void worker_loop(std::size_t self);
-  /// Run one task (metering + in_flight bookkeeping); takes ownership.
+  /// Run one task (with queue-wait and busy metering); takes ownership.
   void execute(Task* task);
   /// Worker-context only: pop own deque, else steal, else pop overflow.
   [[nodiscard]] Task* grab(std::size_t self);
@@ -86,12 +77,10 @@ class ThreadPool {
   std::vector<std::unique_ptr<WorkDeque>> deques_;  ///< one per worker
   std::vector<std::thread> workers_;
   std::deque<Task*> overflow_;  ///< external submissions, FIFO
-  mutable std::mutex mu_;       ///< guards overflow_ + sleep/wake + idle
+  mutable std::mutex mu_;       ///< guards overflow_ + sleep/wake
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
   std::atomic<std::size_t> overflow_size_{0};
   std::atomic<std::size_t> sleepers_{0};
-  std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> stop_{false};
 };
 

@@ -16,7 +16,7 @@ std::vector<std::vector<double>> snapshot_pmfs(
   const std::size_t n = series.num_snapshots();
   SICKLE_CHECK_MSG(n > 0, "empty series");
   // Pass 1: global range, so JS distances are comparable across
-  // snapshots. Sources with index-resident summaries (SKL3 v2) answer
+  // snapshots. Sources with index-resident summaries (SKL3) answer
   // this from metadata, turning cold-store selection into a single pass
   // over the payload. For lossless codecs the summary min/max equal what
   // the scan would compute, so the range and every downstream PMF are
@@ -106,7 +106,7 @@ std::vector<std::size_t> greedy_maxmin(
 }
 
 /// Per-snapshot exact range + canonical coarse histogram, answered from
-/// the index (SKL3 v4: zero payload decodes) or scanned through the
+/// the index (SKL3: zero payload decodes) or scanned through the
 /// exact same stats::Histogram kernel the writer used — the
 /// field::kCoarseHistogramBins contract — so either path yields
 /// bit-identical counts under lossless codecs.
@@ -130,8 +130,8 @@ CoarseSummaries coarse_summaries(const field::SeriesSource& series,
         continue;
       }
     }
-    // Scan fallback. The range comes from the index when available (v2/v3:
-    // one payload pass) or its own NaN-skipping scan (v1/memory: two).
+    // Scan fallback. The range comes from the index when available (ranges
+    // only: one payload pass) or its own NaN-skipping scan (memory: two).
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
     if (r) {
@@ -181,7 +181,7 @@ std::vector<std::size_t> select_snapshots(const field::SeriesSource& series,
   }
 
   // Stage 1 — seed: coarse per-snapshot histograms (index-resident on
-  // SKL3 v4, else scanned), rebinned from each snapshot's own range onto
+  // SKL3, else scanned), rebinned from each snapshot's own range onto
   // the shared global range by bin center, rank novelty approximately.
   const CoarseSummaries cs = coarse_summaries(series, cfg.variable);
   double lo = std::numeric_limits<double>::infinity();
@@ -225,7 +225,7 @@ std::vector<std::size_t> select_snapshots(const field::SeriesSource& series,
   std::sort(candidates.begin(), candidates.end());
 
   // Stage 2 — refine: ONE exact streamed PMF pass over the candidates
-  // only (the first payload decodes on a sealed v4 series), then the
+  // only (the first payload decodes on a sealed SKL3 series), then the
   // exact greedy restricted to them picks the final k.
   std::vector<std::vector<double>> exact;
   exact.reserve(candidates.size());

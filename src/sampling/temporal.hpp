@@ -43,7 +43,7 @@ struct TemporalConfig {
 /// over the global min/max so JS distances are comparable. Streams each
 /// snapshot in flat-order gather batches — the single histogram kernel
 /// behind every select_snapshots overload. When the source carries
-/// index-resident summaries (SeriesSource::value_range, SKL3 v2), the
+/// index-resident summaries (SeriesSource::value_range, SKL3), the
 /// range pass reads metadata instead of the payload and the whole job is
 /// ONE streaming pass; otherwise it is two (range, then bins). For
 /// lossless codecs both paths produce bit-identical PMFs, since the
@@ -61,13 +61,13 @@ struct TemporalConfig {
 /// Runs as seed-then-refine (the exactness-vs-refinement contract):
 /// (1) coarse per-snapshot histograms — read from the index when the
 /// source carries them (SeriesSource::coarse_histogram + value_range,
-/// SKL3 v4: ZERO payload decodes), else streamed — are rebinned onto the
+/// SKL3: ZERO payload decodes), else streamed — are rebinned onto the
 /// shared range and an approximate greedy keeps min(n, max(k,
 /// refine_factor * k)) candidates; (2) one exact streamed PMF pass over
 /// the candidates only, then the exact greedy restricted to them picks
 /// the final k. Every stage is deterministic and uses the same canonical
 /// coarse kernel whether summaries come from the index or a scan, so all
-/// backends (in-memory, SKL3 v1-v4, SKL2 spill) return identical indices
+/// backends (in-memory, SKL3, SKL2 spill) return identical indices
 /// for equal data under lossless codecs. When the candidate set covers
 /// the series the result is bit-identical to the legacy single-stage
 /// exact greedy.

@@ -43,7 +43,7 @@ namespace sickle {
 ///     tolerance: 1e-6      # quant max abs error
 ///     chunk: 32            # cubic chunk edge; chunk_x/y/z override
 ///     cache_mb: 64         # reader block-cache capacity
-///     write_budget_mb: 8   # streaming-writer flush budget (SKL2 v2 + SKL3)
+///     write_budget_mb: 8   # streaming-writer flush budget (SKL2 + SKL3)
 ///     spill_dir: /scratch  # spill placement (CaseConfig::spill_dir)
 [[nodiscard]] store::StoreOptions store_options_from_config(
     const Config& cfg);

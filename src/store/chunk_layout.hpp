@@ -149,6 +149,30 @@ void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
   return vals;
 }
 
+/// Assemble one full field from its chunks — the reader-side twin of
+/// extract_chunk, shared by ChunkReader::load_field and
+/// SeriesReader::load_snapshot. `fetch(chunk_id)` returns a shared pointer
+/// to the chunk's z-fastest values (the reader's cached decode); every
+/// chunk is fetched once, in chunk-id order.
+template <typename Fetch>
+[[nodiscard]] std::vector<double> assemble_field(const ChunkLayout& layout,
+                                                 Fetch&& fetch) {
+  const auto& grid = layout.grid();
+  std::vector<double> out(grid.size());
+  for (std::size_t c = 0; c < layout.count(); ++c) {
+    const auto b = layout.box(c);
+    const auto values = fetch(c);
+    std::size_t k = 0;
+    for (std::size_t ix = b.x0; ix < b.x0 + b.ex; ++ix) {
+      for (std::size_t iy = b.y0; iy < b.y0 + b.ey; ++iy) {
+        double* row = out.data() + grid.index(ix, iy, b.z0);
+        for (std::size_t iz = 0; iz < b.ez; ++iz) row[iz] = (*values)[k++];
+      }
+    }
+  }
+  return out;
+}
+
 /// The gather behind every chunked reader (ChunkReader, SeriesSnapshotView):
 /// out[i] = the value at global flat index idx[i], in request order.
 ///

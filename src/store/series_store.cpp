@@ -7,9 +7,7 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "stats/histogram.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -18,22 +16,16 @@ namespace sickle::store {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'K', 'L', '3'};
-/// v1: trailing index of [time, block refs] per snapshot. v2 appends a
-/// per-snapshot per-field [min, max] summary to each index record and an
-/// FNV-1a checksum over the index section to the header. v3 widens every
-/// block ref with an FNV-1a checksum of the block's encoded payload,
-/// verified before each decode. v4 appends per-snapshot per-field coarse
-/// histogram counts (field::kCoarseHistogramBins u64s over the stored
-/// [min, max]) after the summary doubles — covered by the same index
-/// checksum — so temporal selection can seed its novelty ranking without
-/// decoding a single payload block.
-constexpr std::uint32_t kVersionLegacy = 1;
-constexpr std::uint32_t kVersionLatest = 4;
+/// The one SKL3 layout: a trailing index of, per snapshot, its time, a
+/// per-field [min, max] summary, per-field coarse histogram counts
+/// (field::kCoarseHistogramBins u64s over that range), and its block
+/// refs, each with an FNV-1a checksum of the block's encoded payload
+/// verified before every decode. An FNV-1a checksum over the whole index
+/// section sits in the header. Readers reject every other version.
+constexpr std::uint32_t kVersion = 4;
 
-/// Block-ref width in u64s: v3 adds the per-block payload checksum.
-constexpr std::size_t entry_words(std::uint32_t version) {
-  return version >= 3 ? 3 : 2;
-}
+/// One block ref: u64 offset | u64 bytes | u64 payload checksum.
+constexpr std::uint64_t kEntryBytes = 3 * sizeof(std::uint64_t);
 
 template <typename T>
 void write_pod(std::ofstream& f, const T& v) {
@@ -106,11 +98,7 @@ class HeaderCursor {
 SeriesWriter::SeriesWriter(const std::string& path, const StoreOptions& opts)
     : path_(path),
       opts_(opts),
-      version_(opts.format_version == 0 ? kVersionLatest
-                                        : opts.format_version),
       codec_(make_codec(opts.codec, opts.tolerance)) {
-  SICKLE_CHECK_MSG(version_ >= kVersionLegacy && version_ <= kVersionLatest,
-                   "unsupported SKL3 format_version requested");
   // Open eagerly: an unwritable path must fail at construction, not after
   // the caller simulated its first snapshot.
   out_.open(path, std::ios::binary);
@@ -127,7 +115,7 @@ void SeriesWriter::append(const field::Snapshot& snap) {
     names_ = snap.names();
     SICKLE_CHECK_MSG(!names_.empty(), "cannot store a snapshot with no fields");
     out_.write(kMagic, 4);
-    write_pod<std::uint32_t>(out_, version_);
+    write_pod<std::uint32_t>(out_, kVersion);
     write_pod<std::uint64_t>(out_, snap.shape().nx);
     write_pod<std::uint64_t>(out_, snap.shape().ny);
     write_pod<std::uint64_t>(out_, snap.shape().nz);
@@ -145,9 +133,7 @@ void SeriesWriter::append(const field::Snapshot& snap) {
     patch_pos_ = static_cast<std::uint64_t>(out_.tellp());
     write_pod<std::uint64_t>(out_, 0);  // index_offset: 0 = not sealed
     write_pod<std::uint64_t>(out_, 0);  // num_snapshots
-    if (version_ >= 2) {
-      write_pod<std::uint64_t>(out_, 0);  // index checksum (patched)
-    }
+    write_pod<std::uint64_t>(out_, 0);  // index checksum (patched)
     if (!out_) throw RuntimeError("error writing: " + path_);
     report_.meta_bytes = static_cast<std::size_t>(out_.tellp());
   } else {
@@ -163,50 +149,47 @@ void SeriesWriter::append(const field::Snapshot& snap) {
   report_.raw_bytes += snap.bytes();
   report_.chunks += total;
 
-  // Index-resident summary block (v2): the writer sees every value anyway,
-  // so per-variable [min, max] is one cheap extra scan here and saves the
-  // reader a full range pass over the series during temporal selection.
-  if (version_ >= 2) {
-    for (const auto& name : names_) {
-      const auto data = snap.get(name).data();
-      // Seed from +/-inf exactly like the reader-side fallback scan
-      // (sampling::snapshot_pmfs), so both paths skip NaNs identically —
-      // a NaN-seeded summary would silently poison the selection range.
-      field::VarRange r{std::numeric_limits<double>::infinity(),
-                        -std::numeric_limits<double>::infinity()};
-      for (const double x : data) {
-        r.min = std::min(r.min, x);
-        r.max = std::max(r.max, x);
+  // Index-resident summaries: the writer sees every value anyway, so
+  // per-variable [min, max] and the coarse histogram are cheap extra scans
+  // here and save the reader full passes over the series during temporal
+  // selection.
+  for (const auto& name : names_) {
+    const auto data = snap.get(name).data();
+    // Seed from +/-inf exactly like the reader-side fallback scan
+    // (sampling::snapshot_pmfs), so both paths skip NaNs identically —
+    // a NaN-seeded summary would silently poison the selection range.
+    field::VarRange r{std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()};
+    for (const double x : data) {
+      r.min = std::min(r.min, x);
+      r.max = std::max(r.max, x);
+    }
+    summaries_.push_back(r);
+    // Coarse histogram over the snapshot's OWN range, through the same
+    // stats::Histogram kernel the reader-side scan fallback (sampling)
+    // uses — the kCoarseHistogramBins contract in field_source.hpp — so
+    // index-resident and scanned counts are bit-identical for lossless
+    // codecs.
+    double lo = r.min;
+    double hi = r.max;
+    if (!(hi > lo)) {
+      lo -= 0.5;
+      hi += 0.5;
+    }
+    if (std::isfinite(lo) && std::isfinite(hi) && hi > lo) {
+      stats::Histogram h(lo, hi, field::kCoarseHistogramBins);
+      h.add(data);
+      for (const std::size_t c : h.counts()) {
+        hists_.push_back(static_cast<std::uint64_t>(c));
       }
-      summaries_.push_back(r);
-      if (version_ >= 4) {
-        // Coarse histogram over the snapshot's OWN range, through the
-        // same stats::Histogram kernel the reader-side scan fallback
-        // (sampling) uses — the kCoarseHistogramBins contract in
-        // field_source.hpp — so index-resident and scanned counts are
-        // bit-identical for lossless codecs.
-        double lo = r.min;
-        double hi = r.max;
-        if (!(hi > lo)) {
-          lo -= 0.5;
-          hi += 0.5;
-        }
-        if (std::isfinite(lo) && std::isfinite(hi) && hi > lo) {
-          stats::Histogram h(lo, hi, field::kCoarseHistogramBins);
-          h.add(data);
-          for (const std::size_t c : h.counts()) {
-            hists_.push_back(static_cast<std::uint64_t>(c));
-          }
-        } else {
-          // All-NaN field: no finite range exists; store zero counts (the
-          // scan fallback produces the same).
-          hists_.insert(hists_.end(), field::kCoarseHistogramBins, 0);
-        }
-      }
+    } else {
+      // All-NaN field: no finite range exists; store zero counts (the
+      // scan fallback produces the same).
+      hists_.insert(hists_.end(), field::kCoarseHistogramBins, 0);
     }
   }
 
-  // Stream in waves (write_blocks_in_waves, shared with the SKL2 v2
+  // Stream in waves (write_blocks_in_waves, shared with the SKL2
   // writer): encode a raw-size-bounded run of blocks in parallel, flush
   // it, drop it. Peak writer memory is one wave of encoded blocks
   // (<= budget + the codec's worst-case expansion) plus codec scratch —
@@ -229,37 +212,29 @@ SeriesWriteReport SeriesWriter::close() {
   const std::size_t nfields = names_.size();
   const std::size_t nchunks = layout_->count();
   // Build the index section in memory (it is O(series meta), tiny next to
-  // the payload) so the v2 checksum covers exactly the bytes on disk.
+  // the payload) so the checksum covers exactly the bytes on disk.
   std::vector<std::uint8_t> section;
   section.reserve(times_.size() *
-                  (sizeof(double) +
-                   (version_ >= 2 ? nfields * 2 * sizeof(double) : 0) +
-                   (version_ >= 4 ? nfields * field::kCoarseHistogramBins *
-                                        sizeof(std::uint64_t)
-                                  : 0) +
-                   nfields * nchunks * entry_words(version_) *
-                       sizeof(std::uint64_t)));
+                  (sizeof(double) + nfields * 2 * sizeof(double) +
+                   nfields * field::kCoarseHistogramBins *
+                       sizeof(std::uint64_t) +
+                   nfields * nchunks * kEntryBytes));
   for (std::size_t t = 0; t < times_.size(); ++t) {
     append_pod<double>(section, times_[t]);
-    if (version_ >= 2) {
-      for (std::size_t f = 0; f < nfields; ++f) {
-        const field::VarRange& r = summaries_[t * nfields + f];
-        append_pod<double>(section, r.min);
-        append_pod<double>(section, r.max);
-      }
+    for (std::size_t f = 0; f < nfields; ++f) {
+      const field::VarRange& r = summaries_[t * nfields + f];
+      append_pod<double>(section, r.min);
+      append_pod<double>(section, r.max);
     }
-    if (version_ >= 4) {
-      const std::size_t base = t * nfields * field::kCoarseHistogramBins;
-      for (std::size_t i = 0; i < nfields * field::kCoarseHistogramBins;
-           ++i) {
-        append_pod<std::uint64_t>(section, hists_[base + i]);
-      }
+    const std::size_t base = t * nfields * field::kCoarseHistogramBins;
+    for (std::size_t i = 0; i < nfields * field::kCoarseHistogramBins; ++i) {
+      append_pod<std::uint64_t>(section, hists_[base + i]);
     }
     for (std::size_t b = 0; b < nfields * nchunks; ++b) {
       const BlockRef& ref = index_[t * nfields * nchunks + b];
       append_pod<std::uint64_t>(section, ref.offset);
       append_pod<std::uint64_t>(section, ref.bytes);
-      if (version_ >= 3) append_pod<std::uint64_t>(section, ref.checksum);
+      append_pod<std::uint64_t>(section, ref.checksum);
     }
   }
   out_.write(reinterpret_cast<const char*>(section.data()),
@@ -271,10 +246,8 @@ SeriesWriteReport SeriesWriter::close() {
   out_.seekp(static_cast<std::streamoff>(patch_pos_));
   write_pod<std::uint64_t>(out_, index_offset);
   write_pod<std::uint64_t>(out_, static_cast<std::uint64_t>(times_.size()));
-  if (version_ >= 2) {
-    write_pod<std::uint64_t>(
-        out_, fnv1a64(std::span<const std::uint8_t>(section)));
-  }
+  write_pod<std::uint64_t>(out_,
+                           fnv1a64(std::span<const std::uint8_t>(section)));
   out_.flush();
   if (!out_) throw RuntimeError("error writing: " + path_);
   out_.close();
@@ -314,8 +287,7 @@ SeriesReader::SeriesReader(const std::string& path,
   if (std::memcmp(magic, kMagic, 4) != 0) {
     throw RuntimeError("not an SKL3 series file: " + path);
   }
-  version_ = head.read<std::uint32_t>();
-  if (version_ < kVersionLegacy || version_ > kVersionLatest) {
+  if (head.read<std::uint32_t>() != kVersion) {
     throw RuntimeError("unsupported SKL3 version in " + path);
   }
   field::GridShape grid;
@@ -355,8 +327,7 @@ SeriesReader::SeriesReader(const std::string& path,
                    "SKL3 chunk count does not match its grid/chunk shape");
   const auto index_offset = head.read<std::uint64_t>();
   const auto num_snapshots = head.read<std::uint64_t>();
-  const std::uint64_t index_checksum =
-      version_ >= 2 ? head.read<std::uint64_t>() : 0;
+  const auto index_checksum = head.read<std::uint64_t>();
   if (index_offset == 0 || num_snapshots == 0) {
     throw RuntimeError(
         "SKL3 series has no index — the writer was not closed "
@@ -364,33 +335,27 @@ SeriesReader::SeriesReader(const std::string& path,
   }
   SICKLE_CHECK_MSG(num_snapshots < (1u << 24),
                    "implausible snapshot count in SKL3");
-  // Every index entry occupies entry_bytes in the file, so the entry
-  // count is bounded by file_size/entry_bytes. Checking with divisions
-  // (never products) keeps a corrupt header from overflowing the
-  // arithmetic below into a small index_bytes that would slip past the
-  // bounds check.
-  const std::uint64_t entry_bytes =
-      entry_words(version_) * sizeof(std::uint64_t);
-  const std::uint64_t entry_cap = file_size / entry_bytes;
+  // Every index entry occupies kEntryBytes in the file, so the entry count
+  // is bounded by file_size/kEntryBytes. Checking with divisions (never
+  // products) keeps a corrupt header from overflowing the arithmetic
+  // below into a small index_bytes that would slip past the bounds check.
+  const std::uint64_t entry_cap = file_size / kEntryBytes;
   if (nchunks == 0 || nfields > entry_cap / nchunks ||
       num_snapshots > entry_cap / (nfields * nchunks)) {
     throw RuntimeError("SKL3 index does not fit the file (corrupt?): " +
                        path);
   }
   const std::uint64_t blocks_per_snap = nfields * nchunks;
-  // v2+ index records carry nfields [min, max] summary doubles after the
-  // snapshot time; v4 adds nfields * kCoarseHistogramBins u64 histogram
-  // counts after the summaries. (nfields < 1024 and num_snapshots < 2^24,
-  // so neither term can overflow.)
-  const std::uint64_t summary_bytes =
-      version_ >= 2 ? nfields * 2 * sizeof(double) : 0;
+  // Each index record carries nfields [min, max] summary doubles after
+  // the snapshot time, then nfields * kCoarseHistogramBins u64 histogram
+  // counts. (nfields < 1024 and num_snapshots < 2^24, so neither term can
+  // overflow.)
+  const std::uint64_t summary_bytes = nfields * 2 * sizeof(double);
   const std::uint64_t hist_bytes =
-      version_ >= 4
-          ? nfields * field::kCoarseHistogramBins * sizeof(std::uint64_t)
-          : 0;
+      nfields * field::kCoarseHistogramBins * sizeof(std::uint64_t);
   const std::uint64_t index_bytes =
       num_snapshots * (sizeof(double) + summary_bytes + hist_bytes +
-                       blocks_per_snap * entry_bytes);
+                       blocks_per_snap * kEntryBytes);
   if (index_offset > file_size || index_bytes > file_size - index_offset) {
     throw RuntimeError("SKL3 index points outside the file (truncated?): " +
                        path);
@@ -399,43 +364,32 @@ SeriesReader::SeriesReader(const std::string& path,
   const auto raw_index = file_->read(index_offset, index_bytes);
   // Verify integrity before parsing a single entry: any flipped byte in
   // the index section must fail loudly, not seek to a "plausible" offset.
-  if (version_ >= 2 &&
-      fnv1a64(std::span<const std::uint8_t>(raw_index)) != index_checksum) {
+  if (fnv1a64(std::span<const std::uint8_t>(raw_index)) != index_checksum) {
     throw RuntimeError("SKL3 index checksum mismatch (corrupt index): " +
                        path);
   }
   std::size_t ipos = 0;
   times_.reserve(num_snapshots);
   index_.resize(num_snapshots * blocks_per_snap);
-  if (version_ >= 2) summaries_.reserve(num_snapshots * nfields);
-  if (version_ >= 4) {
-    histograms_.reserve(num_snapshots * nfields *
-                        field::kCoarseHistogramBins);
-  }
+  summaries_.reserve(num_snapshots * nfields);
+  histograms_.reserve(num_snapshots * nfields * field::kCoarseHistogramBins);
   for (std::uint64_t t = 0; t < num_snapshots; ++t) {
     times_.push_back(read_at<double>(raw_index, ipos, path));
-    if (version_ >= 2) {
-      for (std::uint64_t f = 0; f < nfields; ++f) {
-        field::VarRange r;
-        r.min = read_at<double>(raw_index, ipos, path);
-        r.max = read_at<double>(raw_index, ipos, path);
-        summaries_.push_back(r);
-      }
+    for (std::uint64_t f = 0; f < nfields; ++f) {
+      field::VarRange r;
+      r.min = read_at<double>(raw_index, ipos, path);
+      r.max = read_at<double>(raw_index, ipos, path);
+      summaries_.push_back(r);
     }
-    if (version_ >= 4) {
-      for (std::uint64_t i = 0;
-           i < nfields * field::kCoarseHistogramBins; ++i) {
-        histograms_.push_back(
-            read_at<std::uint64_t>(raw_index, ipos, path));
-      }
+    for (std::uint64_t i = 0; i < nfields * field::kCoarseHistogramBins;
+         ++i) {
+      histograms_.push_back(read_at<std::uint64_t>(raw_index, ipos, path));
     }
     for (std::uint64_t b = 0; b < blocks_per_snap; ++b) {
       BlockRef& ref = index_[t * blocks_per_snap + b];
       ref.offset = read_at<std::uint64_t>(raw_index, ipos, path);
       ref.bytes = read_at<std::uint64_t>(raw_index, ipos, path);
-      if (version_ >= 3) {
-        ref.checksum = read_at<std::uint64_t>(raw_index, ipos, path);
-      }
+      ref.checksum = read_at<std::uint64_t>(raw_index, ipos, path);
       // Reject corrupt entries here rather than letting chunk() make an
       // unchecked (possibly huge) allocation later.
       if (ref.offset > file_size || ref.bytes > file_size - ref.offset) {
@@ -473,7 +427,6 @@ SeriesReader::SeriesReader(const std::string& path,
 std::optional<field::VarRange> SeriesReader::value_range(
     std::size_t t, const std::string& var) const {
   SICKLE_CHECK(t < times_.size());
-  if (summaries_.empty()) return std::nullopt;  // v1: no summary block
   const auto it = field_index_.find(var);
   SICKLE_CHECK_MSG(it != field_index_.end(), "unknown field: " + var);
   return summaries_[t * names_.size() + it->second];
@@ -482,7 +435,6 @@ std::optional<field::VarRange> SeriesReader::value_range(
 std::optional<std::vector<std::uint64_t>> SeriesReader::coarse_histogram(
     std::size_t t, const std::string& var) const {
   SICKLE_CHECK(t < times_.size());
-  if (histograms_.empty()) return std::nullopt;  // v1-v3: no histogram block
   const auto it = field_index_.find(var);
   SICKLE_CHECK_MSG(it != field_index_.end(), "unknown field: " + var);
   const std::size_t base =
@@ -494,28 +446,8 @@ std::optional<std::vector<std::uint64_t>> SeriesReader::coarse_histogram(
 }
 
 BlockCache::Block SeriesReader::load_block(std::uint64_t key) const {
-  obs::Span load_span("store.load_chunk", "store");
-  const std::size_t chunk_id = key % layout_.count();
-  const auto block = file_->read(index_[key].offset, index_[key].bytes);
-  if (version_ >= 3 &&
-      fnv1a64(std::span<const std::uint8_t>(block)) !=
-          index_[key].checksum) {
-    throw RuntimeError("SKL3 chunk checksum mismatch (corrupt block)");
-  }
-  if (obs::enabled()) {
-    obs::Span decode_span("codec.decode", "codec");
-    Timer decode_timer;
-    auto values = std::make_shared<const std::vector<double>>(
-        codec_->decode(std::span<const std::uint8_t>(block),
-                       layout_.box(chunk_id).points()));
-    obs::MetricsRegistry::global()
-        .gauge("codec.decode_seconds")
-        .add(decode_timer.seconds());
-    return values;
-  }
-  return std::make_shared<const std::vector<double>>(
-      codec_->decode(std::span<const std::uint8_t>(block),
-                     layout_.box(chunk_id).points()));
+  return read_block(*file_, index_[key], *codec_,
+                    layout_.box(key % layout_.count()).points(), "SKL3");
 }
 
 void SeriesReader::schedule_prefetch(std::size_t t, std::size_t f,
@@ -565,22 +497,11 @@ std::shared_ptr<const std::vector<double>> SeriesReader::chunk(
 
 field::Snapshot SeriesReader::load_snapshot(std::size_t t) const {
   SICKLE_CHECK(t < times_.size());
-  const auto& grid = layout_.grid();
-  field::Snapshot snap(grid, times_[t]);
+  field::Snapshot snap(layout_.grid(), times_[t]);
   for (std::size_t f = 0; f < names_.size(); ++f) {
-    std::vector<double> out(grid.size());
-    for (std::size_t c = 0; c < layout_.count(); ++c) {
-      const auto b = layout_.box(c);
-      const auto values = chunk(t, f, c);
-      std::size_t k = 0;
-      for (std::size_t ix = b.x0; ix < b.x0 + b.ex; ++ix) {
-        for (std::size_t iy = b.y0; iy < b.y0 + b.ey; ++iy) {
-          double* row = out.data() + grid.index(ix, iy, b.z0);
-          for (std::size_t iz = 0; iz < b.ez; ++iz) row[iz] = (*values)[k++];
-        }
-      }
-    }
-    snap.add(names_[f], std::move(out));
+    snap.add(names_[f], assemble_field(layout_, [&](std::size_t c) {
+               return chunk(t, f, c);
+             }));
   }
   return snap;
 }

@@ -13,17 +13,16 @@
 /// long the series grows. A file whose writer crashed before close() has
 /// no index and is rejected by SeriesReader with a clear error.
 ///
-/// Format v2 adds an *index-resident summary block* — per-snapshot
-/// per-variable [min, max] computed while the writer already sees every
-/// value — plus an FNV-1a checksum over the whole index section. Readers
-/// accept v1 files (no summary: value_range reports nullopt and consumers
-/// fall back to scanning); a corrupted v2 index fails the checksum with a
-/// clear error instead of decoding garbage. Format v4 further appends
-/// per-snapshot per-variable *coarse histogram* counts
-/// (field::kCoarseHistogramBins bins over the stored [min, max]) to each
-/// index record — still covered by the index checksum — so temporal
-/// selection on a sealed series seeds its novelty ranking with zero
-/// payload decodes (coarse_histogram). Layout spec: docs/STORE.md.
+/// SKL3 has one layout, version 4: the writer emits it and the reader
+/// rejects every other version. Each snapshot's index record carries
+/// *index-resident summaries* computed while the writer already sees every
+/// value — per-variable exact [min, max] (value_range) and *coarse
+/// histogram* counts (field::kCoarseHistogramBins bins over that range,
+/// coarse_histogram) — so temporal selection on a sealed series seeds its
+/// novelty ranking with zero payload decodes. An FNV-1a checksum covers
+/// the whole index section, and each block ref carries a checksum of its
+/// encoded bytes, so a corrupted index or block fails with a clear error
+/// instead of decoding garbage. Layout spec: docs/STORE.md.
 #pragma once
 
 #include <cstddef>
@@ -127,7 +126,6 @@ class SeriesWriter {
  private:
   std::string path_;
   StoreOptions opts_;
-  std::uint32_t version_;  ///< format version being written (1, 2, or 3)
   std::ofstream out_;
   std::unique_ptr<Codec> codec_;
   std::unique_ptr<ChunkLayout> layout_;  ///< set by the first append
@@ -135,8 +133,8 @@ class SeriesWriter {
   std::uint64_t patch_pos_ = 0;  ///< header position of index_offset
   std::vector<double> times_;    ///< one per appended snapshot
   std::vector<BlockRef> index_;  ///< [(t * nfields + f) * nchunks + c]
-  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f], v2 only
-  /// Coarse histogram counts, v4 only:
+  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f]
+  /// Coarse histogram counts:
   /// [(t * nfields + f) * field::kCoarseHistogramBins + bin].
   std::vector<std::uint64_t> hists_;
   SeriesWriteReport report_;
@@ -210,19 +208,18 @@ class SeriesReader final : public field::SeriesSource {
     SICKLE_CHECK(t < times_.size());
     return times_[t];
   }
-  /// Index-resident summary (format v2): exact per-snapshot [min, max] of
-  /// one variable, read from the index without touching the payload.
-  /// nullopt for v1 files — consumers (temporal selection) then fall back
-  /// to a full range scan. For the lossy quant codec the summary reflects
-  /// the pre-encode values (within codec tolerance of the decoded ones).
+  /// Index-resident summary: exact per-snapshot [min, max] of one
+  /// variable, read from the index without touching the payload. Always
+  /// present; throws CheckError for an unknown variable. For the lossy
+  /// quant codec the summary reflects the pre-encode values (within codec
+  /// tolerance of the decoded ones).
   [[nodiscard]] std::optional<field::VarRange> value_range(
       std::size_t t, const std::string& var) const override;
-  /// Index-resident coarse histogram (format v4): counts of the canonical
+  /// Index-resident coarse histogram: counts of the canonical
   /// field::kCoarseHistogramBins-bin histogram of one variable over its
   /// stored per-snapshot [min, max], read from the index without touching
-  /// the payload. nullopt for v1-v3 files — consumers (temporal
-  /// selection) then fall back to a streamed scan. Same quant-codec
-  /// caveat as value_range: counts describe the pre-encode values.
+  /// the payload. Always present; same quant-codec caveat as
+  /// value_range: counts describe the pre-encode values.
   [[nodiscard]] std::optional<std::vector<std::uint64_t>> coarse_histogram(
       std::size_t t, const std::string& var) const override;
 
@@ -263,18 +260,6 @@ class SeriesReader final : public field::SeriesSource {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return cache_->shard_count();
   }
-  /// Container format version (1 = no summary block, 2 = summary block +
-  /// index checksum, 3 = v2 plus per-block payload checksums, 4 = v3 plus
-  /// index-resident coarse histogram summaries).
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return version_;
-  }
-  [[nodiscard]] bool has_summaries() const noexcept {
-    return !summaries_.empty();
-  }
-  [[nodiscard]] bool has_histograms() const noexcept {
-    return !histograms_.empty();
-  }
   /// Total bytes fetched from the file since open (header + index +
   /// payload) — I/O accounting for single-pass assertions.
   [[nodiscard]] std::uint64_t io_bytes_read() const noexcept {
@@ -283,13 +268,9 @@ class SeriesReader final : public field::SeriesSource {
 
  private:
   friend class SeriesSnapshotView;
-  struct BlockRef {
-    std::uint64_t offset = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t checksum = 0;
-  };
 
-  /// Read + decode one block by flat index key (no cache interaction).
+  /// Read + decode one block by its unsalted flat index key, through
+  /// store::read_block (no cache interaction).
   [[nodiscard]] BlockCache::Block load_block(std::uint64_t key) const;
   /// Queue async decodes of the blocks after `chunk_id` in (t, f) — up to
   /// prefetch_depth_, clipped to the snapshot+field, skipping resident
@@ -301,15 +282,14 @@ class SeriesReader final : public field::SeriesSource {
 
   std::unique_ptr<ReadOnlyFile> file_;
   ChunkLayout layout_{{1, 1, 1}, {1, 1, 1}};
-  std::uint32_t version_ = 0;
   std::vector<std::string> names_;
   std::map<std::string, std::size_t> field_index_;
   std::unique_ptr<Codec> codec_;
   std::string codec_name_;
   std::vector<double> times_;
   std::vector<BlockRef> index_;  ///< [(t * nfields + f) * nchunks + c]
-  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f], v2 only
-  /// Coarse histogram counts, v4 only:
+  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f]
+  /// Coarse histogram counts:
   /// [(t * nfields + f) * field::kCoarseHistogramBins + bin].
   std::vector<std::uint64_t> histograms_;
   std::vector<SeriesSnapshotView> views_;  ///< one borrowable view per t

@@ -20,22 +20,15 @@ void add_codec_seconds(const char* which, double seconds) {
 }
 
 constexpr char kMagic[4] = {'S', 'K', 'L', '2'};
-/// v1 puts the chunk index *before* the payload, which forces the writer
-/// to buffer every encoded block until the index is known. v2 moves the
-/// index to the tail (SKL3-style): the header carries an index_offset
-/// patched on completion, blocks stream to disk in write-budget-bounded
-/// waves, and writer memory is bounded by the budget instead of the
-/// snapshot. v3 keeps the v2 layout but widens each index entry with an
-/// FNV-1a checksum of the block's encoded bytes, verified before every
-/// decode. Readers accept all three.
-constexpr std::uint32_t kVersionLegacy = 1;
-constexpr std::uint32_t kVersionTrailingIndex = 2;
-constexpr std::uint32_t kVersionLatest = 3;
+/// The one SKL2 layout: a header whose index_offset is patched on
+/// completion, blocks streamed to disk in write-budget-bounded waves, and
+/// a trailing index whose entries carry an FNV-1a checksum of each
+/// block's encoded bytes, verified before every decode. Readers reject
+/// every other version.
+constexpr std::uint32_t kVersion = 3;
 
-/// Index-entry width in u64s: v3 adds the per-block checksum.
-constexpr std::size_t entry_words(std::uint32_t version) {
-  return version >= 3 ? 3 : 2;
-}
+/// One index entry: u64 offset | u64 bytes | u64 payload checksum.
+constexpr std::uint64_t kEntryBytes = 3 * sizeof(std::uint64_t);
 
 template <typename T>
 void write_pod(std::ofstream& f, const T& v) {
@@ -121,18 +114,40 @@ WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
   return stats;
 }
 
-namespace {
+BlockCache::Block read_block(const ReadOnlyFile& file, const BlockRef& ref,
+                             const Codec& codec, std::size_t points,
+                             const char* container) {
+  obs::Span load_span("store.load_chunk", "store");
+  const auto block = file.read(ref.offset, ref.bytes);
+  if (fnv1a64(std::span<const std::uint8_t>(block)) != ref.checksum) {
+    throw RuntimeError(std::string(container) +
+                       " chunk checksum mismatch (corrupt block)");
+  }
+  if (obs::enabled()) {
+    obs::Span decode_span("codec.decode", "codec");
+    Timer decode_timer;
+    auto values = std::make_shared<const std::vector<double>>(
+        codec.decode(std::span<const std::uint8_t>(block), points));
+    add_codec_seconds("codec.decode_seconds", decode_timer.seconds());
+    return values;
+  }
+  return std::make_shared<const std::vector<double>>(
+      codec.decode(std::span<const std::uint8_t>(block), points));
+}
 
-/// The SKL2 header up through nchunks — byte-identical between v1 and v2
-/// (only the version constant differs), so both layouts serialize it
-/// through this one helper and cannot drift.
-void write_skl2_header(std::ofstream& f, std::uint32_t version,
-                       const field::Snapshot& snap,
-                       const ChunkLayout& layout, const Codec& codec,
-                       double tolerance,
-                       const std::vector<std::string>& names) {
+StoreWriteReport write_store(const field::Snapshot& snap,
+                             const std::string& path,
+                             const StoreOptions& opts) {
+  // Open the output before encoding: an unwritable path must fail in
+  // milliseconds, not after compressing a multi-GB snapshot.
+  std::ofstream f(path, std::ios::binary);
+  if (!f) throw RuntimeError("cannot open for write: " + path);
+  const ChunkLayout layout(snap.shape(), opts.chunk);
+  const auto codec = make_codec(opts.codec, opts.tolerance);
+  const auto names = snap.names();
+
   f.write(kMagic, 4);
-  write_pod<std::uint32_t>(f, version);
+  write_pod<std::uint32_t>(f, kVersion);
   write_pod<std::uint64_t>(f, snap.shape().nx);
   write_pod<std::uint64_t>(f, snap.shape().ny);
   write_pod<std::uint64_t>(f, snap.shape().nz);
@@ -140,103 +155,28 @@ void write_skl2_header(std::ofstream& f, std::uint32_t version,
   write_pod<std::uint64_t>(f, layout.chunk_shape().nx);
   write_pod<std::uint64_t>(f, layout.chunk_shape().ny);
   write_pod<std::uint64_t>(f, layout.chunk_shape().nz);
-  write_pod<std::uint8_t>(f, static_cast<std::uint8_t>(codec.id()));
-  write_pod<double>(f, tolerance);
+  write_pod<std::uint8_t>(f, static_cast<std::uint8_t>(codec->id()));
+  write_pod<double>(f, opts.tolerance);
   write_pod<std::uint64_t>(f, names.size());
   for (const auto& name : names) {
     write_pod<std::uint32_t>(f, static_cast<std::uint32_t>(name.size()));
     f.write(name.data(), static_cast<std::streamsize>(name.size()));
   }
   write_pod<std::uint64_t>(f, layout.count());
-}
-
-/// Legacy v1 layout: encode everything, then index-before-payload. Kept
-/// (behind StoreOptions::format_version = 1) so compat tests and old
-/// tooling can still produce files every reader version understands.
-StoreWriteReport write_store_v1(const field::Snapshot& snap,
-                                const std::string& path,
-                                const StoreOptions& opts,
-                                std::ofstream& f) {
-  const ChunkLayout layout(snap.shape(), opts.chunk);
-  const auto codec = make_codec(opts.codec, opts.tolerance);
-  const auto names = snap.names();
-  const std::size_t nchunks = layout.count();
-  const std::size_t total = names.size() * nchunks;
-
-  // Encode every (field, chunk) block in parallel; blocks land in their
-  // final order, so the serial write below is a straight concatenation.
-  StoreWriteReport report;
-  report.chunks = total;
-  report.raw_bytes = snap.bytes();
-  std::vector<std::vector<std::uint8_t>> blocks(total);
-  {
-    obs::Span span("codec.encode", "codec");
-    ScopedTimer encode_timer(report.encode_seconds);
-    parallel_for(
-        total,
-        [&](std::size_t i) {
-          const auto& data = snap.get(names[i / nchunks]).data();
-          const auto vals =
-              extract_chunk(data, snap.shape(), layout.box(i % nchunks));
-          blocks[i] = codec->encode(std::span<const double>(vals));
-        },
-        opts.pool, /*grain=*/1);
-  }
-  if (obs::enabled()) {
-    add_codec_seconds("codec.encode_seconds", report.encode_seconds);
-  }
-  for (const auto& b : blocks) report.peak_buffered_bytes += b.size();
-
-  write_skl2_header(f, kVersionLegacy, snap, layout, *codec, opts.tolerance,
-                    names);
-  // Payload starts right after the chunk index; deriving the offset from
-  // the stream position keeps it correct if the header ever grows.
-  std::uint64_t offset = static_cast<std::uint64_t>(f.tellp()) +
-                         total * 2 * sizeof(std::uint64_t);
-  for (const auto& b : blocks) {
-    write_pod<std::uint64_t>(f, offset);
-    write_pod<std::uint64_t>(f, b.size());
-    offset += b.size();
-    report.payload_bytes += b.size();
-  }
-  for (const auto& b : blocks) {
-    f.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-  }
-  if (!f) throw RuntimeError("error writing: " + path);
-  return report;
-}
-
-/// v2/v3 layout: header with a patched index_offset, streamed payload in
-/// write-budget-bounded waves, trailing index. Writer memory is bounded
-/// by one wave of encoded blocks — never the snapshot. v3 additionally
-/// serializes each entry's payload checksum.
-StoreWriteReport write_store_trailing(const field::Snapshot& snap,
-                                      const std::string& path,
-                                      const StoreOptions& opts,
-                                      std::uint32_t version,
-                                      std::ofstream& f) {
-  const ChunkLayout layout(snap.shape(), opts.chunk);
-  const auto codec = make_codec(opts.codec, opts.tolerance);
-  const auto names = snap.names();
-  const std::size_t nchunks = layout.count();
-  const std::size_t total = names.size() * nchunks;
-
-  StoreWriteReport report;
-  report.chunks = total;
-  report.raw_bytes = snap.bytes();
-
-  write_skl2_header(f, version, snap, layout, *codec, opts.tolerance,
-                    names);
   const auto patch_pos = static_cast<std::uint64_t>(f.tellp());
   write_pod<std::uint64_t>(f, 0);  // index_offset, patched below
   write_pod<std::uint64_t>(f, 0);  // index_checksum, patched below
 
+  // Blocks stream to disk in waves, so writer memory is bounded by one
+  // wave of encoded blocks — never the snapshot.
   std::vector<BlockRef> index;
-  index.reserve(total);
+  index.reserve(names.size() * layout.count());
   const WaveWriteStats stats =
       write_blocks_in_waves(snap, layout, names, *codec, opts.pool,
                             opts.write_budget_bytes, f, path, index);
+  StoreWriteReport report;
+  report.chunks = index.size();
+  report.raw_bytes = snap.bytes();
   report.payload_bytes = stats.payload_bytes;
   report.peak_buffered_bytes = stats.peak_buffered_bytes;
   report.encode_seconds = stats.encode_seconds;
@@ -246,38 +186,17 @@ StoreWriteReport write_store_trailing(const field::Snapshot& snap,
   // decode garbage.
   const auto index_offset = static_cast<std::uint64_t>(f.tellp());
   std::vector<std::uint8_t> section;
-  section.reserve(index.size() * entry_words(version) *
-                  sizeof(std::uint64_t));
+  section.reserve(index.size() * kEntryBytes);
   for (const auto& ref : index) {
     append_pod<std::uint64_t>(section, ref.offset);
     append_pod<std::uint64_t>(section, ref.bytes);
-    if (version >= 3) append_pod<std::uint64_t>(section, ref.checksum);
+    append_pod<std::uint64_t>(section, ref.checksum);
   }
   f.write(reinterpret_cast<const char*>(section.data()),
           static_cast<std::streamsize>(section.size()));
   f.seekp(static_cast<std::streamoff>(patch_pos));
   write_pod<std::uint64_t>(f, index_offset);
   write_pod<std::uint64_t>(f, fnv1a64(std::span<const std::uint8_t>(section)));
-  return report;
-}
-
-}  // namespace
-
-StoreWriteReport write_store(const field::Snapshot& snap,
-                             const std::string& path,
-                             const StoreOptions& opts) {
-  const std::uint32_t version =
-      opts.format_version == 0 ? kVersionLatest : opts.format_version;
-  SICKLE_CHECK_MSG(version >= kVersionLegacy && version <= kVersionLatest,
-                   "unsupported SKL2 format_version requested");
-  // Open the output before encoding: an unwritable path must fail in
-  // milliseconds, not after compressing a multi-GB snapshot.
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw RuntimeError("cannot open for write: " + path);
-  StoreWriteReport report =
-      version == kVersionLegacy
-          ? write_store_v1(snap, path, opts, f)
-          : write_store_trailing(snap, path, opts, version, f);
   f.flush();
   if (!f) throw RuntimeError("error writing: " + path);
   report.file_bytes = static_cast<std::size_t>(
@@ -294,15 +213,19 @@ ChunkReader::ChunkReader(const std::string& path, std::size_t cache_bytes,
   if (!file || std::memcmp(magic, kMagic, 4) != 0) {
     throw RuntimeError("not an SKL2 store file: " + path);
   }
-  const auto version = read_pod<std::uint32_t>(file);
-  if (version < kVersionLegacy || version > kVersionLatest) {
+  if (read_pod<std::uint32_t>(file) != kVersion) {
     throw RuntimeError("unsupported SKL2 version in " + path);
   }
-  version_ = version;
   field::GridShape grid;
   grid.nx = read_pod<std::uint64_t>(file);
   grid.ny = read_pod<std::uint64_t>(file);
   grid.nz = read_pod<std::uint64_t>(file);
+  // Bound the extents before any product is formed: corrupt dims must
+  // not overflow grid.size()/layout counts into "plausible" values.
+  SICKLE_CHECK_MSG(grid.nx > 0 && grid.ny > 0 && grid.nz > 0 &&
+                       grid.nx < (1ull << 21) && grid.ny < (1ull << 21) &&
+                       grid.nz < (1ull << 21),
+                   "implausible grid extents in SKL2");
   time_ = read_pod<double>(file);
   field::GridShape chunk;
   chunk.nx = read_pod<std::uint64_t>(file);
@@ -328,63 +251,59 @@ ChunkReader::ChunkReader(const std::string& path, std::size_t cache_bytes,
   const auto nchunks = read_pod<std::uint64_t>(file);
   SICKLE_CHECK_MSG(nchunks == layout_.count(),
                    "SKL2 chunk count does not match its grid/chunk shape");
-  index_.resize(nfields * nchunks);
+  // The index sits at the tail; the header holds its offset (0 means the
+  // writer never completed) and an FNV-1a checksum verified before any
+  // entry is parsed.
+  const auto index_offset = read_pod<std::uint64_t>(file);
+  const auto index_checksum = read_pod<std::uint64_t>(file);
+  if (index_offset == 0) {
+    throw RuntimeError(
+        "SKL2 store has no index — the writer was not completed "
+        "(crashed or truncated write): " + path);
+  }
   const auto file_size =
       static_cast<std::uint64_t>(std::filesystem::file_size(path));
-  if (version >= 2) {
-    // v2+: the index sits at the tail; the header holds its offset (0
-    // means the writer never completed) and an FNV-1a checksum verified
-    // before any entry is parsed. v3 entries also carry the per-block
-    // payload checksum chunk() verifies before decoding.
-    const auto index_offset = read_pod<std::uint64_t>(file);
-    const auto index_checksum = read_pod<std::uint64_t>(file);
-    const std::uint64_t index_bytes =
-        index_.size() * entry_words(version) * sizeof(std::uint64_t);
-    if (index_offset == 0) {
-      throw RuntimeError(
-          "SKL2 store has no index — the writer was not completed "
-          "(crashed or truncated write): " + path);
-    }
-    if (index_offset > file_size ||
-        index_bytes > file_size - index_offset) {
-      throw RuntimeError(
-          "SKL2 index points outside the file (truncated?): " + path);
-    }
-    file.seekg(static_cast<std::streamoff>(index_offset));
-    std::vector<std::uint8_t> section(index_bytes);
-    file.read(reinterpret_cast<char*>(section.data()),
-              static_cast<std::streamsize>(section.size()));
-    if (!file) throw RuntimeError("truncated SKL2 file");
-    if (fnv1a64(std::span<const std::uint8_t>(section)) != index_checksum) {
-      throw RuntimeError("SKL2 index checksum mismatch (corrupt index): " +
+  // Every index entry occupies kEntryBytes in the file, so the entry
+  // count is bounded by file_size / kEntryBytes. Checking with a division
+  // (never a product) keeps a corrupt header from overflowing index_bytes
+  // into a value that slips past the bounds check, or from sizing the
+  // index before it is known to fit. (nchunks >= 1: the layout is
+  // non-empty.)
+  if (nfields > file_size / kEntryBytes / nchunks) {
+    throw RuntimeError("SKL2 index does not fit the file (corrupt?): " +
+                       path);
+  }
+  const std::uint64_t index_bytes = nfields * nchunks * kEntryBytes;
+  if (index_offset > file_size || index_bytes > file_size - index_offset) {
+    throw RuntimeError(
+        "SKL2 index points outside the file (truncated?): " + path);
+  }
+  file.seekg(static_cast<std::streamoff>(index_offset));
+  std::vector<std::uint8_t> section(index_bytes);
+  file.read(reinterpret_cast<char*>(section.data()),
+            static_cast<std::streamsize>(section.size()));
+  if (!file) throw RuntimeError("truncated SKL2 file");
+  if (fnv1a64(std::span<const std::uint8_t>(section)) != index_checksum) {
+    throw RuntimeError("SKL2 index checksum mismatch (corrupt index): " +
+                       path);
+  }
+  std::size_t pos = 0;
+  auto take_u64 = [&section, &pos]() {
+    std::uint64_t v = 0;
+    std::memcpy(&v, section.data() + pos, sizeof(v));
+    pos += sizeof(v);
+    return v;
+  };
+  index_.resize(nfields * nchunks);
+  for (auto& ref : index_) {
+    ref.offset = take_u64();
+    ref.bytes = take_u64();
+    ref.checksum = take_u64();
+    // Reject corrupt entries here rather than letting chunk() make an
+    // unchecked (possibly huge) allocation later.
+    if (ref.offset > file_size || ref.bytes > file_size - ref.offset) {
+      throw RuntimeError("SKL2 chunk index points outside the file: " +
                          path);
-    }
-    std::size_t pos = 0;
-    auto take_u64 = [&section, &pos]() {
-      std::uint64_t v = 0;
-      std::memcpy(&v, section.data() + pos, sizeof(v));
-      pos += sizeof(v);
-      return v;
-    };
-    for (auto& ref : index_) {
-      ref.offset = take_u64();
-      ref.bytes = take_u64();
-      if (version >= 3) ref.checksum = take_u64();
-      if (ref.offset > file_size || ref.bytes > file_size - ref.offset) {
-        throw RuntimeError("SKL2 chunk index points outside the file: " +
-                           path);
-      }
-    }
-  } else {
-    for (auto& ref : index_) {
-      ref.offset = read_pod<std::uint64_t>(file);
-      ref.bytes = read_pod<std::uint64_t>(file);
-      // Reject corrupt index entries here rather than letting chunk()
-      // make an unchecked (possibly huge) allocation later.
-      if (ref.offset > file_size || ref.bytes > file_size - ref.offset) {
-        throw RuntimeError("SKL2 chunk index points outside the file: " +
-                           path);
-      }
     }
   }
 
@@ -398,26 +317,9 @@ std::shared_ptr<const std::vector<double>> ChunkReader::chunk(
     std::size_t field_index, std::size_t chunk_id) const {
   SICKLE_CHECK(field_index < names_.size() && chunk_id < layout_.count());
   const std::uint64_t key = field_index * layout_.count() + chunk_id;
-  return cache_->get(key, [&]() -> BlockCache::Block {
-    obs::Span load_span("store.load_chunk", "store");
-    const auto block = file_->read(index_[key].offset, index_[key].bytes);
-    if (version_ >= 3 &&
-        fnv1a64(std::span<const std::uint8_t>(block)) !=
-            index_[key].checksum) {
-      throw RuntimeError("SKL2 chunk checksum mismatch (corrupt block)");
-    }
-    if (obs::enabled()) {
-      obs::Span decode_span("codec.decode", "codec");
-      Timer decode_timer;
-      auto values = std::make_shared<const std::vector<double>>(
-          codec_->decode(std::span<const std::uint8_t>(block),
-                         layout_.box(chunk_id).points()));
-      add_codec_seconds("codec.decode_seconds", decode_timer.seconds());
-      return values;
-    }
-    return std::make_shared<const std::vector<double>>(
-        codec_->decode(std::span<const std::uint8_t>(block),
-                       layout_.box(chunk_id).points()));
+  return cache_->get(key, [&] {
+    return read_block(*file_, index_[key], *codec_,
+                      layout_.box(chunk_id).points(), "SKL2");
   });
 }
 
@@ -433,20 +335,8 @@ void ChunkReader::gather(const std::string& var,
 std::vector<double> ChunkReader::load_field(const std::string& var) const {
   const auto it = field_index_.find(var);
   SICKLE_CHECK_MSG(it != field_index_.end(), "unknown field: " + var);
-  const auto& grid = layout_.grid();
-  std::vector<double> out(grid.size());
-  for (std::size_t c = 0; c < layout_.count(); ++c) {
-    const auto b = layout_.box(c);
-    const auto values = chunk(it->second, c);
-    std::size_t k = 0;
-    for (std::size_t ix = b.x0; ix < b.x0 + b.ex; ++ix) {
-      for (std::size_t iy = b.y0; iy < b.y0 + b.ey; ++iy) {
-        double* row = out.data() + grid.index(ix, iy, b.z0);
-        for (std::size_t iz = 0; iz < b.ez; ++iz) row[iz] = (*values)[k++];
-      }
-    }
-  }
-  return out;
+  return assemble_field(
+      layout_, [&](std::size_t c) { return chunk(it->second, c); });
 }
 
 field::Snapshot ChunkReader::load_snapshot() const {

@@ -10,7 +10,9 @@
 /// out-of-core via sampling::run_pipeline_streaming with memory bounded by
 /// the reader's block cache, never the grid. For multi-snapshot time
 /// series, the SKL3 container (series_store.hpp) amortizes one header and
-/// index over the whole series. Layout spec: docs/STORE.md.
+/// index over the whole series. SKL2 has one layout, version 3: the writer
+/// emits it and the reader rejects every other version. Layout spec:
+/// docs/STORE.md.
 #pragma once
 
 #include <cstddef>
@@ -43,17 +45,11 @@ struct StoreOptions {
   /// timing changes.
   std::size_t prefetch_depth = 0;
   ThreadPool* pool = nullptr;          ///< encode pool; nullptr = global()
-  /// Streaming-writer budget (SKL2 v2 write_store and SKL3 SeriesWriter):
+  /// Streaming-writer budget (SKL2 write_store and SKL3 SeriesWriter):
   /// encoded blocks are flushed to disk in waves whose raw input stays
   /// under this bound, so writer memory is O(budget + codec scratch)
   /// instead of O(snapshot).
   std::size_t write_budget_bytes = 8ull << 20;
-  /// Container format version to write; 0 = latest. Compat/testing knob:
-  /// 1 selects the legacy layouts (SKL2 index-before-payload buffering
-  /// writer; SKL3 without summary blocks or index checksum); 2 selects the
-  /// trailing-index layout without per-block payload checksums. Readers
-  /// accept every version they know.
-  std::uint32_t format_version = 0;
   /// Reader-side: decode into this externally owned BlockCache instead of
   /// a per-reader one (SKL3 SeriesReader only; keys are salted with a
   /// per-file hash so readers of different containers can share it).
@@ -69,11 +65,10 @@ struct StoreWriteReport {
   std::size_t payload_bytes = 0;  ///< encoded chunk payload only
   std::size_t raw_bytes = 0;      ///< nfields * grid points * sizeof(double)
   std::size_t chunks = 0;         ///< blocks written (nfields * layout count)
-  /// Wall time in chunk extraction + encode (+ block checksums, v2+).
+  /// Wall time in chunk extraction + encode + block checksums.
   double encode_seconds = 0.0;
   /// High-water mark of encoded blocks buffered in memory: one
-  /// write-budget-bounded wave for the v2 trailing-index layout, the whole
-  /// payload for legacy v1 (which needs the index before the payload).
+  /// write-budget-bounded wave, never the whole payload.
   std::size_t peak_buffered_bytes = 0;
 
   [[nodiscard]] double compression_ratio() const noexcept {
@@ -92,9 +87,9 @@ StoreWriteReport write_store(const field::Snapshot& snap,
 
 /// One encoded block's location inside a container file — the index entry
 /// shared by the SKL2 and SKL3 trailing indexes. `checksum` (FNV-1a of the
-/// encoded payload bytes) is serialized by format v3+ and verified before
-/// every decode, so a flipped payload bit fails loudly instead of decoding
-/// to silently wrong values.
+/// encoded payload bytes) is serialized with every entry and verified
+/// before every decode, so a flipped payload bit fails loudly instead of
+/// decoding to silently wrong values.
 struct BlockRef {
   std::uint64_t offset = 0;
   std::uint64_t bytes = 0;
@@ -110,7 +105,7 @@ struct WaveWriteStats {
   double encode_seconds = 0.0;
 };
 
-/// The shared streaming scheme behind the SKL2 v2 writer and
+/// The shared streaming scheme behind write_store and
 /// SeriesWriter::append: encode one snapshot's (field, chunk) blocks in
 /// parallel waves whose raw input stays under `budget_bytes` (floored at
 /// one chunk), flush each wave to `out`, and append a BlockRef per block
@@ -126,6 +121,18 @@ WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
                                      std::ofstream& out,
                                      const std::string& path,
                                      std::vector<BlockRef>& index);
+
+/// The reader-side twin of write_blocks_in_waves, shared by
+/// ChunkReader::chunk and the SeriesReader block loads: read the block at
+/// `ref`, verify its payload checksum, and decode its `points` values.
+/// `container` ("SKL2" or "SKL3") names the format in the checksum error.
+/// Throws RuntimeError on a short read or a checksum mismatch, and the
+/// codec's typed errors on a malformed block.
+[[nodiscard]] BlockCache::Block read_block(const ReadOnlyFile& file,
+                                           const BlockRef& ref,
+                                           const Codec& codec,
+                                           std::size_t points,
+                                           const char* container);
 
 /// Streaming reader over an SKL2 container.
 ///
@@ -150,7 +157,10 @@ class ChunkReader final : public field::FieldSource {
   /// `shards` = 0 picks a shard count automatically: 1 for caches only a
   /// few chunks deep (preserving strict global LRU behavior), up to 16 as
   /// the cache-to-chunk ratio grows. Explicit values round up to the next
-  /// power of two.
+  /// power of two. Throws RuntimeError for another SKL2 version, an
+  /// incomplete write, or an index that cannot fit the file — checked
+  /// before the index is sized — and CheckError for implausible header
+  /// fields.
   explicit ChunkReader(const std::string& path,
                        std::size_t cache_bytes = 64ull << 20,
                        std::size_t shards = 0);
@@ -184,18 +194,13 @@ class ChunkReader final : public field::FieldSource {
   [[nodiscard]] std::size_t num_fields() const noexcept {
     return names_.size();
   }
-  /// Container format version read from the header (1 = legacy, 2 =
-  /// trailing index, 3 = v2 plus per-block payload checksums).
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return version_;
-  }
-
   /// Decoded values of one chunk of one field, in the chunk's z-fastest
   /// order. The pointer stays valid after eviction (shared ownership).
   [[nodiscard]] std::shared_ptr<const std::vector<double>> chunk(
       std::size_t field_index, std::size_t chunk_id) const;
 
-  /// Materialize one full field (streams every chunk once).
+  /// Materialize one full field (streams every chunk once, through
+  /// store::assemble_field).
   [[nodiscard]] std::vector<double> load_field(const std::string& var) const;
 
   /// Materialize the whole snapshot — for tests and small grids; defeats
@@ -218,14 +223,7 @@ class ChunkReader final : public field::FieldSource {
   }
 
  private:
-  struct BlockRef {
-    std::uint64_t offset = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t checksum = 0;
-  };
-
   std::unique_ptr<ReadOnlyFile> file_;
-  std::uint32_t version_ = 0;
   ChunkLayout layout_{{1, 1, 1}, {1, 1, 1}};
   double time_ = 0.0;
   std::vector<std::string> names_;

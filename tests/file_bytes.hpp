@@ -16,6 +16,14 @@ inline std::vector<std::uint8_t> read_bytes(const std::string& p) {
   return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
+/// Replace the file at `p` with exactly `bytes`.
+inline void write_bytes(const std::string& p,
+                        const std::vector<std::uint8_t>& bytes) {
+  std::ofstream f(p, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
 /// XOR the byte at `offset` of the file at `p` with `mask`, in place.
 inline void flip_byte(const std::string& p, std::size_t offset,
                       std::uint8_t mask) {

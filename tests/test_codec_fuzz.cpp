@@ -6,21 +6,22 @@
 //    contract is "no crash, no overallocation": decode must either throw
 //    a typed sickle error or return exactly `count` values.
 //
-//  * Container level (SKL2 v3 and SKL3 v3): the same mutations over the
-//    payload + index regions of real store files. Here the format DOES
-//    carry integrity metadata (FNV-1a index checksum since v2, per-block
-//    payload checksums since v3), so the contract tightens to "bit-exact
-//    or typed error" — silent wrong data is a failure.
+//  * Container level (the one SKL2 and SKL3 layouts): the same mutations
+//    over the header, payload and index regions of real store files.
+//    Here the format DOES carry integrity metadata (an FNV-1a index
+//    checksum and per-block payload checksums), and the header fields
+//    are bounded before anything is sized from them, so the contract
+//    tightens to "bit-exact or typed error" — silent wrong data is a
+//    failure.
 //
 // Everything is seeded and offset-loop driven (no wall-clock randomness),
-// extending the single-offset byte-flip tests from the v2 format work
-// into full-region sweeps. Runs under ASan/UBSan/TSan in CI.
+// extending the single-offset byte-flip tests of the store suites into
+// full-file sweeps. Runs under ASan/UBSan/TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -158,7 +159,7 @@ TEST(CodecFuzz, SplicedAndMiscountedBlocksNeverCrash) {
 }
 
 // ---------------------------------------------------------------------------
-// Container-level fuzzing: real SKL2/SKL3 v3 files.
+// Container-level fuzzing: real SKL2/SKL3 files.
 // ---------------------------------------------------------------------------
 
 class ContainerFuzz : public ::testing::Test {
@@ -192,20 +193,14 @@ class ContainerFuzz : public ::testing::Test {
     return snap;
   }
 
-  static void spit(const std::string& p,
-                   const std::vector<std::uint8_t>& bytes) {
-    std::ofstream f(p, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  }
-
   std::filesystem::path dir_;
 };
 
-/// Sweep single-bit flips over [begin, end) of an SKL2 file. Every
+/// Sweep single-bit flips over every byte of an SKL2 file. Every
 /// mutation must either fail with a typed error (open or chunk access) or
-/// leave every decoded value bit-identical — v3's per-block checksums are
-/// what make that promise over the payload region.
+/// leave every decoded value bit-identical — the per-block checksums are
+/// what make that promise over the payload region, and the header bounds
+/// over the header.
 TEST_F(ContainerFuzz, Skl2BitFlipSweepIsExactOrTypedError) {
   const auto snap = make_snapshot(0.0);
   StoreOptions opts;
@@ -218,23 +213,19 @@ TEST_F(ContainerFuzz, Skl2BitFlipSweepIsExactOrTypedError) {
   std::vector<std::vector<double>> ref;
   {
     ChunkReader reader(path("base.skl2"));
-    ASSERT_EQ(reader.format_version(), 3u);
     for (const auto& name : reader.variables()) {
       ref.push_back(reader.load_field(name));
     }
   }
 
-  // A locally-written header with these small shapes is under 200 bytes;
-  // start a little before that so the sweep provably straddles the
-  // header/payload boundary, then walk payload + index + footer. The
-  // flipped bit rotates with the offset so control and data bits both get
-  // hit across the loop.
-  const std::size_t begin = clean.size() > 160 ? 120 : 0;
+  // Walk the whole file from byte 0: header, payload, index. The flipped
+  // bit rotates with the offset so control and data bits both get hit
+  // across the loop.
   std::size_t silent = 0;
-  for (std::size_t off = begin; off < clean.size(); ++off) {
+  for (std::size_t off = 0; off < clean.size(); ++off) {
     auto mut = clean;
     mut[off] ^= static_cast<std::uint8_t>(1u << (off % 8));
-    spit(path("mut.skl2"), mut);
+    testing::write_bytes(path("mut.skl2"), mut);
     try {
       ChunkReader reader(path("mut.skl2"));
       const auto names = reader.variables();
@@ -268,7 +259,7 @@ TEST_F(ContainerFuzz, Skl2TruncationSweepIsTypedError) {
   for (std::size_t len = 0; len < clean.size(); len += step) {
     std::vector<std::uint8_t> mut(
         clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(len));
-    spit(path("mut.skl2"), mut);
+    testing::write_bytes(path("mut.skl2"), mut);
     try {
       ChunkReader reader(path("mut.skl2"));
       for (const auto& name : reader.variables()) {
@@ -284,7 +275,7 @@ TEST_F(ContainerFuzz, Skl2TruncationSweepIsTypedError) {
 TEST_F(ContainerFuzz, Skl2PayloadSpliceFailsChecksum) {
   // Two stores with different values: graft a block-sized slice of one
   // payload into the other. The index checksum still matches (the index
-  // is untouched), so only v3's per-block payload checksums can catch it.
+  // is untouched), so only the per-block payload checksums can catch it.
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
   opts.codec = "raw";
@@ -312,7 +303,7 @@ TEST_F(ContainerFuzz, Skl2PayloadSpliceFailsChecksum) {
     const std::size_t n =
         std::min<std::size_t>(128, mut.size() - payload - shift);
     std::memcpy(mut.data() + payload, b.data() + payload + shift, n);
-    spit(path("mut.skl2"), mut);
+    testing::write_bytes(path("mut.skl2"), mut);
     try {
       ChunkReader reader(path("mut.skl2"));
       const auto got = reader.load_field("u");
@@ -323,9 +314,9 @@ TEST_F(ContainerFuzz, Skl2PayloadSpliceFailsChecksum) {
   }
 }
 
-/// The same flip sweep over an SKL3 series file: payload, per-snapshot
-/// summaries, index entries (now 3 words with the payload checksum), and
-/// the index checksum footer all get walked.
+/// The same flip sweep over an SKL3 series file: header, payload,
+/// per-snapshot summaries and histograms, and index entries (3 words with
+/// the payload checksum) all get walked.
 TEST_F(ContainerFuzz, Skl3BitFlipSweepIsExactOrTypedError) {
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
@@ -339,7 +330,6 @@ TEST_F(ContainerFuzz, Skl3BitFlipSweepIsExactOrTypedError) {
   std::vector<std::vector<double>> ref;
   {
     SeriesReader reader(path("base.skl3"));
-    ASSERT_EQ(reader.format_version(), 4u);
     for (std::size_t t = 0; t < reader.num_snapshots(); ++t) {
       const auto s = reader.load_snapshot(t);
       for (const auto& name : s.names()) {
@@ -349,12 +339,11 @@ TEST_F(ContainerFuzz, Skl3BitFlipSweepIsExactOrTypedError) {
     }
   }
 
-  const std::size_t begin = clean.size() > 160 ? 120 : 0;
   std::size_t silent = 0;
-  for (std::size_t off = begin; off < clean.size(); ++off) {
+  for (std::size_t off = 0; off < clean.size(); ++off) {
     auto mut = clean;
     mut[off] ^= static_cast<std::uint8_t>(1u << (off % 8));
-    spit(path("mut.skl3"), mut);
+    testing::write_bytes(path("mut.skl3"), mut);
     try {
       SeriesReader reader(path("mut.skl3"));
       std::size_t k = 0;
@@ -394,7 +383,7 @@ TEST_F(ContainerFuzz, Skl3TruncationSweepIsTypedError) {
   for (std::size_t len = 0; len < clean.size(); len += step) {
     std::vector<std::uint8_t> mut(
         clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(len));
-    spit(path("mut.skl3"), mut);
+    testing::write_bytes(path("mut.skl3"), mut);
     try {
       SeriesReader reader(path("mut.skl3"));
       for (std::size_t t = 0; t < reader.num_snapshots(); ++t) {

@@ -17,10 +17,11 @@ namespace {
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
+  TaskGroup group(pool);
   for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
+    group.run([&count] { ++count; });
   }
-  pool.wait_idle();
+  group.wait();
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -44,7 +45,7 @@ TEST(ParallelFor, TaskExceptionsRethrowOnCaller) {
   // A throwing chunk must surface as a catchable exception on the calling
   // thread (not std::terminate in a worker). The throwing chunk abandons
   // its remaining indices; the other chunks still complete before the
-  // rethrow (wait_idle runs first).
+  // rethrow (the call's TaskGroup waits first).
   ThreadPool pool(4);
   std::atomic<int> visited{0};
   EXPECT_THROW(
@@ -77,10 +78,10 @@ TEST(TaskGroup, WaitsForExactlyItsOwnTasks) {
   EXPECT_EQ(mine.load(), 51);
 }
 
-/// The decoupling fix (ROADMAP PR 3 item): a parallel_for must complete
-/// while an unrelated task on the same pool is still blocked in flight.
-/// Under the old pool-wide wait_idle this deadlocks — parallel_for would
-/// wait for the blocked stranger too.
+/// A parallel_for must complete while an unrelated task on the same pool
+/// is still blocked in flight. A pool-wide wait would deadlock here —
+/// parallel_for would wait for the blocked stranger too. The pool's
+/// destructor drains the queue and joins the released blocker.
 TEST(TaskGroup, ParallelForDoesNotWaitOnStrangersTasks) {
   ThreadPool pool(2);
   std::promise<void> release;
@@ -92,7 +93,6 @@ TEST(TaskGroup, ParallelForDoesNotWaitOnStrangersTasks) {
   EXPECT_EQ(count.load(), 100);  // finished while the blocker still runs
 
   release.set_value();
-  pool.wait_idle();
 }
 
 /// Overlapping parallel_for calls from concurrent host threads on one

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <thread>
 
@@ -68,6 +70,37 @@ class SeriesStoreTest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
+};
+
+/// A sealed series with its index summaries hidden: coarse_histogram
+/// always reports nullopt, and value_range does too when `hide_ranges` is
+/// set. That is what a source without summaries (the in-memory and SKL2
+/// spill sources) gives temporal selection, so selection runs its scan
+/// fallbacks over real payload decodes of `series`.
+class HiddenSummaries final : public field::SeriesSource {
+ public:
+  HiddenSummaries(const SeriesReader& series, bool hide_ranges)
+      : series_(series), hide_ranges_(hide_ranges) {}
+
+  [[nodiscard]] std::size_t num_snapshots() const override {
+    return series_.num_snapshots();
+  }
+  [[nodiscard]] const field::FieldSource& source(
+      std::size_t t) const override {
+    return series_.source(t);
+  }
+  [[nodiscard]] double time(std::size_t t) const override {
+    return series_.time(t);
+  }
+  [[nodiscard]] std::optional<field::VarRange> value_range(
+      std::size_t t, const std::string& var) const override {
+    if (hide_ranges_) return std::nullopt;
+    return series_.value_range(t, var);
+  }
+
+ private:
+  const SeriesReader& series_;
+  bool hide_ranges_;
 };
 
 TEST_F(SeriesStoreTest, LosslessRoundTripAcrossSnapshots) {
@@ -600,7 +633,7 @@ TEST_F(SeriesStoreTest, FailedCaseKeepsSpillInConfiguredDir) {
   EXPECT_TRUE(found);
 }
 
-// ----------------------------------------- v2 summary blocks + checksum
+// ------------------------------------ index summaries + version checks
 
 TEST_F(SeriesStoreTest, SummaryBlocksCarryExactRanges) {
   const auto ds = make_series(4);
@@ -613,8 +646,6 @@ TEST_F(SeriesStoreTest, SummaryBlocksCarryExactRanges) {
   (void)writer.close();
 
   const SeriesReader reader(path("sum.skl3"));
-  EXPECT_EQ(reader.format_version(), 4u);
-  EXPECT_TRUE(reader.has_summaries());
   for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
     for (const auto& name : ds.snapshot(t).names()) {
       const auto r = reader.value_range(t, name);
@@ -627,53 +658,81 @@ TEST_F(SeriesStoreTest, SummaryBlocksCarryExactRanges) {
   EXPECT_THROW((void)reader.value_range(0, "nope"), CheckError);
 }
 
-TEST_F(SeriesStoreTest, LegacyV1FilesReadWithoutSummaries) {
-  const auto ds = make_series(3);
+/// SKL3 has one layout: a reader handed any other version number fails
+/// with a typed error naming the version, whatever the rest of the file
+/// holds.
+TEST_F(SeriesStoreTest, OnlyCurrentVersionOpens) {
+  const auto ds = make_series(2);
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  opts.format_version = 1;  // write the pre-summary layout
-  SeriesWriter writer(path("v1.skl3"), opts);
-  for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-    writer.append(ds.snapshot(t));
-  }
+  SeriesWriter writer(path("cur.skl3"), opts);
+  writer.append(ds.snapshot(0));
+  writer.append(ds.snapshot(1));
   (void)writer.close();
+  const auto clean = testing::read_bytes(path("cur.skl3"));
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 5u}) {
+    auto bytes = clean;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    testing::write_bytes(path("other.skl3"), bytes);
+    try {
+      const SeriesReader reader(path("other.skl3"));
+      FAIL() << "SKL3 version " << version << " must be rejected";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported SKL3 version"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
 
-  const SeriesReader reader(path("v1.skl3"));
-  EXPECT_EQ(reader.format_version(), 1u);
-  EXPECT_FALSE(reader.has_summaries());
-  EXPECT_EQ(reader.value_range(0, "u"), std::nullopt);
-  // Payload still round-trips.
-  const auto loaded = reader.load_snapshot(1);
-  const auto want = ds.snapshot(1).get("u").data();
-  const auto got = loaded.get("u").data();
-  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(want[i], got[i]);
-  // And selection falls back to the two-pass scan with identical output.
-  sampling::TemporalConfig tc;
-  tc.variable = "u";
-  tc.num_snapshots = 2;
-  tc.bins = 16;
-  EXPECT_EQ(sampling::select_snapshots(reader, tc),
-            sampling::select_snapshots(field::DatasetSeriesSource(ds), tc));
+/// The SKL3 twin of StoreTest.OversizedHeaderFailsBeforeAllocating: a
+/// crafted header naming a huge grid in 1-point chunks, with a matching
+/// chunk count, fails the index-fits-the-file check with a typed error.
+TEST_F(SeriesStoreTest, OversizedHeaderFailsBeforeAllocating) {
+  for (const std::uint64_t side : {1ull << 16, 1ull << 20}) {
+    // Magic, version, grid, 1-point chunks, the raw codec and its
+    // tolerance, one field "u", the matching chunk count, an index_offset
+    // just past the header, one snapshot, an index checksum, then a token
+    // payload.
+    std::vector<std::uint8_t> bytes{'S', 'K', 'L', '3'};
+    append_pod<std::uint32_t>(bytes, 4);
+    for (int i = 0; i < 3; ++i) append_pod<std::uint64_t>(bytes, side);
+    for (int i = 0; i < 3; ++i) append_pod<std::uint64_t>(bytes, 1);
+    append_pod<std::uint8_t>(bytes, 0);
+    append_pod<double>(bytes, 0.0);
+    append_pod<std::uint64_t>(bytes, 1);
+    append_pod<std::uint32_t>(bytes, 1);
+    bytes.push_back('u');
+    append_pod<std::uint64_t>(bytes, side * side * side);
+    append_pod<std::uint64_t>(bytes, bytes.size() + 24);
+    append_pod<std::uint64_t>(bytes, 1);
+    append_pod<std::uint64_t>(bytes, 0);
+    bytes.resize(bytes.size() + 64);
+    testing::write_bytes(path("huge.skl3"), bytes);
+    try {
+      const SeriesReader reader(path("huge.skl3"));
+      FAIL() << "a " << side << "^3 grid in a tiny file must be rejected";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("does not fit"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 /// The acceptance criterion: with summaries present, cold-store temporal
 /// selection touches each payload block ONCE (the range pass reads index
-/// metadata); without them it decodes everything twice. The cache is
+/// metadata); with them hidden it decodes everything twice. The cache is
 /// sized below the working set so a second pass cannot hide in it.
 TEST_F(SeriesStoreTest, SummariesHalveColdSelectionIo) {
   const auto ds = make_series(6);
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  auto write_series = [&](const std::string& name, std::uint32_t version) {
-    opts.format_version = version;
-    SeriesWriter writer(path(name), opts);
-    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-      writer.append(ds.snapshot(t));
-    }
-    (void)writer.close();
-  };
-  write_series("two_pass.skl3", 1);
-  write_series("one_pass.skl3", 0);  // latest = v2
+  SeriesWriter writer(path("sel.skl3"), opts);
+  for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+    writer.append(ds.snapshot(t));
+  }
+  (void)writer.close();
 
   sampling::TemporalConfig tc;
   tc.variable = "u";
@@ -686,26 +745,28 @@ TEST_F(SeriesStoreTest, SummariesHalveColdSelectionIo) {
   const std::size_t blocks_per_var = 6 * 12;
   const std::size_t tiny_cache = 2 * 4 * 4 * 4 * sizeof(double);
 
-  const SeriesReader two_pass(path("two_pass.skl3"), tiny_cache);
+  const SeriesReader two_pass(path("sel.skl3"), tiny_cache);
   const auto two_open = two_pass.io_bytes_read();  // header + index
-  EXPECT_EQ(sampling::select_snapshots(two_pass, tc), expected);
+  EXPECT_EQ(sampling::select_snapshots(
+                HiddenSummaries(two_pass, /*hide_ranges=*/true), tc),
+            expected);
   EXPECT_GE(two_pass.cache_stats().misses, 2 * blocks_per_var);
   const auto two_delta = two_pass.io_bytes_read() - two_open;
 
-  const SeriesReader one_pass(path("one_pass.skl3"), tiny_cache);
+  const SeriesReader one_pass(path("sel.skl3"), tiny_cache);
   const auto one_open = one_pass.io_bytes_read();  // header + index
   EXPECT_EQ(sampling::select_snapshots(one_pass, tc), expected);
   // Bit-identical result, but every payload block decoded exactly once.
   EXPECT_EQ(one_pass.cache_stats().misses, blocks_per_var);
   const auto one_delta = one_pass.io_bytes_read() - one_open;
   // Byte accounting agrees: the summary path reads u's payload once where
-  // the two-pass scan reads it twice (both files carry identical encoded
-  // payloads, so the halving is exact).
+  // the two-pass scan reads it twice (both readers decode the same file,
+  // so the halving is exact).
   EXPECT_GT(one_delta, 0u);
   EXPECT_EQ(2 * one_delta, two_delta);
 }
 
-/// SKL3 v4 round-trip: index-resident coarse histograms equal what the
+/// SKL3 round-trip: index-resident coarse histograms equal what the
 /// canonical kernel (stats::Histogram over the snapshot's own exact
 /// range) computes from the raw data — the contract that lets selection
 /// seed from the index with zero payload decodes.
@@ -720,8 +781,6 @@ TEST_F(SeriesStoreTest, IndexHistogramsMatchScannedCoarseCounts) {
   (void)writer.close();
 
   const SeriesReader reader(path("hist.skl3"));
-  EXPECT_EQ(reader.format_version(), 4u);
-  EXPECT_TRUE(reader.has_histograms());
   for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
     for (const auto& name : ds.snapshot(t).names()) {
       const auto got = reader.coarse_histogram(t, name);
@@ -747,26 +806,19 @@ TEST_F(SeriesStoreTest, IndexHistogramsMatchScannedCoarseCounts) {
   }
 }
 
-/// v1/v3 files carry no histogram block: coarse_histogram reports nullopt
-/// and the seeded selection falls back to scanning — with indices
-/// identical to both the in-memory source and a v4 file of the same data
-/// (k chosen so the candidate set is a strict subset and the seeding
-/// stage actually runs).
-TEST_F(SeriesStoreTest, SeededSelectionIsIdenticalAcrossFormatVersions) {
+/// Without index histograms (and without ranges too) the seeded selection
+/// falls back to scanning — with indices identical to both the in-memory
+/// source and the sealed series' own index summaries (k chosen so the
+/// candidate set is a strict subset and the seeding stage actually runs).
+TEST_F(SeriesStoreTest, SeededSelectionIsIdenticalWithoutIndexSummaries) {
   const auto ds = make_series(12);
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  auto write_series = [&](const std::string& name, std::uint32_t version) {
-    opts.format_version = version;
-    SeriesWriter writer(path(name), opts);
-    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-      writer.append(ds.snapshot(t));
-    }
-    (void)writer.close();
-  };
-  write_series("sel_v1.skl3", 1);
-  write_series("sel_v3.skl3", 3);
-  write_series("sel_v4.skl3", 0);  // latest = v4
+  SeriesWriter writer(path("sel.skl3"), opts);
+  for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+    writer.append(ds.snapshot(t));
+  }
+  (void)writer.close();
 
   sampling::TemporalConfig tc;
   tc.variable = "u";
@@ -776,39 +828,32 @@ TEST_F(SeriesStoreTest, SeededSelectionIsIdenticalAcrossFormatVersions) {
       sampling::select_snapshots(field::DatasetSeriesSource(ds), tc);
   ASSERT_EQ(expected.size(), 2u);
 
-  const SeriesReader v1(path("sel_v1.skl3"));
-  const SeriesReader v3(path("sel_v3.skl3"));
-  const SeriesReader v4(path("sel_v4.skl3"));
-  EXPECT_EQ(v1.coarse_histogram(0, "u"), std::nullopt);
-  EXPECT_EQ(v3.coarse_histogram(0, "u"), std::nullopt);
-  EXPECT_FALSE(v3.has_histograms());
-  EXPECT_TRUE(v4.has_histograms());
-  EXPECT_EQ(sampling::select_snapshots(v1, tc), expected);
-  EXPECT_EQ(sampling::select_snapshots(v3, tc), expected);
-  EXPECT_EQ(sampling::select_snapshots(v4, tc), expected);
+  const SeriesReader reader(path("sel.skl3"));
+  const HiddenSummaries no_summaries(reader, /*hide_ranges=*/true);
+  const HiddenSummaries ranges_only(reader, /*hide_ranges=*/false);
+  ASSERT_TRUE(reader.coarse_histogram(0, "u").has_value());
+  EXPECT_EQ(ranges_only.coarse_histogram(0, "u"), std::nullopt);
+  EXPECT_EQ(sampling::select_snapshots(no_summaries, tc), expected);
+  EXPECT_EQ(sampling::select_snapshots(ranges_only, tc), expected);
+  EXPECT_EQ(sampling::select_snapshots(reader, tc), expected);
 }
 
-/// The tentpole acceptance criterion: on a sealed v4 series the seeding
+/// The tentpole acceptance criterion: on a sealed series the seeding
 /// stage decodes ZERO payload blocks — the first (and only) decodes are
-/// the exact refinement pass over the candidate snapshots. The version
-/// ladder quantifies the win: v3 pays one extra full histogram pass, v1
-/// two (range + histogram). The cache is sized below the working set so
-/// no pass can hide in it.
+/// the exact refinement pass over the candidate snapshots. Hiding the
+/// index summaries quantifies the win: without histograms selection pays
+/// one extra full histogram pass, without ranges too it pays two (range +
+/// histogram). The cache is sized below the working set so no pass can
+/// hide in it.
 TEST_F(SeriesStoreTest, SeededSelectionDecodesOnlyCandidateBlocks) {
   const auto ds = make_series(12);
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  auto write_series = [&](const std::string& name, std::uint32_t version) {
-    opts.format_version = version;
-    SeriesWriter writer(path(name), opts);
-    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-      writer.append(ds.snapshot(t));
-    }
-    (void)writer.close();
-  };
-  write_series("io_v1.skl3", 1);
-  write_series("io_v3.skl3", 3);
-  write_series("io_v4.skl3", 0);  // latest = v4
+  SeriesWriter writer(path("io.skl3"), opts);
+  for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+    writer.append(ds.snapshot(t));
+  }
+  (void)writer.close();
 
   sampling::TemporalConfig tc;
   tc.variable = "u";
@@ -822,26 +867,32 @@ TEST_F(SeriesStoreTest, SeededSelectionDecodesOnlyCandidateBlocks) {
   const auto expected =
       sampling::select_snapshots(field::DatasetSeriesSource(ds), tc);
 
-  const SeriesReader v4(path("io_v4.skl3"), tiny_cache);
-  EXPECT_EQ(v4.cache_stats().misses, 0u);  // opening decodes nothing
-  EXPECT_EQ(sampling::select_snapshots(v4, tc), expected);
+  const SeriesReader indexed(path("io.skl3"), tiny_cache);
+  EXPECT_EQ(indexed.cache_stats().misses, 0u);  // opening decodes nothing
+  EXPECT_EQ(sampling::select_snapshots(indexed, tc), expected);
   // Zero decodes before refinement: only the m candidates' blocks of the
   // selection variable were ever decoded.
-  EXPECT_EQ(v4.cache_stats().misses, m * chunks_per_snap);
+  EXPECT_EQ(indexed.cache_stats().misses, m * chunks_per_snap);
 
-  const SeriesReader v3(path("io_v3.skl3"), tiny_cache);
-  EXPECT_EQ(sampling::select_snapshots(v3, tc), expected);
-  // v3 seeds from index ranges but must scan the coarse histograms: one
-  // full pass plus the refinement (3x the v4 block decodes here).
-  EXPECT_EQ(v3.cache_stats().misses, (n + m) * chunks_per_snap);
+  const SeriesReader ranges_only(path("io.skl3"), tiny_cache);
+  EXPECT_EQ(sampling::select_snapshots(
+                HiddenSummaries(ranges_only, /*hide_ranges=*/false), tc),
+            expected);
+  // Seeding from index ranges but scanning the coarse histograms: one
+  // full pass plus the refinement (3x the indexed block decodes here).
+  EXPECT_EQ(ranges_only.cache_stats().misses, (n + m) * chunks_per_snap);
 
-  const SeriesReader v1(path("io_v1.skl3"), tiny_cache);
-  EXPECT_EQ(sampling::select_snapshots(v1, tc), expected);
-  // v1 additionally pays the range pass: two full passes plus refinement.
-  EXPECT_EQ(v1.cache_stats().misses, (2 * n + m) * chunks_per_snap);
+  const SeriesReader no_summaries(path("io.skl3"), tiny_cache);
+  EXPECT_EQ(sampling::select_snapshots(
+                HiddenSummaries(no_summaries, /*hide_ranges=*/true), tc),
+            expected);
+  // Without ranges too, selection also pays the range pass: two full
+  // passes plus refinement.
+  EXPECT_EQ(no_summaries.cache_stats().misses,
+            (2 * n + m) * chunks_per_snap);
 }
 
-/// A flipped byte inside the v4 histogram region of the index must fail
+/// A flipped byte inside the histogram region of the index must fail
 /// the index checksum at open, exactly like any other index corruption.
 TEST_F(SeriesStoreTest, CorruptedHistogramCountsFailChecksum) {
   const auto ds = make_series(2);
@@ -852,7 +903,7 @@ TEST_F(SeriesStoreTest, CorruptedHistogramCountsFailChecksum) {
   writer.append(ds.snapshot(1));
   (void)writer.close();
 
-  // Per-snapshot index record (3 fields, 12 chunks, v4): 8 (time) +
+  // Per-snapshot index record (3 fields, 12 chunks): 8 (time) +
   // 3*16 (summaries) + 3*64*8 (histogram counts) + 3*12*24 (block refs).
   const std::size_t per_snap = 8 + 3 * 16 + 3 * 64 * 8 + 3 * 12 * 24;
   const auto size = std::filesystem::file_size(path("hflip.skl3"));
@@ -926,7 +977,7 @@ TEST_F(SeriesStoreTest, IndexByteFlipFailsChecksum) {
   writer.append(ds.snapshot(1));
   (void)writer.close();
 
-  // The v2 index is the trailing section; flip one byte near the tail.
+  // The index is the trailing section; flip one byte near the tail.
   const auto size = std::filesystem::file_size(path("flip.skl3"));
   testing::flip_byte(path("flip.skl3"), size - 5, 0x40);
   try {

@@ -146,8 +146,10 @@ TEST(Session, MemoryBackendMatchesToo) {
 
   CaseSession session({.max_concurrent_cases = 2});
   TinyCase t = tiny_case(7, "memory", "materialize");
-  const CaseReport& got =
-      session.submit(std::move(t.bundle), std::move(t.cfg)).wait();
+  // wait() returns a reference into the task the handle owns, so the
+  // handle must outlive `got`.
+  const CaseHandle h = session.submit(std::move(t.bundle), std::move(t.cfg));
+  const CaseReport& got = h.wait();
   EXPECT_EQ(got.sample_hash, want.sample_hash);
   EXPECT_EQ(got.train.final_train_loss, want.train.final_train_loss);
 }

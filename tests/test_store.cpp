@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -297,7 +298,7 @@ TEST_F(StoreTest, LruKeepsHotChunksResident) {
   EXPECT_EQ(reader.cache_stats().hits, 2u);
 }
 
-/// v2 trailing-index layout: the writer streams encoded waves under the
+/// Trailing-index layout: the writer streams encoded waves under the
 /// write budget instead of buffering the whole snapshot's blocks.
 TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   field::Snapshot snap({24, 24, 24}, 0.5);
@@ -311,14 +312,14 @@ TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   opts.codec = "raw";
   // Budget of two chunks: 54 blocks must flush in many waves.
   opts.write_budget_bytes = 2 * 8 * 8 * 8 * sizeof(double);
-  const auto report = write_store(snap, path("v2.skl2"), opts);
+  const auto report = write_store(snap, path("trailing.skl2"), opts);
   EXPECT_GT(report.peak_buffered_bytes, 0u);
   EXPECT_LT(report.peak_buffered_bytes, report.payload_bytes);
   // Raw codec: a wave's encoded bytes ~ its raw bytes (+ tiny framing).
   EXPECT_LE(report.peak_buffered_bytes, 2 * opts.write_budget_bytes);
 
-  // And the container round-trips through the v2 reader path.
-  const ChunkReader reader(path("v2.skl2"));
+  // And the container round-trips.
+  const ChunkReader reader(path("trailing.skl2"));
   const auto loaded = reader.load_snapshot();
   for (const char* name : {"a", "b"}) {
     const auto want = snap.get(name).data();
@@ -329,29 +330,64 @@ TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   }
 }
 
-/// Legacy v1 files (index before payload) stay readable after the format
-/// bump, and the legacy writer remains reachable for compat tooling.
-TEST_F(StoreTest, LegacyV1LayoutStillRoundTrips) {
+/// SKL2 has one layout: a reader handed any other version number fails
+/// with a typed error naming the version, whatever the rest of the file
+/// holds.
+TEST_F(StoreTest, OnlyCurrentVersionOpens) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  opts.format_version = 1;
-  const auto report = write_store(snap, path("v1.skl2"), opts);
-  // v1 buffers every encoded block (that is the defect the v2 layout
-  // fixes), so its peak equals the payload.
-  EXPECT_EQ(report.peak_buffered_bytes, report.payload_bytes);
-  const ChunkReader reader(path("v1.skl2"));
-  const auto loaded = reader.load_snapshot();
-  for (const auto& name : snap.names()) {
-    const auto want = snap.get(name).data();
-    const auto got = loaded.get(name).data();
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(want[i], got[i]);
+  write_store(snap, path("cur.skl2"), opts);
+  const auto clean = testing::read_bytes(path("cur.skl2"));
+  for (const std::uint32_t version : {0u, 1u, 2u, 4u}) {
+    auto bytes = clean;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    testing::write_bytes(path("other.skl2"), bytes);
+    try {
+      const ChunkReader reader(path("other.skl2"));
+      FAIL() << "SKL2 version " << version << " must be rejected";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported SKL2 version"),
+                std::string::npos)
+          << e.what();
     }
   }
-  EXPECT_THROW(
-      write_store(snap, path("v9.skl2"), {.format_version = 9}),
-      CheckError);
+}
+
+/// A crafted header naming a huge grid in 1-point chunks, with a matching
+/// chunk count, must fail the index-fits-the-file check before anything
+/// is sized from it — a typed error, never std::length_error or
+/// std::bad_alloc. Both sides pass the extent bound, and neither size can
+/// really be allocated.
+TEST_F(StoreTest, OversizedHeaderFailsBeforeAllocating) {
+  for (const std::uint64_t side : {1ull << 16, 1ull << 20}) {
+    // Magic, version, grid, time, 1-point chunks, the raw codec and its
+    // tolerance, one field "u", the matching chunk count, an index_offset
+    // just past the header, an index checksum, then a token payload.
+    std::vector<std::uint8_t> bytes{'S', 'K', 'L', '2'};
+    append_pod<std::uint32_t>(bytes, 3);
+    for (int i = 0; i < 3; ++i) append_pod<std::uint64_t>(bytes, side);
+    append_pod<double>(bytes, 0.0);
+    for (int i = 0; i < 3; ++i) append_pod<std::uint64_t>(bytes, 1);
+    append_pod<std::uint8_t>(bytes, 0);
+    append_pod<double>(bytes, 0.0);
+    append_pod<std::uint64_t>(bytes, 1);
+    append_pod<std::uint32_t>(bytes, 1);
+    bytes.push_back('u');
+    append_pod<std::uint64_t>(bytes, side * side * side);
+    append_pod<std::uint64_t>(bytes, bytes.size() + 16);
+    append_pod<std::uint64_t>(bytes, 0);
+    bytes.resize(bytes.size() + 64);
+    testing::write_bytes(path("huge.skl2"), bytes);
+    try {
+      const ChunkReader reader(path("huge.skl2"));
+      FAIL() << "a " << side << "^3 grid in a tiny file must be rejected";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("does not fit"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
@@ -359,8 +395,8 @@ TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
   write_store(snap, path("flip.skl2"), opts);
-  // The v2 index is the trailing section; flip one byte near the tail in
-  // a way that keeps the offsets plausible (low byte of a block size).
+  // The index is the trailing section; flip one byte near the tail in a
+  // way that keeps the offsets plausible (low byte of a block size).
   const auto size = std::filesystem::file_size(path("flip.skl2"));
   testing::flip_byte(path("flip.skl2"), size - 16, 0x01);
   try {
