@@ -1,12 +1,13 @@
 // Micro-kernel benchmarks (google-benchmark): the hot paths every
 // experiment runs through — FFT, k-means, histograms, samplers, cube
-// scoring, matmul. Besides the console table, a run writes
+// scoring, codecs, matmul. Besides the console table, a run writes
 // BENCH_kernels.json (ns/op, throughput, thread count, git sha); compare
 // against the committed baseline in bench/baselines/ (docs/PERF.md).
 #include <benchmark/benchmark.h>
 
-#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -18,6 +19,7 @@
 #include "common/timer.hpp"
 #include "fft/fft.hpp"
 #include "field/field_source.hpp"
+#include "flow/spectral_turbulence.hpp"
 #include "ml/tensor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +30,7 @@
 #include "sampling/temporal.hpp"
 #include "stats/entropy.hpp"
 #include "stats/histogram.hpp"
+#include "store/chunk_layout.hpp"
 #include "store/codec.hpp"
 #include "store/series_store.hpp"
 #include "store/snapshot_store.hpp"
@@ -369,10 +372,34 @@ std::vector<double> codec_bench_values(std::size_t n) {
   return v;
 }
 
-template <const char* Name>
+/// Full-precision turbulence, the data the store-backed cases spill: one
+/// 32^3 velocity field (2^15 values), where gorilla's XOR windows are
+/// wide and the stream slightly expands.
+const std::vector<double>& full_double_values() {
+  static const std::vector<double> values = [] {
+    flow::SpectralTurbulenceParams p;
+    p.nx = p.ny = p.nz = 32;
+    p.seed = 3;
+    const auto ds = flow::generate_spectral_turbulence(p);
+    const auto u = ds.snapshot(0).get("u").data();
+    return std::vector<double>(u.begin(), u.end());
+  }();
+  return values;
+}
+
+constexpr char kF32Native[] = "f32_native";
+constexpr char kFullDouble[] = "full_double";
+
+template <const char* Data>
+std::vector<double> codec_input() {
+  return Data == kFullDouble ? full_double_values()
+                             : codec_bench_values(1 << 15);
+}
+
+template <const char* Name, const char* Data = kF32Native>
 void BM_CodecEncode(benchmark::State& state) {
   const auto codec = store::make_codec(Name);
-  const auto values = codec_bench_values(1 << 15);
+  const auto values = codec_input<Data>();
   for (auto _ : state) {
     auto block = codec->encode(values);
     benchmark::DoNotOptimize(block.data());
@@ -382,10 +409,10 @@ void BM_CodecEncode(benchmark::State& state) {
                                                sizeof(double)));
 }
 
-template <const char* Name>
+template <const char* Name, const char* Data = kF32Native>
 void BM_CodecDecode(benchmark::State& state) {
   const auto codec = store::make_codec(Name);
-  const auto values = codec_bench_values(1 << 15);
+  const auto values = codec_input<Data>();
   const auto block = codec->encode(values);
   for (auto _ : state) {
     auto out = codec->decode(block, values.size());
@@ -398,53 +425,17 @@ void BM_CodecDecode(benchmark::State& state) {
 
 constexpr char kDelta[] = "delta";
 constexpr char kGorilla[] = "gorilla";
+constexpr char kQuant[] = "quant";
 BENCHMARK_TEMPLATE(BM_CodecEncode, kDelta);
 BENCHMARK_TEMPLATE(BM_CodecEncode, kGorilla);
 BENCHMARK_TEMPLATE(BM_CodecDecode, kDelta);
 BENCHMARK_TEMPLATE(BM_CodecDecode, kGorilla);
-
-// The codec encoders' vectorized prologue in isolation: the XOR stencil
-// that feeds the serial bit emission, exactly as shipped (pure 64-bit
-// integer lanes under `#pragma omp simd`) vs the same loop left to the
-// compiler's serial codegen.
-void BM_CodecXorStencilSimd(benchmark::State& state) {
-  const auto values = codec_bench_values(1 << 15);
-  const std::size_t n = values.size();
-  std::vector<std::uint64_t> xors(n);
-  for (auto _ : state) {
-    const double* vals = values.data();
-#pragma omp simd
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto u = std::bit_cast<std::uint64_t>(vals[i]);
-      const auto p =
-          i == 0 ? u : std::bit_cast<std::uint64_t>(vals[i - 1]);
-      xors[i] = u ^ p;
-    }
-    benchmark::DoNotOptimize(xors.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * sizeof(double)));
-}
-BENCHMARK(BM_CodecXorStencilSimd);
-
-void BM_CodecXorStencilScalar(benchmark::State& state) {
-  const auto values = codec_bench_values(1 << 15);
-  const std::size_t n = values.size();
-  std::vector<std::uint64_t> xors(n);
-  for (auto _ : state) {
-    std::uint64_t prev = std::bit_cast<std::uint64_t>(values[0]);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto u = std::bit_cast<std::uint64_t>(values[i]);
-      xors[i] = u ^ prev;
-      prev = u;
-      benchmark::DoNotOptimize(prev);  // pin the serial dependency chain
-    }
-    benchmark::DoNotOptimize(xors.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * sizeof(double)));
-}
-BENCHMARK(BM_CodecXorStencilScalar);
+BENCHMARK_TEMPLATE2(BM_CodecEncode, kDelta, kFullDouble);
+BENCHMARK_TEMPLATE2(BM_CodecEncode, kGorilla, kFullDouble);
+BENCHMARK_TEMPLATE2(BM_CodecEncode, kQuant, kFullDouble);
+BENCHMARK_TEMPLATE2(BM_CodecDecode, kDelta, kFullDouble);
+BENCHMARK_TEMPLATE2(BM_CodecDecode, kGorilla, kFullDouble);
+BENCHMARK_TEMPLATE2(BM_CodecDecode, kQuant, kFullDouble);
 
 void BM_Matmul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -609,6 +600,66 @@ void record_selection_single_pass(sickle::bench::JsonReport* report) {
   std::printf("selection single-pass row: ranges only %.4fs, indexed %.4fs "
               "(%.2fx)\n",
               ranges_only_seconds, indexed_seconds, speedup);
+}
+
+/// The four-lane checksum acceptance row: one write wave's encoded blocks
+/// (8 MiB of full-precision turbulence, the default write budget, in 16^3
+/// gorilla blocks as the curate-series spill writes them) hashed one
+/// block at a time with fnv1a64 and four at a time with fnv1a64_many.
+/// Both give the same checksums; the gain is instruction-level
+/// parallelism on one thread (four multiply chains in flight instead of
+/// one), so the row runs, and CI gates it at >= 2x, on single-CPU runners
+/// too.
+void record_block_checksum_lanes(sickle::bench::JsonReport* report) {
+  flow::SpectralTurbulenceParams p;
+  p.nx = p.ny = p.nz = 64;
+  p.seed = 5;
+  const auto ds = flow::generate_spectral_turbulence(p);
+  const auto& snap = ds.snapshot(0);
+  const store::ChunkLayout layout(snap.shape(), {16, 16, 16});
+  const store::GorillaCodec codec;
+  std::vector<std::vector<std::uint8_t>> blocks;
+  std::size_t bytes = 0;
+  for (const auto& name : snap.names()) {
+    for (std::size_t c = 0; c < layout.count(); ++c) {
+      blocks.push_back(codec.encode(store::extract_chunk(
+          snap.get(name).data(), snap.shape(), layout.box(c))));
+      bytes += blocks.back().size();
+    }
+  }
+  const std::vector<std::span<const std::uint8_t>> views(blocks.begin(),
+                                                         blocks.end());
+  std::vector<std::uint64_t> single(views.size());
+  std::vector<std::uint64_t> lanes(views.size());
+  double per_block_seconds = std::numeric_limits<double>::infinity();
+  double four_lane_seconds = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < 7; ++r) {
+    Timer per_block;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      single[i] = store::fnv1a64(views[i]);
+    }
+    benchmark::DoNotOptimize(single.data());
+    per_block_seconds = std::min(per_block_seconds, per_block.seconds());
+    Timer four_lane;
+    store::fnv1a64_many(views, lanes);
+    benchmark::DoNotOptimize(lanes.data());
+    four_lane_seconds = std::min(four_lane_seconds, four_lane.seconds());
+  }
+  if (single != lanes) {
+    std::fprintf(stderr, "block_checksum_lanes: checksums differ\n");
+    std::exit(1);
+  }
+  const double speedup = per_block_seconds / four_lane_seconds;
+  report->add("block_checksum_lanes",
+              {{"per_block_seconds", per_block_seconds},
+               {"four_lane_seconds", four_lane_seconds},
+               {"blocks", static_cast<double>(views.size())},
+               {"bytes", static_cast<double>(bytes)},
+               {"speedup", speedup}});
+  std::printf("block checksum lanes row: %zu blocks (%.1f MB), per block "
+              "%.4fs, four lanes %.4fs (%.2fx)\n",
+              views.size(), static_cast<double>(bytes) / 1e6,
+              per_block_seconds, four_lane_seconds, speedup);
 }
 
 /// The async-readahead acceptance row: a cold sequential scan over every
@@ -890,6 +941,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   record_pipeline_threads_row(&report);
   record_selection_single_pass(&report);
+  record_block_checksum_lanes(&report);
   record_prefetch_streaming_scan(&report);
   record_nested_parallel_for(&report);
   record_obs_overhead_row(&report);

@@ -118,18 +118,50 @@ void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
   buf.insert(buf.end(), p, p + sizeof(T));
 }
 
+inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
 /// FNV-1a 64-bit over a byte range — the integrity checksum guarding the
-/// SKL2/SKL3 index sections (and any other store metadata that must fail
-/// loudly on a corrupt byte rather than decode garbage).
+/// SKL2/SKL3 index sections and every block payload (and any other store
+/// metadata that must fail loudly on a corrupt byte rather than decode
+/// garbage).
 [[nodiscard]] inline std::uint64_t fnv1a64(
     std::span<const std::uint8_t> bytes,
-    std::uint64_t seed = 1469598103934665603ull) {
+    std::uint64_t seed = kFnvOffsetBasis) {
   std::uint64_t h = seed;
   for (const std::uint8_t b : bytes) {
     h ^= b;
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+/// fnv1a64 of every buffer: out[i] == fnv1a64(bufs[i]). Each byte of one
+/// chain waits on the previous byte's 64-bit multiply, so the buffers go
+/// four at a time with their chains interleaved over the shortest one's
+/// length — four independent multiplies in flight — and each tail past it
+/// finishes alone. Throws CheckError when the spans differ in size.
+inline void fnv1a64_many(std::span<const std::span<const std::uint8_t>> bufs,
+                         std::span<std::uint64_t> out) {
+  SICKLE_CHECK(out.size() == bufs.size());
+  std::size_t i = 0;
+  for (; i + 4 <= bufs.size(); i += 4) {
+    const auto* b = &bufs[i];
+    const std::size_t common = std::min(std::min(b[0].size(), b[1].size()),
+                                        std::min(b[2].size(), b[3].size()));
+    std::uint64_t h0 = kFnvOffsetBasis, h1 = h0, h2 = h0, h3 = h0;
+    for (std::size_t k = 0; k < common; ++k) {
+      h0 = (h0 ^ b[0][k]) * kFnvPrime;
+      h1 = (h1 ^ b[1][k]) * kFnvPrime;
+      h2 = (h2 ^ b[2][k]) * kFnvPrime;
+      h3 = (h3 ^ b[3][k]) * kFnvPrime;
+    }
+    out[i] = fnv1a64(b[0].subspan(common), h0);
+    out[i + 1] = fnv1a64(b[1].subspan(common), h1);
+    out[i + 2] = fnv1a64(b[2].subspan(common), h2);
+    out[i + 3] = fnv1a64(b[3].subspan(common), h3);
+  }
+  for (; i < bufs.size(); ++i) out[i] = fnv1a64(bufs[i]);
 }
 
 /// Copy one chunk's values out of a full field, z-fastest within the box —

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "store/bit_stream.hpp"
@@ -11,12 +12,6 @@
 namespace sickle::store {
 
 namespace {
-
-template <typename T>
-void append_pod(std::vector<std::uint8_t>& out, const T& v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
-}
 
 template <typename T>
 T read_pod(std::span<const std::uint8_t> block, std::size_t& pos) {
@@ -31,7 +26,17 @@ T read_pod(std::span<const std::uint8_t> block, std::size_t& pos) {
 
 /// Bytes needed for the value's significant (non-leading-zero) part.
 unsigned significant_bytes(std::uint64_t v) noexcept {
-  return v == 0 ? 0u : (std::bit_width(v) + 7u) / 8u;
+  return (static_cast<unsigned>(std::bit_width(v)) + 7u) / 8u;
+}
+
+/// How many values of `bits` bits each fit in `bytes` bytes. Computed by
+/// division, so a crafted count compared against it cannot overflow.
+std::size_t values_that_fit(std::size_t bytes, unsigned bits) noexcept {
+  const std::size_t whole = bytes / bits;
+  if (whole > std::numeric_limits<std::size_t>::max() / 8) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  return whole * 8 + bytes % bits * 8 / bits;
 }
 
 // Quant block layout: mode byte 0 = quantized, 1 = raw fallback.
@@ -54,7 +59,8 @@ std::vector<std::uint8_t> RawCodec::encode(
 
 std::vector<double> RawCodec::decode(std::span<const std::uint8_t> block,
                                      std::size_t count) const {
-  if (block.size() != count * sizeof(double)) {
+  if (block.size() % sizeof(double) != 0 ||
+      block.size() / sizeof(double) != count) {
     throw RuntimeError("raw chunk block has wrong size");
   }
   std::vector<double> out(count);
@@ -66,35 +72,31 @@ std::vector<std::uint8_t> DeltaCodec::encode(
     std::span<const double> values) const {
   const std::size_t n = values.size();
   const std::size_t nibble_bytes = (n + 1) / 2;
-  std::vector<std::uint8_t> out(nibble_bytes, 0);
-  out.reserve(nibble_bytes + n * sizeof(double));
-  // The XOR stencil is elementwise 64-bit integer work, so it vectorizes
-  // on any 128-bit ISA; the byte counts (scalar lzcnt is one instruction)
-  // ride along in the serial variable-length emission below.
-  std::vector<std::uint64_t> xors(n);
-  const double* vals = values.data();
-#pragma omp simd
+  // Sized for the worst case, every delta 8 bytes wide. Each delta is
+  // stored as one whole 8-byte word and the cursor advances by its
+  // significant bytes only, so the next store overwrites the zero high
+  // bytes; the buffer is trimmed to the cursor at the end.
+  std::vector<std::uint8_t> out(nibble_bytes + n * sizeof(std::uint64_t));
+  std::size_t pos = nibble_bytes;
+  std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t u = std::bit_cast<std::uint64_t>(vals[i]);
-    const std::uint64_t p =
-        i == 0 ? 0 : std::bit_cast<std::uint64_t>(vals[i - 1]);
-    xors[i] = u ^ p;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned nb = significant_bytes(xors[i]);
-    std::uint64_t d = xors[i];
+    const std::uint64_t u = std::bit_cast<std::uint64_t>(values[i]);
+    const std::uint64_t d = u ^ prev;
+    prev = u;
+    const unsigned nb = significant_bytes(d);
     out[i / 2] |= static_cast<std::uint8_t>(nb << ((i % 2) * 4));
-    for (unsigned b = 0; b < nb; ++b) {
-      out.push_back(static_cast<std::uint8_t>(d & 0xFF));
-      d >>= 8;
-    }
+    store_u64(out.data() + pos, d);
+    pos += nb;
   }
+  out.resize(pos);
   return out;
 }
 
 std::vector<double> DeltaCodec::decode(std::span<const std::uint8_t> block,
                                        std::size_t count) const {
-  const std::size_t nibble_bytes = (count + 1) / 2;
+  // One nibble per value, counted without the (count + 1) that would
+  // wrap at SIZE_MAX.
+  const std::size_t nibble_bytes = count / 2 + count % 2;
   if (block.size() < nibble_bytes) {
     throw RuntimeError("truncated SKL2 chunk block");
   }
@@ -120,45 +122,34 @@ std::vector<std::uint8_t> GorillaCodec::encode(
     std::span<const double> values) const {
   const std::size_t n = values.size();
   if (n == 0) return {};
-  // Elementwise precompute (vectorizable): the XOR stencil is pure 64-bit
-  // integer work. Zero counts (single scalar lzcnt/tzcnt instructions,
-  // which 128-bit ISAs cannot vectorize anyway) stay in the serial
-  // bit-granular emission below.
-  std::vector<std::uint64_t> xors(n);
-  const double* vals = values.data();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t u = std::bit_cast<std::uint64_t>(vals[i]);
-    const std::uint64_t p =
-        i == 0 ? u : std::bit_cast<std::uint64_t>(vals[i - 1]);
-    xors[i] = u ^ p;
-  }
-  BitWriter w;
-  w.put(std::bit_cast<std::uint64_t>(vals[0]), 64);
-  unsigned win_lead = 0, win_trail = 0, win_len = 0;
-  bool have_window = false;
+  // Worst case: the first value's 64 bits, then a new window per value
+  // (2-bit tag, 12 bits of lead and length, up to 64 window bits).
+  BitWriter w(64 + (n - 1) * (2 + 12 + 64));
+  std::uint64_t prev = std::bit_cast<std::uint64_t>(values[0]);
+  w.put(prev, 64);
+  // No nonzero XOR has 64 leading zeros, so the first one opens a window.
+  unsigned win_lead = 64, win_trail = 0, win_len = 0;
   for (std::size_t i = 1; i < n; ++i) {
-    const std::uint64_t x = xors[i];
+    const std::uint64_t u = std::bit_cast<std::uint64_t>(values[i]);
+    const std::uint64_t x = u ^ prev;
+    prev = u;
     if (x == 0) {
       w.put(0, 1);
       continue;
     }
-    w.put(1, 1);
-    const unsigned lz = static_cast<unsigned>(std::countl_zero(x));
-    const unsigned tz = static_cast<unsigned>(std::countr_zero(x));
-    const unsigned len = 64 - lz - tz;
-    if (have_window && lz >= win_lead && tz >= win_trail) {
-      w.put(0, 1);
+    const auto lz = static_cast<unsigned>(std::countl_zero(x));
+    const auto tz = static_cast<unsigned>(std::countr_zero(x));
+    if (lz >= win_lead && tz >= win_trail) {
+      w.put(0b01, 2);  // '1' '0'
       w.put(x >> win_trail, win_len);
     } else {
-      w.put(1, 1);
-      w.put(lz, 6);
-      w.put(len - 1, 6);
+      const unsigned len = 64 - lz - tz;
+      // '1' '1', the 6-bit lead and the 6-bit (length - 1), as one field.
+      w.put(0b11u | lz << 2 | (len - 1) << 8, 14);
       w.put(x >> tz, len);
       win_lead = lz;
       win_trail = tz;
       win_len = len;
-      have_window = true;
     }
   }
   return w.finish();
@@ -169,6 +160,12 @@ std::vector<double> GorillaCodec::decode(std::span<const std::uint8_t> block,
   if (count == 0) {
     if (!block.empty()) throw RuntimeError("gorilla chunk block has wrong size");
     return {};
+  }
+  // The first value takes 64 bits and every later one at least 1, so the
+  // block bounds the count before anything is sized from it.
+  if (block.size() < sizeof(std::uint64_t) ||
+      count - 1 > values_that_fit(block.size() - sizeof(std::uint64_t), 1)) {
+    throw RuntimeError("gorilla chunk block is too short for its count");
   }
   BitReader r(block);
   std::vector<double> out(count);
@@ -222,8 +219,8 @@ std::vector<std::uint8_t> QuantCodec::encode(
     hi = x > hi ? x : hi;
   }
   const double step = 2.0 * tolerance_;
-  std::vector<std::uint8_t> out;
   if (!finite || (hi - lo) / step > kMaxLevels) {
+    std::vector<std::uint8_t> out;
     out.reserve(1 + values.size() * sizeof(double));
     out.push_back(kRawFallbackMode);
     const auto* p = reinterpret_cast<const std::uint8_t*>(values.data());
@@ -231,28 +228,17 @@ std::vector<std::uint8_t> QuantCodec::encode(
     return out;
   }
   const auto qmax = static_cast<std::uint64_t>(std::llround((hi - lo) / step));
-  const auto bits = static_cast<std::uint8_t>(std::bit_width(qmax));
-  out.reserve(1 + 2 * sizeof(double) + 1 +
-              (values.size() * bits + 7) / 8);
-  out.push_back(kQuantMode);
-  append_pod(out, lo);
-  append_pod(out, step);
-  out.push_back(bits);
-  // LSB-first bit packing; bits <= 48 keeps the accumulator within 64 bits.
-  std::uint64_t acc = 0;
-  unsigned acc_bits = 0;
+  const auto bits = static_cast<unsigned>(std::bit_width(qmax));
+  // The byte-aligned header, then the levels LSB-first at `bits` each.
+  BitWriter w(8 * (1 + 2 * sizeof(double) + 1) + values.size() * bits);
+  w.put(kQuantMode, 8);
+  w.put(std::bit_cast<std::uint64_t>(lo), 64);
+  w.put(std::bit_cast<std::uint64_t>(step), 64);
+  w.put(bits, 8);
   for (const double x : values) {
-    const auto q = static_cast<std::uint64_t>(std::llround((x - lo) / step));
-    acc |= q << acc_bits;
-    acc_bits += bits;
-    while (acc_bits >= 8) {
-      out.push_back(static_cast<std::uint8_t>(acc & 0xFF));
-      acc >>= 8;
-      acc_bits -= 8;
-    }
+    w.put(static_cast<std::uint64_t>(std::llround((x - lo) / step)), bits);
   }
-  if (acc_bits > 0) out.push_back(static_cast<std::uint8_t>(acc & 0xFF));
-  return out;
+  return w.finish();
 }
 
 std::vector<double> QuantCodec::decode(std::span<const std::uint8_t> block,
@@ -261,7 +247,8 @@ std::vector<double> QuantCodec::decode(std::span<const std::uint8_t> block,
   std::size_t pos = 0;
   const auto mode = read_pod<std::uint8_t>(block, pos);
   if (mode == kRawFallbackMode) {
-    if (block.size() - pos != count * sizeof(double)) {
+    const std::size_t raw = block.size() - pos;
+    if (raw % sizeof(double) != 0 || raw / sizeof(double) != count) {
       throw RuntimeError("quant raw-fallback block has wrong size");
     }
     std::vector<double> out(count);
@@ -273,6 +260,11 @@ std::vector<double> QuantCodec::decode(std::span<const std::uint8_t> block,
   const auto step = read_pod<double>(block, pos);
   const auto bits = read_pod<std::uint8_t>(block, pos);
   if (bits > 48) throw RuntimeError("malformed quant chunk block");
+  // Packed levels take `bits` each; a zero-width block stands for any
+  // count, which only the readers' header checks bound.
+  if (bits > 0 && count > values_that_fit(block.size() - pos, bits)) {
+    throw RuntimeError("quant chunk block is too short for its count");
+  }
   std::vector<double> out(count);
   if (bits == 0) {
     for (double& x : out) x = lo;

@@ -152,41 +152,53 @@ void SeriesWriter::append(const field::Snapshot& snap) {
   // Index-resident summaries: the writer sees every value anyway, so
   // per-variable [min, max] and the coarse histogram are cheap extra scans
   // here and save the reader full passes over the series during temporal
-  // selection.
-  for (const auto& name : names_) {
-    const auto data = snap.get(name).data();
-    // Seed from +/-inf exactly like the reader-side fallback scan
-    // (sampling::snapshot_pmfs), so both paths skip NaNs identically —
-    // a NaN-seeded summary would silently poison the selection range.
-    field::VarRange r{std::numeric_limits<double>::infinity(),
-                      -std::numeric_limits<double>::infinity()};
-    for (const double x : data) {
-      r.min = std::min(r.min, x);
-      r.max = std::max(r.max, x);
-    }
-    summaries_.push_back(r);
-    // Coarse histogram over the snapshot's OWN range, through the same
-    // stats::Histogram kernel the reader-side scan fallback (sampling)
-    // uses — the kCoarseHistogramBins contract in field_source.hpp — so
-    // index-resident and scanned counts are bit-identical for lossless
-    // codecs.
-    double lo = r.min;
-    double hi = r.max;
-    if (!(hi > lo)) {
-      lo -= 0.5;
-      hi += 0.5;
-    }
-    if (std::isfinite(lo) && std::isfinite(hi) && hi > lo) {
-      stats::Histogram h(lo, hi, field::kCoarseHistogramBins);
-      h.add(data);
-      for (const std::size_t c : h.counts()) {
-        hists_.push_back(static_cast<std::uint64_t>(c));
-      }
-    } else {
-      // All-NaN field: no finite range exists; store zero counts (the
-      // scan fallback produces the same).
-      hists_.insert(hists_.end(), field::kCoarseHistogramBins, 0);
-    }
+  // selection. Fields scan in parallel on the writer's pool, each into its
+  // own summary and histogram slots, so the index bytes do not depend on
+  // the pool width.
+  const std::size_t nfields = names_.size();
+  const std::size_t first = summaries_.size();
+  summaries_.resize(first + nfields);
+  hists_.resize((first + nfields) * field::kCoarseHistogramBins);
+  {
+    obs::Span summarize("store.summarize", "store");
+    parallel_for(
+        nfields,
+        [&](std::size_t f) {
+          const auto data = snap.get(names_[f]).data();
+          // Seed from +/-inf exactly like the reader-side fallback scan
+          // (sampling::snapshot_pmfs), so both paths skip NaNs identically
+          // — a NaN-seeded summary would silently poison the selection
+          // range.
+          field::VarRange r{std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+          for (const double x : data) {
+            r.min = std::min(r.min, x);
+            r.max = std::max(r.max, x);
+          }
+          summaries_[first + f] = r;
+          // Coarse histogram over the snapshot's OWN range, through the
+          // same stats::Histogram kernel the reader-side scan fallback
+          // (sampling) uses — the kCoarseHistogramBins contract in
+          // field_source.hpp — so index-resident and scanned counts are
+          // bit-identical for lossless codecs. An all-NaN field has no
+          // finite range and keeps zero counts (the scan fallback produces
+          // the same).
+          double lo = r.min;
+          double hi = r.max;
+          if (!(hi > lo)) {
+            lo -= 0.5;
+            hi += 0.5;
+          }
+          if (std::isfinite(lo) && std::isfinite(hi) && hi > lo) {
+            stats::Histogram h(lo, hi, field::kCoarseHistogramBins);
+            h.add(data);
+            std::copy(h.counts().begin(), h.counts().end(),
+                      hists_.begin() + static_cast<std::ptrdiff_t>(
+                                           (first + f) *
+                                           field::kCoarseHistogramBins));
+          }
+        },
+        opts_.pool, /*grain=*/1);
   }
 
   // Stream in waves (write_blocks_in_waves, shared with the SKL2

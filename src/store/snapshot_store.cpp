@@ -69,13 +69,12 @@ WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
       wave_raw += raw;
       ++wave_end;
     }
-    // Each block is checksummed by the task that encoded it, so the
-    // caller's flush below is pure I/O.
-    struct EncodedBlock {
-      std::vector<std::uint8_t> bytes;
-      std::uint64_t checksum = 0;
-    };
-    std::vector<EncodedBlock> blocks(wave_end - wave_begin);
+    // Each worker encodes its run of blocks, then checksums the run four
+    // blocks at a time (fnv1a64_many), so the caller's flush below is
+    // pure I/O.
+    const std::size_t nblocks = wave_end - wave_begin;
+    std::vector<std::vector<std::uint8_t>> blocks(nblocks);
+    std::vector<std::uint64_t> checksums(nblocks);
     // encode_seconds is extract + encode + checksum only — stop the clock
     // before the flush so storage benches report codec throughput, not
     // disk speed.
@@ -83,29 +82,33 @@ WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
     {
       obs::Span span("codec.encode", "codec");
       ScopedTimer encode_timer(wave_seconds);
-      parallel_for(
-          blocks.size(),
-          [&](std::size_t i) {
-            const std::size_t b = wave_begin + i;
-            const auto& data = snap.get(names[b / nchunks]).data();
-            const auto vals =
-                extract_chunk(data, snap.shape(), layout.box(b % nchunks));
-            blocks[i].bytes = codec.encode(std::span<const double>(vals));
-            blocks[i].checksum =
-                fnv1a64(std::span<const std::uint8_t>(blocks[i].bytes));
+      parallel_for_range(
+          nblocks,
+          [&](std::size_t lo, std::size_t hi) {
+            std::vector<std::span<const std::uint8_t>> run(hi - lo);
+            for (std::size_t i = lo; i < hi; ++i) {
+              const std::size_t b = wave_begin + i;
+              const auto& data = snap.get(names[b / nchunks]).data();
+              const auto vals =
+                  extract_chunk(data, snap.shape(), layout.box(b % nchunks));
+              blocks[i] = codec.encode(std::span<const double>(vals));
+              run[i - lo] = blocks[i];
+            }
+            fnv1a64_many(run, std::span(checksums).subspan(lo, hi - lo));
           },
           pool, /*grain=*/1);
     }
     stats.encode_seconds += wave_seconds;
     if (obs::enabled()) add_codec_seconds("codec.encode_seconds", wave_seconds);
     std::size_t buffered = 0;
-    for (const auto& b : blocks) {
+    for (std::size_t i = 0; i < nblocks; ++i) {
+      const auto& bytes = blocks[i];
       index.push_back(BlockRef{static_cast<std::uint64_t>(out.tellp()),
-                               b.bytes.size(), b.checksum});
-      out.write(reinterpret_cast<const char*>(b.bytes.data()),
-                static_cast<std::streamsize>(b.bytes.size()));
-      buffered += b.bytes.size();
-      stats.payload_bytes += b.bytes.size();
+                               bytes.size(), checksums[i]});
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+      buffered += bytes.size();
+      stats.payload_bytes += bytes.size();
     }
     stats.peak_buffered_bytes = std::max(stats.peak_buffered_bytes, buffered);
     if (!out) throw RuntimeError("error writing: " + path);

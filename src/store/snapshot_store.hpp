@@ -36,7 +36,9 @@ namespace sickle::store {
 /// driven "skl2"/"series" backends.
 struct StoreOptions {
   field::GridShape chunk{32, 32, 32};  ///< nominal chunk edge lengths
-  std::string codec = "delta";         ///< "raw" | "delta" | "quant"
+  /// "raw" | "delta" | "quant" | "gorilla" | "zstd" (zstd only in builds
+  /// with -DSICKLE_WITH_ZSTD=ON); see codec.hpp.
+  std::string codec = "delta";
   double tolerance = 1e-6;             ///< quant max abs error
   std::size_t cache_bytes = 64ull << 20;  ///< reader block-cache capacity
   /// Reader-side async readahead depth (SKL3 SeriesReader): decode the
@@ -109,10 +111,11 @@ struct WaveWriteStats {
 /// SeriesWriter::append: encode one snapshot's (field, chunk) blocks in
 /// parallel waves whose raw input stays under `budget_bytes` (floored at
 /// one chunk), flush each wave to `out`, and append a BlockRef per block
-/// to `index`. Each block's checksum is computed by the pool task that
-/// encoded it; the bytes written do not depend on the pool width. Peak
-/// writer memory is one wave of encoded blocks — never the snapshot.
-/// Throws RuntimeError on I/O failure.
+/// to `index`. Each pool task encodes a contiguous run of blocks and then
+/// checksums the run four blocks at a time (fnv1a64_many); the bytes
+/// written do not depend on the pool width. Peak writer memory is one
+/// wave of encoded blocks — never the snapshot. Throws RuntimeError on
+/// I/O failure.
 WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
                                      const ChunkLayout& layout,
                                      const std::vector<std::string>& names,

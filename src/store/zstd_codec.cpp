@@ -3,12 +3,14 @@
 /// -DSICKLE_WITH_ZSTD=ON; the whole translation unit is empty otherwise so
 /// the module glob can pick it up unconditionally).
 ///
-/// Uses only zstd's stable simple API (ZSTD_compress / ZSTD_decompress),
-/// so any libzstd >= 1.0 works, whether found on the system or fetched.
+/// Uses only zstd's stable API (ZSTD_compress / ZSTD_decompress /
+/// ZSTD_getFrameContentSize), so any libzstd >= 1.3 works, whether found
+/// on the system or fetched.
 
 #ifdef SICKLE_HAS_ZSTD
 
 #include <cstring>
+#include <limits>
 
 #include <zstd.h>
 
@@ -37,6 +39,14 @@ std::vector<double> ZstdCodec::decode(std::span<const std::uint8_t> block,
   if (count == 0) {
     if (!block.empty()) throw RuntimeError("zstd chunk block has wrong size");
     return {};
+  }
+  // The frame header records its decoded size (ZSTD_compress always
+  // writes it), so a count the block does not hold fails before the
+  // output is sized from it.
+  if (count > std::numeric_limits<std::size_t>::max() / sizeof(double) ||
+      ZSTD_getFrameContentSize(block.data(), block.size()) !=
+          static_cast<unsigned long long>(count * sizeof(double))) {
+    throw RuntimeError("zstd chunk block does not hold its count");
   }
   std::vector<double> out(count);
   const std::size_t raw_bytes = count * sizeof(double);

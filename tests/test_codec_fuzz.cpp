@@ -158,6 +158,63 @@ TEST(CodecFuzz, SplicedAndMiscountedBlocksNeverCrash) {
   }
 }
 
+// A declared count the block cannot hold fails typed before decode sizes
+// anything from it — the count is index metadata, and a crafted one must
+// neither overflow a size product nor escape as std::bad_alloc or
+// std::length_error.
+
+constexpr std::size_t kHugeCount = std::size_t{1} << 40;
+constexpr std::size_t kWrappingCount = std::size_t{1} << 61;  // * 8 wraps
+
+std::vector<double> ramp(std::size_t n) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = 0.25 * static_cast<double>(i);
+  return v;
+}
+
+TEST(CodecFuzz, RawRejectsACountItsBlockCannotHold) {
+  const RawCodec codec;
+  EXPECT_THROW((void)codec.decode({}, kWrappingCount), RuntimeError);
+  EXPECT_THROW((void)codec.decode(codec.encode(ramp(64)), kHugeCount),
+               RuntimeError);
+}
+
+TEST(CodecFuzz, DeltaRejectsACountItsBlockCannotHold) {
+  const DeltaCodec codec;
+  EXPECT_THROW((void)codec.decode({}, std::numeric_limits<std::size_t>::max()),
+               RuntimeError);
+  EXPECT_THROW((void)codec.decode(codec.encode(ramp(64)), kHugeCount),
+               RuntimeError);
+}
+
+TEST(CodecFuzz, GorillaRejectsACountItsBlockCannotHold) {
+  const GorillaCodec codec;
+  const auto block = codec.encode(ramp(64));
+  EXPECT_THROW((void)codec.decode(block, kHugeCount), RuntimeError);
+  EXPECT_THROW((void)codec.decode(block, std::numeric_limits<std::size_t>::max()),
+               RuntimeError);
+  // One bit per value after the first 64 is the floor: a block of 8 + k
+  // bytes rejects a count above 1 + 8k before decoding anything.
+  EXPECT_THROW((void)codec.decode(std::vector<std::uint8_t>(9, 0), 10),
+               RuntimeError);
+  EXPECT_EQ(codec.decode(std::vector<std::uint8_t>(9, 0), 9).size(), 9u);
+}
+
+TEST(CodecFuzz, QuantRejectsACountItsBlockCannotHold) {
+  const QuantCodec codec(1e-3);
+  const auto packed = codec.encode(ramp(64));  // bits > 0
+  EXPECT_THROW((void)codec.decode(packed, kHugeCount), RuntimeError);
+  // The raw fallback: its mode byte alone, then a count whose byte size
+  // wraps to zero.
+  const std::vector<std::uint8_t> fallback_mode_only{1};
+  EXPECT_THROW((void)codec.decode(fallback_mode_only, kWrappingCount),
+               RuntimeError);
+  auto specials = ramp(64);
+  specials[5] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)codec.decode(codec.encode(specials), kHugeCount),
+               RuntimeError);
+}
+
 // ---------------------------------------------------------------------------
 // Container-level fuzzing: real SKL2/SKL3 files.
 // ---------------------------------------------------------------------------

@@ -4,10 +4,15 @@
 // reproduce the input bit-for-bit (NaN payloads included), quant must
 // honor its tolerance, and gorilla must actually earn its bit-granular
 // complexity — beating the byte-granular XOR-delta on smooth fields and
-// reaching >= 1.3x on native-precision SpectralTurbulence.
+// reaching >= 1.3x on native-precision SpectralTurbulence. The encoded
+// bytes themselves are pinned too: golden block digests, BitWriter
+// against a bit-at-a-time reference, and the four-lane block checksum
+// against the one-buffer FNV-1a.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -17,6 +22,7 @@
 #include "common/rng.hpp"
 #include "flow/spectral_turbulence.hpp"
 #include "sickle/dataset_zoo.hpp"
+#include "store/bit_stream.hpp"
 #include "store/chunk_layout.hpp"
 #include "store/codec.hpp"
 
@@ -236,6 +242,163 @@ TEST(CodecRoundTrip, GorillaWindowBoundaryCases) {
     const auto back = codec->decode(codec->encode(vals), vals.size());
     EXPECT_TRUE(bit_equal(vals, back)) << "case " << i;
   }
+}
+
+/// The golden inputs: one 16^3 chunk each of f32-native smooth data
+/// (gorilla's best case), full-precision turbulence (what the ledger
+/// stores), and an adversarial mix of NaN, +/-Inf, +/-0 and denormals.
+/// The smooth and adversarial inputs use only IEEE basic arithmetic and
+/// integer draws, so they are the same on every platform.
+std::vector<double> golden_smooth_f32() {
+  std::vector<double> v(4096);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const double t = static_cast<double>(i) / 4096.0;
+    v[i] = static_cast<double>(
+        static_cast<float>(300.0 + t * (1.5 - t * (2.0 - t))));
+  }
+  return v;
+}
+
+std::vector<double> golden_turbulence() {
+  flow::SpectralTurbulenceParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.seed = 11;
+  const auto ds = flow::generate_spectral_turbulence(p);
+  const auto data = ds.snapshot(0).get("u").data();
+  return {data.begin(), data.end()};
+}
+
+std::vector<double> golden_adversarial() {
+  std::vector<double> v(4096);
+  Rng rng(2024);
+  for (auto& x : v) {
+    switch (rng.uniform_int(8)) {
+      case 0: x = std::numeric_limits<double>::quiet_NaN(); break;
+      case 1: x = std::numeric_limits<double>::infinity(); break;
+      case 2: x = -std::numeric_limits<double>::infinity(); break;
+      case 3: x = 0.0; break;
+      case 4: x = -0.0; break;
+      case 5:
+        x = std::numeric_limits<double>::denorm_min() *
+            static_cast<double>(1 + rng.uniform_int(1000));
+        break;
+      default: x = rng.uniform(-1e3, 1e3); break;
+    }
+  }
+  return v;
+}
+
+[[nodiscard]] std::uint64_t digest(std::span<const double> v) {
+  return fnv1a64(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(v.data()),
+      v.size() * sizeof(double)));
+}
+
+/// The encoders may get faster, never different: FNV-1a of each encoded
+/// block is pinned for raw, delta, gorilla and quant (tolerance 1e-3) on
+/// the three golden inputs. The turbulence input goes through libm, so
+/// its own digest is pinned first; on a platform whose generator rounds
+/// differently that input is reported and skipped rather than failed.
+TEST(CodecGolden, EncodedBytesArePinned) {
+  struct Golden {
+    const char* input;
+    std::vector<double> values;
+    std::uint64_t input_digest;
+    std::array<std::uint64_t, 4> blocks;  ///< raw, delta, gorilla, quant
+  };
+  const std::array<const char*, 4> codecs = {"raw", "delta", "gorilla",
+                                             "quant"};
+  const std::vector<Golden> goldens = {
+      {"smooth_f32",
+       golden_smooth_f32(),
+       0x5825904c7a794e23ull,
+       {0x5825904c7a794e23ull, 0x74186a6f8a4cf666ull, 0xfdb8fd8cbc46ab8full,
+        0xf7f97ce841dbdb99ull}},
+      {"turbulence",
+       golden_turbulence(),
+       0xe2001ff2e20ae0e1ull,
+       {0xe2001ff2e20ae0e1ull, 0x24d66971b91786b1ull, 0x8bbd6c29b441df8eull,
+        0x5c1bc4a2f5ffcac3ull}},
+      {"adversarial",
+       golden_adversarial(),
+       0xd67294551db29d19ull,
+       {0xd67294551db29d19ull, 0x1c21927ad64ba447ull, 0x1a0c7cbdd4b84cf0ull,
+        0x409226b471b04b08ull}},
+  };
+  for (const auto& g : goldens) {
+    if (digest(g.values) != g.input_digest) {
+      ASSERT_STREQ(g.input, "turbulence") << "input drifted";
+      std::printf("golden input %s differs on this platform; skipped\n",
+                  g.input);
+      continue;
+    }
+    for (std::size_t c = 0; c < codecs.size(); ++c) {
+      const auto block = make_codec(codecs[c], 1e-3)->encode(g.values);
+      EXPECT_EQ(fnv1a64(std::span<const std::uint8_t>(block)), g.blocks[c])
+          << codecs[c] << " on " << g.input;
+    }
+  }
+}
+
+/// BitWriter's word-at-a-time packing must emit exactly the stream a
+/// bit-at-a-time LSB-first packer does, for any sequence of field widths
+/// 0..64 (whatever the stale high bits of each value), including the
+/// zero-padded final byte — and BitReader must read the fields back.
+TEST(BitStream, WriterMatchesBitAtATimeReference) {
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t fields = rng.uniform_int(300);
+    std::vector<std::pair<std::uint64_t, unsigned>> puts(fields);
+    std::vector<std::uint8_t> ref;
+    std::size_t nbits = 0;
+    // Half the trials give a worst-case hint, half a hint that is too
+    // small, so the growth path is covered.
+    BitWriter w(trial % 2 == 0 ? fields * 64 : fields);
+    for (auto& [v, bits] : puts) {
+      v = rng.next();
+      bits = static_cast<unsigned>(rng.uniform_int(65));
+      w.put(v, bits);
+      for (unsigned b = 0; b < bits; ++b, ++nbits) {
+        if (nbits % 8 == 0) ref.push_back(0);
+        ref.back() |= static_cast<std::uint8_t>(((v >> b) & 1u) << (nbits % 8));
+      }
+    }
+    const auto got = w.finish();
+    ASSERT_EQ(got, ref) << "trial " << trial;
+    BitReader r(got);
+    for (const auto& [v, bits] : puts) {
+      const std::uint64_t mask =
+          bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+      ASSERT_EQ(r.get(bits), v & mask) << "trial " << trial;
+    }
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
+/// The four-lane checksum equals the one-buffer FNV-1a on every buffer,
+/// for 0..9 buffers of uneven lengths, empty ones included.
+TEST(BlockChecksum, ManyEqualsOneAtATime) {
+  Rng rng(17);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::vector<std::uint8_t>> data(n);
+      for (auto& d : data) {
+        // One buffer in four is empty; the rest vary from 1 byte to 4 KiB.
+        d.resize(rng.uniform_int(4) == 0 ? 0 : 1 + rng.uniform_int(4096));
+        for (auto& b : d) b = static_cast<std::uint8_t>(rng.next());
+      }
+      const std::vector<std::span<const std::uint8_t>> views(data.begin(),
+                                                             data.end());
+      std::vector<std::uint64_t> sums(n, 0);
+      fnv1a64_many(views, sums);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(sums[i], fnv1a64(views[i]))
+            << n << " buffers, trial " << trial << ", buffer " << i;
+      }
+    }
+  }
+  std::vector<std::uint64_t> wrong(2);
+  EXPECT_THROW(fnv1a64_many({}, wrong), CheckError);
 }
 
 #ifdef SICKLE_HAS_ZSTD

@@ -285,8 +285,8 @@ TEST(Case, StageSpansCoverOrchestratorAndStore) {
   for (const auto& ev : events) first.emplace(ev.name, &ev);
   for (const char* want :
        {"case.run", "case.ingest", "case.selection", "case.sampling",
-        "case.training", "store.append", "store.load_chunk", "codec.encode",
-        "codec.decode", "pool.task"}) {
+        "case.training", "store.append", "store.summarize",
+        "store.load_chunk", "codec.encode", "codec.decode", "pool.task"}) {
     EXPECT_TRUE(first.count(want)) << "missing span: " << want;
   }
   // The four stages nest directly under the case.run root.

@@ -390,6 +390,55 @@ TEST_F(StoreTest, OversizedHeaderFailsBeforeAllocating) {
   }
 }
 
+/// The codec's half of the header bound: a well-formed container whose
+/// one gorilla chunk spans a 2^20-per-side grid passes every header and
+/// checksum check, so the codec must refuse the 2^60-point count its
+/// 64-value block cannot hold — a typed error before the decode sizes
+/// anything, never std::length_error or std::bad_alloc.
+TEST_F(StoreTest, OversizedChunkCountFailsTypedAtDecode) {
+  constexpr std::uint64_t kSide = 1ull << 20;
+  std::vector<double> vals(64);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = 1.0 + 0.125 * static_cast<double>(i);
+  }
+  const auto block = GorillaCodec().encode(vals);
+  // Magic, version, grid, time, one chunk spanning the grid, the gorilla
+  // codec and its tolerance, one field "u", one chunk, then the index
+  // offset and checksum, the block, and its one index entry.
+  std::vector<std::uint8_t> bytes{'S', 'K', 'L', '2'};
+  append_pod<std::uint32_t>(bytes, 3);
+  for (int i = 0; i < 3; ++i) append_pod<std::uint64_t>(bytes, kSide);
+  append_pod<double>(bytes, 0.0);
+  for (int i = 0; i < 3; ++i) append_pod<std::uint64_t>(bytes, kSide);
+  append_pod<std::uint8_t>(bytes, static_cast<std::uint8_t>(CodecId::kGorilla));
+  append_pod<double>(bytes, 0.0);
+  append_pod<std::uint64_t>(bytes, 1);
+  append_pod<std::uint32_t>(bytes, 1);
+  bytes.push_back('u');
+  append_pod<std::uint64_t>(bytes, 1);
+  const std::uint64_t block_offset = bytes.size() + 16;
+  std::vector<std::uint8_t> index;
+  append_pod<std::uint64_t>(index, block_offset);
+  append_pod<std::uint64_t>(index, block.size());
+  append_pod<std::uint64_t>(index, fnv1a64(block));
+  append_pod<std::uint64_t>(bytes, block_offset + block.size());
+  append_pod<std::uint64_t>(bytes, fnv1a64(index));
+  bytes.insert(bytes.end(), block.begin(), block.end());
+  bytes.insert(bytes.end(), index.begin(), index.end());
+  testing::write_bytes(path("huge_chunk.skl2"), bytes);
+
+  const ChunkReader reader(path("huge_chunk.skl2"));
+  ASSERT_EQ(reader.layout().box(0).points(), kSide * kSide * kSide);
+  try {
+    (void)reader.chunk(0, 0);
+    FAIL() << "a 64-value block cannot hold a 2^60-point chunk";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("too short for its count"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
   const auto snap = make_snapshot();
   StoreOptions opts;

@@ -153,6 +153,7 @@ if command -v python3 > /dev/null 2>&1; then
     --require-span case.run --require-span case.ingest \
     --require-span case.selection --require-span case.sampling \
     --require-span case.training --require-span store.append \
+    --require-span store.summarize \
     --require-span store.load_chunk --require-span codec.encode \
     --require-span codec.decode --require-span pool.task \
     --require-cat case --require-cat store --require-cat codec \
