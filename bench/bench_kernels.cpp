@@ -724,12 +724,13 @@ void record_prefetch_streaming_scan(sickle::bench::JsonReport* report) {
               off_seconds, kDepth, on_seconds, speedup);
 }
 
-/// The work-stealing acceptance row: an outer parallel_for whose bodies
-/// each run an inner parallel_for — the shape that deadlocked or
-/// serialized on the old single-queue pool and that helper-runs-tasks
-/// waiting plus per-worker deques makes compose. Recorded against the
-/// same arithmetic as plain nested serial loops; CI gates speedup > 1
-/// (any real win proves nesting neither deadlocks nor serializes).
+/// The nested-parallelism acceptance row: an outer parallel_for whose
+/// bodies each run an inner parallel_for — the shape that deadlocks or
+/// serializes on a pool whose waits block, and that TaskGroup::wait's
+/// helping (a waiting worker runs queued tasks) makes compose. Recorded
+/// against the same arithmetic as plain nested serial loops; CI gates
+/// speedup > 1 (any real win proves nesting neither deadlocks nor
+/// serializes).
 /// Single-CPU runners skip — one worker can only interleave.
 void record_nested_parallel_for(sickle::bench::JsonReport* report) {
   const unsigned hw = std::thread::hardware_concurrency();

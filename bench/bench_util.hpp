@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_escape.hpp"
+
 namespace sickle::bench {
 
 inline void banner(const std::string& title, const std::string& paper_note) {
@@ -38,29 +40,6 @@ inline std::string git_sha() {
     sha.pop_back();
   }
   return sha.empty() ? "unknown" : sha;
-}
-
-/// Escape a string for embedding inside JSON double quotes.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Minimal machine-readable bench report: one JSON object with a context

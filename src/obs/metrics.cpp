@@ -6,11 +6,9 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "obs/json_escape.hpp"
+#include "common/json_escape.hpp"
 
 namespace sickle::obs {
-
-using detail::json_escape;
 
 namespace {
 

@@ -8,7 +8,7 @@
 #include <mutex>
 
 #include "common/error.hpp"
-#include "obs/json_escape.hpp"
+#include "common/json_escape.hpp"
 
 namespace sickle::obs {
 
@@ -177,8 +177,8 @@ void Tracer::write_chrome_trace(const std::string& path) const {
   for (std::size_t i = 0; i < evs.size(); ++i) {
     const TraceEvent& e = evs[i];
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << detail::json_escape(e.name)
-        << "\", \"cat\": \"" << detail::json_escape(e.cat)
+    out << "    {\"name\": \"" << json_escape(e.name)
+        << "\", \"cat\": \"" << json_escape(e.cat)
         << "\", \"ph\": \"X\"";
     // Chrome trace timestamps are microseconds; %.3f keeps the full
     // nanosecond resolution.

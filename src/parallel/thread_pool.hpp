@@ -1,16 +1,14 @@
-// Work-stealing shared-memory thread pool and parallel_for.
+// Shared-memory thread pool and parallel_for.
 //
-// SICKLE's node-level parallelism (clustering, histogramming, tensor ops)
-// runs on this pool; the distributed-memory layer (parallel/world.hpp)
-// layers an SPMD rank model on top. Scheduling is work-stealing: every
-// worker owns a Chase-Lev deque, tasks submitted from a worker land on
-// that worker's own deque (LIFO for locality), external submissions go to
-// a shared overflow queue, and idle workers steal oldest-first from
-// victims. TaskGroup::wait called from a worker *helps* — it runs queued
-// tasks instead of blocking — so nested parallel_for recurses to any
-// depth without deadlock and without serializing on the caller's worker.
-// Results stay bit-identical at any thread count: scheduling changes who
-// runs a chunk, never how chunks are cut.
+// SICKLE's node-level parallelism (clustering, histogramming, tensor ops,
+// the store's encode waves) runs on this pool; the distributed-memory
+// layer (parallel/world.hpp) layers an SPMD rank model on top. Scheduling
+// is one mutex-guarded FIFO queue: submit() appends a task and wakes one
+// worker, and idle workers run the oldest task. TaskGroup::wait called
+// from a worker *helps* — it runs queued tasks instead of blocking — so
+// nested parallel_for recurses to any depth without deadlock, even on a
+// one-worker pool. Results stay bit-identical at any thread count:
+// scheduling changes who runs a chunk, never how chunks are cut.
 #pragma once
 
 #include <atomic>
@@ -37,10 +35,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Tasks must not throw (they run detached from
-  /// callers). From a worker of this pool the task is pushed onto that
-  /// worker's own deque (lock-free); from any other thread it lands on
-  /// the shared overflow queue.
+  /// Enqueue a task at the back of the queue and wake one worker. Tasks
+  /// must not throw (they run detached from callers). The destructor runs
+  /// every task already queued before it joins the workers.
   void submit(std::function<void()> task);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
@@ -53,35 +50,23 @@ class ThreadPool {
   friend class TaskGroup;
 
   // Tasks carry their enqueue timestamp (obs::now_ns(); 0 when
-  // observability is off) so workers can meter queue wait time. Heap
-  // allocation is what lets deque cells be plain atomic pointers.
+  // observability is off) so workers can meter queue wait time.
   struct Task {
     std::function<void()> fn;
     std::uint64_t enqueue_ns = 0;
   };
 
-  class WorkDeque;  // Chase-Lev deque, defined in the .cpp
+  void worker_loop();
+  /// Run one task (with queue-wait and busy metering).
+  static void execute(Task& task);
+  /// Pop and execute the oldest queued task; false when none was queued.
+  bool try_run_one();
 
-  void worker_loop(std::size_t self);
-  /// Run one task (with queue-wait and busy metering); takes ownership.
-  void execute(Task* task);
-  /// Worker-context only: pop own deque, else steal, else pop overflow.
-  [[nodiscard]] Task* grab(std::size_t self);
-  /// Worker-context only: grab and execute one task; false when none ran.
-  bool try_run_one(std::size_t self);
-  /// True when any deque or the overflow queue holds a runnable task.
-  [[nodiscard]] bool has_work() const;
-  /// Wake sleeping workers after publishing new work.
-  void wake();
-
-  std::vector<std::unique_ptr<WorkDeque>> deques_;  ///< one per worker
-  std::vector<std::thread> workers_;
-  std::deque<Task*> overflow_;  ///< external submissions, FIFO
-  mutable std::mutex mu_;       ///< guards overflow_ + sleep/wake
-  std::condition_variable cv_task_;
-  std::atomic<std::size_t> overflow_size_{0};
-  std::atomic<std::size_t> sleepers_{0};
-  std::atomic<bool> stop_{false};
+  std::mutex mu_;  ///< guards queue_ and stop_
+  std::condition_variable cv_;
+  std::deque<Task> queue_;  ///< FIFO
+  bool stop_ = false;
+  std::vector<std::thread> workers_;  ///< last: they use the members above
 };
 
 /// Per-call completion tracking on a shared pool: a latch over exactly

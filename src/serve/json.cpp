@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json_escape.hpp"
+
 namespace sickle::serve {
 
 namespace {
@@ -201,24 +203,7 @@ struct Parser {
 
 void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  out += json_escape(s);
   out.push_back('"');
 }
 

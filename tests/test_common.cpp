@@ -1,4 +1,4 @@
-// Unit tests: common (RNG, math helpers, CSV, config).
+// Unit tests: common (RNG, math helpers, CSV, JSON escaping, config).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include "common/config.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json_escape.hpp"
 #include "common/mathx.hpp"
 #include "common/rng.hpp"
 
@@ -186,6 +187,23 @@ TEST(Csv, OverfilledRowThrows) {
   t.new_row();
   t.push(1.0);
   EXPECT_THROW(t.push(2.0), CheckError);
+}
+
+TEST(JsonEscape, PinsEscapesForQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("\""), "\\\"");
+  EXPECT_EQ(json_escape("\\"), "\\\\");
+  EXPECT_EQ(json_escape("\n"), "\\n");
+  EXPECT_EQ(json_escape("\r"), "\\r");
+  EXPECT_EQ(json_escape("\t"), "\\t");
+  EXPECT_EQ(json_escape("\x01"), "\\u0001");
+  EXPECT_EQ(json_escape("\x1f"), "\\u001f");
+  EXPECT_EQ(json_escape("a \"b\"\r\n"), "a \\\"b\\\"\\r\\n");
+}
+
+TEST(JsonEscape, Utf8MultiByteNamePassesThrough) {
+  // "séance→Ω" in UTF-8: two-, three- and two-byte sequences.
+  const std::string name = "s\xc3\xa9" "ance\xe2\x86\x92\xce\xa9";
+  EXPECT_EQ(json_escape(name), name);
 }
 
 TEST(Config, ParsesSectionsAndScalars) {

@@ -134,9 +134,9 @@ TEST(TaskGroup, ConcurrentParallelForCallsAreIndependent) {
 }
 
 /// Nested fan-out on a one-worker pool: the outer task's TaskGroup::wait
-/// must *help* (run the inner tasks itself) rather than block — under the
-/// old FIFO pool this deadlocks, since the inner tasks sit queued behind
-/// the blocked outer task forever.
+/// must *help* (run the inner tasks itself) rather than block — a blocking
+/// wait deadlocks here, since the inner tasks sit queued behind the
+/// blocked outer task forever.
 TEST(TaskGroup, NestedWaitOnSingleWorkerDoesNotDeadlock) {
   ThreadPool pool(1);
   std::atomic<int> inner{0};
@@ -202,10 +202,10 @@ TEST(ParallelFor, NestedThreeLevelsBitExactAcrossPoolSizes) {
   EXPECT_EQ(nested_triple_sum(&pool4), serial);
 }
 
-/// Work-stealing stress: many host threads hammer one small pool with
-/// nested parallel_for rounds, forcing steals, overflow-queue traffic,
-/// helper waits, and sleep/wake transitions concurrently. Runs under TSan
-/// in CI (the tsan-concurrency job runs all of test_parallel).
+/// Pool stress: many host threads hammer one small pool with nested
+/// parallel_for rounds, forcing contended submits and pops on the shared
+/// queue, helper waits, and sleep/wake transitions concurrently. Runs
+/// under TSan in CI (the tsan-concurrency job runs all of test_parallel).
 TEST(ThreadPool, NestedStressManyCallersIsRaceFree) {
   ThreadPool pool(3);
   constexpr std::size_t kCallers = 5;
@@ -237,6 +237,23 @@ TEST(ThreadPool, NestedStressManyCallersIsRaceFree) {
   for (std::size_t c = 0; c < kCallers; ++c) {
     EXPECT_EQ(results[c], 17920L * kRounds) << "caller " << c;
   }
+}
+
+/// The destructor drains the queue: tasks still queued behind a busy
+/// worker when destruction starts all run before the workers join.
+TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(1);
+    pool.submit([released] { released.wait(); });  // holds the one worker
+    for (int i = 0; i < 50; ++i) {
+      pool.submit([&ran] { ++ran; });
+    }
+    release.set_value();
+  }  // ~ThreadPool
+  EXPECT_EQ(ran.load(), 50);
 }
 
 TEST(PoolHandle, ResolvesThreadsKnob) {
