@@ -133,13 +133,11 @@ BENCHMARK_TEMPLATE(BM_Sampler, sampling::MaxEntSampler);
 
 // ------------------------------------------------------------ cube scoring
 //
-// The selector hot path this PR's fused engine targets: 64^3 grid, 8^3
-// cube tiling (512 cubes), k = 8 clusters. "Legacy" reproduces the pre-
-// engine implementation — one single-element-span assign() per point, a
-// floating-point PMF per cube, and the dense O(n^2 k) KL adjacency with a
-// log in the inner loop. "Fused" is the shipping path: assign_batch ->
-// integer counts -> blocked strengths from precomputed log rows. Both run
-// serial here, so the JSON ratio isolates the kernel fusion itself.
+// The selector hot path the fused scoring engine serves: 64^3 grid, 8^3
+// cube tiling (512 cubes), k = 8 clusters. "Fused" is the shipping path:
+// assign_batch -> integer counts -> blocked strengths from precomputed
+// log rows, run serial so the record isolates the kernel itself. Its
+// acceptance number against the pre-engine path is recorded in PERF.md.
 
 struct CubeScoringFixture {
   field::Snapshot snap{{64, 64, 64}, 0.0};
@@ -167,35 +165,6 @@ struct CubeScoringFixture {
     return fx;
   }
 };
-
-void BM_CubeScoringLegacy(benchmark::State& state) {
-  const auto& fx = CubeScoringFixture::instance();
-  const field::SnapshotSource src(fx.snap);
-  for (auto _ : state) {
-    std::vector<std::vector<double>> pmfs;
-    pmfs.reserve(fx.tiling.count());
-    for (std::size_t c = 0; c < fx.tiling.count(); ++c) {
-      const auto indices = fx.tiling.point_indices(fx.tiling.coord(c));
-      const auto values =
-          src.gather("cv", std::span<const std::size_t>(indices));
-      std::vector<double> pmf(fx.clusters.k, 0.0);
-      for (const double v : values) {
-        pmf[fx.clusters.assign(std::span<const double>(&v, 1))] += 1.0;
-      }
-      const double inv = 1.0 / static_cast<double>(indices.size());
-      for (double& p : pmf) p *= inv;
-      pmfs.push_back(std::move(pmf));
-    }
-    const auto adjacency =
-        stats::kl_adjacency(std::span<const std::vector<double>>(pmfs));
-    auto strengths = stats::node_strengths(
-        std::span<const double>(adjacency), pmfs.size());
-    benchmark::DoNotOptimize(strengths.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          fx.snap.shape().size());
-}
-BENCHMARK(BM_CubeScoringLegacy);
 
 void BM_CubeScoringFused(benchmark::State& state) {
   const auto& fx = CubeScoringFixture::instance();

@@ -37,7 +37,10 @@ int main() {
 
   std::printf("\nresults:\n");
   std::printf("  sampled points:      %zu\n", report.sampled_points);
-  std::printf("  sampling time:       %.3f s\n", report.sampling_seconds);
+  std::printf("  sampling time:       %.3f s\n",
+              report.metrics.at("case.ingest_seconds") +
+                  report.metrics.at("case.selection_seconds") +
+                  report.metrics.at("case.sampling_seconds"));
   std::printf("  model parameters:    %zu\n", report.train.parameters);
   std::printf("  final train loss:    %.5f\n",
               report.train.final_train_loss);

@@ -1,7 +1,7 @@
-// Storage reduction: write a dense DNS snapshot three ways — flat SKL1,
-// chunked compressed SKL2, and a MaxEnt-sampled sparse subset — and
-// compare their on-disk footprints. Also demonstrates out-of-core
-// sampling straight from the compressed store.
+// Storage reduction: compare a dense DNS snapshot's raw f64 payload with
+// two ways of writing it — chunked compressed SKL2 and a MaxEnt-sampled
+// sparse subset. Also demonstrates out-of-core sampling straight from
+// the compressed store.
 #include <cstdio>
 #include <filesystem>
 
@@ -17,9 +17,8 @@ int main() {
   const auto& snap = bundle.data.snapshot(0);
   const auto dir = std::filesystem::temp_directory_path();
 
-  const std::size_t dense =
-      io::save_snapshot(snap, (dir / "gests_dense.skl").string());
-  std::printf("dense snapshot:  %10zu bytes (%zu points x %zu vars)\n",
+  const std::size_t dense = snap.bytes();
+  std::printf("dense snapshot:  %10zu bytes raw (%zu points x %zu vars)\n",
               dense, snap.shape().size(), snap.num_fields());
 
   // Chunked compressed stores: lossless delta and 1e-3-tolerance quant.
@@ -72,7 +71,6 @@ int main() {
   std::printf("reduction:       %.1fx\n",
               static_cast<double>(dense) / static_cast<double>(sparse));
 
-  std::filesystem::remove(dir / "gests_dense.skl");
   std::filesystem::remove(dir / "gests_delta.skl2");
   std::filesystem::remove(dir / "gests_quant.skl2");
   std::filesystem::remove(dir / "gests_sparse.skl");

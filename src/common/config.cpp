@@ -172,20 +172,4 @@ std::vector<std::string> Config::get_list(const std::string& section,
   return out;
 }
 
-std::vector<std::string> Config::sections() const {
-  std::vector<std::string> out;
-  out.reserve(data_.size());
-  for (const auto& [k, _] : data_) out.push_back(k);
-  return out;
-}
-
-std::vector<std::string> Config::keys(const std::string& section) const {
-  std::vector<std::string> out;
-  const auto s = data_.find(section);
-  if (s == data_.end()) return out;
-  out.reserve(s->second.size());
-  for (const auto& [k, _] : s->second) out.push_back(k);
-  return out;
-}
-
 }  // namespace sickle

@@ -56,9 +56,6 @@ class Config {
   [[nodiscard]] std::vector<std::string> get_list(
       const std::string& section, const std::string& key) const;
 
-  [[nodiscard]] std::vector<std::string> sections() const;
-  [[nodiscard]] std::vector<std::string> keys(const std::string& section) const;
-
  private:
   std::map<std::string, std::map<std::string, std::string>> data_;
 };

@@ -79,15 +79,6 @@ Curl curl_3d(const Snapshot& snap) {
 
 }  // namespace
 
-void add_vorticity_magnitude_3d(Snapshot& snap, const std::string& out) {
-  const Curl c = curl_3d(snap);
-  std::vector<double> mag(c.x.size());
-  for (std::size_t i = 0; i < mag.size(); ++i) {
-    mag[i] = std::sqrt(sqr(c.x[i]) + sqr(c.y[i]) + sqr(c.z[i]));
-  }
-  replace_or_add(snap, out, std::move(mag));
-}
-
 void add_enstrophy_3d(Snapshot& snap, const std::string& out) {
   const Curl c = curl_3d(snap);
   std::vector<double> ens(c.x.size());

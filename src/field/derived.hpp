@@ -17,10 +17,6 @@ namespace sickle::field {
 /// Adds (or overwrites) field `out` on the snapshot.
 void add_vorticity_2d(Snapshot& snap, const std::string& out = "wz");
 
-/// 3D vorticity magnitude |curl u| from "u","v","w".
-void add_vorticity_magnitude_3d(Snapshot& snap,
-                                const std::string& out = "vortmag");
-
 /// Enstrophy  Omega = |curl u|^2 / 2.
 void add_enstrophy_3d(Snapshot& snap, const std::string& out = "enstrophy");
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -11,7 +12,6 @@ namespace sickle::io {
 
 namespace {
 
-constexpr char kSnapshotMagic[4] = {'S', 'K', 'L', '1'};
 constexpr char kSamplesMagic[4] = {'S', 'K', 'S', '1'};
 
 template <typename T>
@@ -52,52 +52,17 @@ void read_doubles(std::ifstream& f, std::span<double> v) {
   if (!f) throw RuntimeError("truncated .skl file");
 }
 
+/// Eight-byte words between the read position and the end of the file.
+std::uint64_t words_left(std::ifstream& f) {
+  const auto pos = f.tellg();
+  f.seekg(0, std::ios::end);
+  const auto left = static_cast<std::uint64_t>(f.tellg() - pos);
+  f.seekg(pos);
+  if (!f) throw RuntimeError("unreadable .skl file");
+  return left / sizeof(std::uint64_t);
+}
+
 }  // namespace
-
-std::size_t save_snapshot(const field::Snapshot& snap,
-                          const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw RuntimeError("cannot open for write: " + path);
-  f.write(kSnapshotMagic, 4);
-  write_pod<std::uint64_t>(f, snap.shape().nx);
-  write_pod<std::uint64_t>(f, snap.shape().ny);
-  write_pod<std::uint64_t>(f, snap.shape().nz);
-  write_pod<double>(f, snap.time());
-  const auto names = snap.names();
-  write_pod<std::uint64_t>(f, names.size());
-  for (const auto& name : names) {
-    write_string(f, name);
-    write_doubles(f, snap.get(name).data());
-  }
-  f.flush();
-  if (!f) throw RuntimeError("error writing: " + path);
-  return file_bytes(path);
-}
-
-field::Snapshot load_snapshot(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw RuntimeError("cannot open for read: " + path);
-  char magic[4];
-  f.read(magic, 4);
-  if (!f || std::memcmp(magic, kSnapshotMagic, 4) != 0) {
-    throw RuntimeError("not a .skl snapshot file: " + path);
-  }
-  field::GridShape shape;
-  shape.nx = read_pod<std::uint64_t>(f);
-  shape.ny = read_pod<std::uint64_t>(f);
-  shape.nz = read_pod<std::uint64_t>(f);
-  const double time = read_pod<double>(f);
-  field::Snapshot snap(shape, time);
-  const auto nfields = read_pod<std::uint64_t>(f);
-  SICKLE_CHECK_MSG(nfields < 1024, "implausible field count in .skl");
-  for (std::uint64_t i = 0; i < nfields; ++i) {
-    const std::string name = read_string(f);
-    std::vector<double> data(shape.size());
-    read_doubles(f, data);
-    snap.add(name, std::move(data));
-  }
-  return snap;
-}
 
 std::size_t save_samples(const SampleFile& samples, const std::string& path) {
   SICKLE_CHECK(samples.features.size() ==
@@ -132,6 +97,13 @@ SampleFile load_samples(const std::string& path) {
   out.variables.reserve(nvars);
   for (std::uint64_t i = 0; i < nvars; ++i) {
     out.variables.push_back(read_string(f));
+  }
+  // Check the header's counts against the bytes the file still holds
+  // before sizing anything from them: n indices and n * nvars features
+  // are n * (1 + nvars) eight-byte words. Dividing cannot overflow.
+  if (n > words_left(f) / (1 + nvars)) {
+    throw RuntimeError("sample file counts more points than it holds: " +
+                       path);
   }
   out.indices.resize(n);
   f.read(reinterpret_cast<char*>(out.indices.data()),

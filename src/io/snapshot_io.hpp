@@ -1,35 +1,22 @@
 /// @file snapshot_io.hpp
-/// @brief Binary snapshot / sample-set storage (flat .skl format).
+/// @brief Sampled-subset storage (flat SKS1 sample files).
 ///
 /// One of SICKLE's practical benefits is storage reduction: a feature-rich
 /// subsampled dataset occupies a small fraction of the raw DNS checkpoint.
-/// This module provides the flat load-everything on-disk format for full
-/// snapshots and sampled subsets; the chunked compressed SKL2 container
-/// for out-of-core access lives in store/snapshot_store.hpp.
+/// This module stores sampled subsets; full snapshots go to the chunked
+/// compressed SKL2 container in store/snapshot_store.hpp.
 ///
 /// Layout (little-endian, host order — single-platform scientific format):
-///   magic "SKL1" | u64 nx ny nz | f64 time | u64 nfields
-///   per field: u32 name_len | name bytes | nx*ny*nz f64
-/// Sample sets ("SKS1"):
-///   magic | u64 npoints | u64 nvars | per var name | u64 indices | features
-///   row-major [npoints][nvars].
+///   magic "SKS1" | u64 npoints | u64 nvars | per var: u32 name_len | name
+///   bytes | npoints u64 indices | features f64 row-major [npoints][nvars].
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "field/field.hpp"
-
 namespace sickle::io {
-
-/// Write one snapshot; returns bytes written. Throws RuntimeError on I/O
-/// failure.
-std::size_t save_snapshot(const field::Snapshot& snap,
-                          const std::string& path);
-
-/// Read a snapshot written by save_snapshot.
-[[nodiscard]] field::Snapshot load_snapshot(const std::string& path);
 
 /// Sampled subset: global indices plus per-point feature rows.
 struct SampleFile {
@@ -42,7 +29,13 @@ struct SampleFile {
   }
 };
 
+/// Write a sample set; returns bytes written. Throws RuntimeError on I/O
+/// failure.
 std::size_t save_samples(const SampleFile& samples, const std::string& path);
+
+/// Read a sample set written by save_samples. Throws RuntimeError on a
+/// missing, foreign or truncated file, including one whose header counts
+/// more points than the rest of the file holds.
 [[nodiscard]] SampleFile load_samples(const std::string& path);
 
 /// Size of a file on disk in bytes (0 if missing).

@@ -37,14 +37,6 @@ std::pair<Tensor, Tensor> TensorDataset::batch(
   return {std::move(in), std::move(tg)};
 }
 
-double TensorDataset::bytes() const noexcept {
-  if (inputs_.empty()) return 0.0;
-  return static_cast<double>(inputs_.size()) *
-         static_cast<double>(inputs_.front().size() +
-                             targets_.front().size()) *
-         sizeof(float);
-}
-
 namespace {
 
 /// Average gradients across ranks (DDP). Gradients are cast through double

@@ -35,9 +35,6 @@ class TensorDataset {
   [[nodiscard]] std::pair<Tensor, Tensor> batch(
       std::span<const std::size_t> indices) const;
 
-  /// Total payload bytes (energy accounting).
-  [[nodiscard]] double bytes() const noexcept;
-
  private:
   std::vector<Tensor> inputs_;
   std::vector<Tensor> targets_;

@@ -90,10 +90,6 @@ struct CaseConfig {
 
 struct CaseReport {
   std::size_t sampled_points = 0;
-  /// Wall time of the T1 stages: spill/ingest (skl2/series), temporal
-  /// selection, and the per-snapshot sampling pipeline. Training-set
-  /// tensor construction and scaler fitting are T2 cost and excluded.
-  double sampling_seconds = 0.0;
   double sampling_kilojoules = 0.0;
   /// Compressed on-disk bytes of the spilled store(s) (skl2/series only).
   std::size_t store_bytes = 0;
@@ -122,8 +118,12 @@ struct CaseReport {
   double training_kilojoules = 0.0;
   /// Per-stage telemetry, populated on every run (independent of the
   /// global obs::enabled() switch — these are per-case values, not
-  /// process-cumulative registry counters). Keys: `case.*_seconds` wall
-  /// times per stage, `case.sampled_points` / `case.store_bytes` /
+  /// process-cumulative registry counters). Keys: `case.<stage>_seconds`
+  /// for ingest, selection, sampling and training, each the wall time of
+  /// the scope its `case.<stage>` span covers (ingest includes producing,
+  /// folding, spilling and, under the rolling policy, sampling each
+  /// snapshot; sampling includes building the training tensors);
+  /// `case.sampled_points` / `case.store_bytes` /
   /// `case.ingest_peak_bytes` mirrors of the scalar fields, and for
   /// spill backends the reader-side `store.cache_*` / `store.io_*`
   /// tallies. Keys ending in `_seconds` are wall-clock and vary run to

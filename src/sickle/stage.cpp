@@ -517,6 +517,27 @@ void finalize_case_metrics(CaseReport& report) {
       static_cast<double>(report.selected_snapshots.size());
 }
 
+/// One clock per orchestrator stage: the stage's `case.<stage>` span and
+/// metrics["case.<stage>_seconds"] time the same scope. Construct it at
+/// the top of the stage's scope and call done() as the scope's last
+/// statement; a stage that throws records no metric. The span stays
+/// inert while tracing is off; only the metric's timer reads the clock.
+class StageClock {
+ public:
+  StageClock(const char* span_name, CaseReport& report) noexcept
+      : span_(span_name, "case"), name_(span_name), report_(report) {}
+
+  void done() {
+    report_.metrics[std::string(name_) + "_seconds"] = timer_.seconds();
+  }
+
+ private:
+  obs::Span span_;
+  Timer timer_;
+  const char* name_;
+  CaseReport& report_;
+};
+
 /// Fill the variable roles the config left empty from the bundle, then
 /// validate the backend and ingest mode.
 template <typename Bundle>
@@ -534,8 +555,8 @@ void resolve_roles(CaseConfig& cfg, const Bundle& bundle) {
 
 /// --- Stage B: temporal snapshot selection over streamed PDFs. Returns
 /// the snapshot indices to sample, ascending (identity when the stage is
-/// disabled). Emits the case.selection span and fills
-/// report.selected_snapshots / metrics["case.selection_seconds"].
+/// disabled). Times the case.selection stage and fills
+/// report.selected_snapshots.
 std::vector<std::size_t> selection(const field::SeriesSource& series,
                                    const CaseConfig& cfg, CaseReport& report,
                                    Observer* obs) {
@@ -543,12 +564,10 @@ std::vector<std::size_t> selection(const field::SeriesSource& series,
   checkpoint(obs);
   std::vector<std::size_t> selected(series.num_snapshots());
   std::iota(selected.begin(), selected.end(), std::size_t{0});
-  // The span is emitted even when the stage is disabled, so every traced
-  // case shows all four orchestrator stages.
-  obs::Span span("case.selection", "case");
-  double selection_seconds = 0.0;
+  // The stage is timed even when disabled, so every traced case shows
+  // all four orchestrator stages and every report all four metrics.
+  StageClock clock("case.selection", report);
   if (cfg.temporal.enabled()) {
-    ScopedTimer selection_timer(selection_seconds);
     sampling::TemporalConfig tc;
     tc.variable = temporal_variable(cfg);
     tc.num_snapshots = cfg.temporal.num_snapshots;
@@ -559,8 +578,7 @@ std::vector<std::size_t> selection(const field::SeriesSource& series,
     std::sort(selected.begin(), selected.end());
     report.selected_snapshots = selected;
   }
-  report.sampling_seconds += selection_seconds;
-  report.metrics["case.selection_seconds"] = selection_seconds;
+  clock.done();
   return selected;
 }
 
@@ -598,7 +616,6 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
       auto r = sampling::run_pipeline_streaming(src, cfg.pipeline, t,
                                                 pool.get());
       report.sampled_points += r.total_points();
-      report.sampling_seconds += r.sampling_seconds;
       sampling_energy.merge(r.energy);
       for (const auto& cs : r.cubes) {
         hash.pod<std::uint64_t>(cs.snapshot);
@@ -617,38 +634,26 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
     // variable), and the store writers buffer at most one
     // write-budget-bounded wave of encoded blocks, so peak ingest memory
     // is one snapshot + budget (+ codec slack) — never the series. The
-    // fold's time goes to the sampling stage's metric and stays out of
-    // ingest_seconds: scaler fitting is training-set (T2) cost, which
-    // CaseReport::sampling_seconds excludes.
+    // stage's clock covers all of it: producing, folding, spilling and,
+    // under the rolling policy, sampling each snapshot.
     ScalerAccumulator scalers(scaler_vars(cfg));
-    double ingest_seconds = 0.0;
-    double scaler_seconds = 0.0;
-    double rolled_seconds = 0.0;
-    const auto fold = [&](const field::FieldSource& src) {
-      ScopedTimer scaler_timer(scaler_seconds);
-      scalers.accumulate(src);
-    };
     {
-      obs::Span ingest_span("case.ingest", "case");
+      StageClock clock("case.ingest", report);
       if (obs != nullptr) obs->on_state(CaseState::kIngesting);
       checkpoint(obs);
       if (!sink) {
         for (std::size_t t = 0; t < memory->num_snapshots(); ++t) {
-          fold(memory->source(t));
+          scalers.accumulate(memory->source(t));
         }
       } else {
         const std::size_t planned = producer->num_snapshots();
         std::size_t t = 0;
         while (auto snap = producer->next()) {
           checkpoint(obs);
-          fold(field::SnapshotSource(*snap));
-          {
-            ScopedTimer ingest_timer(ingest_seconds);
-            sink->append(*snap);
-          }
+          scalers.accumulate(field::SnapshotSource(*snap));
+          sink->append(*snap);
           snap.reset();  // values live in the spill now; free the snapshot
           if (rolling) {
-            ScopedTimer rolled_timer(rolled_seconds);
             sample(sink->series().source(t), t);
             sink->drop(t);
           }
@@ -658,12 +663,10 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
         // Check before seal(): an empty series must fail with the
         // producer-level message, not the store-internal one.
         SICKLE_CHECK_MSG(t > 0, "producer yielded no snapshots");
-        ScopedTimer ingest_timer(ingest_seconds);
         sink->seal();
       }
+      clock.done();
     }
-    report.sampling_seconds += ingest_seconds;
-    report.metrics["case.ingest_seconds"] = ingest_seconds;
 
     const field::SeriesSource& series = sink ? sink->series() : *memory;
     const auto selected = selection(series, cfg, report, obs);
@@ -673,8 +676,7 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
     // built with the scalers folded in stage A.
     if (obs != nullptr) obs->on_state(CaseState::kSampling);
     {
-      obs::Span sampling_span("case.sampling", "case");
-      Timer stage_timer;
+      StageClock clock("case.sampling", report);
       if (!rolling) {
         std::size_t done = 0;
         for (const std::size_t t : selected) {
@@ -686,8 +688,7 @@ CaseReport run_loop(flow::SnapshotProducer* producer,
       SICKLE_CHECK_MSG(builder.has_value(), "no snapshot was sampled");
       data = builder->take(scalers.take());
       report.sample_hash = hash.h;
-      report.metrics["case.sampling_seconds"] =
-          stage_timer.seconds() + rolled_seconds + scaler_seconds;
+      clock.done();
     }
     // Node-projected energy: static power charged against roofline node
     // time, so ratios between cases track data volume and compute — the
@@ -724,8 +725,7 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
               CaseReport& report, Observer* obs) {
   if (obs != nullptr) obs->on_state(CaseState::kTraining);
   checkpoint(obs);
-  obs::Span span("case.training", "case");
-  Timer stage_timer;
+  StageClock clock("case.training", report);
   const auto& pl = cfg.pipeline;
   Rng rng(cfg.train.seed, /*stream=*/0x40DE1);
   std::unique_ptr<ml::Module> model;
@@ -773,7 +773,7 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
 
   report.train = ml::fit(*model, data, cfg.train);
   report.training_kilojoules = report.train.energy.projected_kilojoules();
-  report.metrics["case.training_seconds"] = stage_timer.seconds();
+  clock.done();
 }
 
 CaseReport run_staged(const DatasetBundle& bundle, CaseConfig cfg,

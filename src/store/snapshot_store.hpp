@@ -2,10 +2,10 @@
 /// @brief SKL2 chunked compressed snapshot container: parallel writer and
 /// LRU-cached streaming reader.
 ///
-/// The flat `.skl` (SKL1) format loads a whole snapshot into RAM; SKL2
-/// splits every field into fixed-size 3D chunks, encodes each chunk
-/// independently with a pluggable codec (see codec.hpp), and keeps a chunk
-/// index so readers fetch only the blocks a query touches. ChunkReader
+/// SKL2 splits every field of a snapshot into fixed-size 3D chunks,
+/// encodes each chunk independently with a pluggable codec (see
+/// codec.hpp), and keeps a chunk index so readers fetch only the blocks
+/// a query touches, never loading the whole snapshot into RAM. ChunkReader
 /// implements field::FieldSource, so the sampling pipeline streams samples
 /// out-of-core via sampling::run_pipeline_streaming with memory bounded by
 /// the reader's block cache, never the grid. For multi-snapshot time

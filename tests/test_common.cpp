@@ -1,11 +1,10 @@
-// Unit tests: common (RNG, math helpers, CSV, JSON escaping, config).
+// Unit tests: common (RNG, math helpers, JSON escaping, config).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "common/config.hpp"
-#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/json_escape.hpp"
 #include "common/mathx.hpp"
@@ -165,28 +164,6 @@ TEST(Mathx, XlogxOverY) {
   EXPECT_EQ(xlogx_over_y(0.0, 0.5), 0.0);
   EXPECT_TRUE(std::isinf(xlogx_over_y(0.5, 0.0)));
   EXPECT_NEAR(xlogx_over_y(0.5, 0.25), 0.5 * std::log(2.0), 1e-12);
-}
-
-TEST(Csv, RendersHeaderAndRows) {
-  CsvTable t({"a", "b"});
-  t.new_row();
-  t.push(std::string("x"));
-  t.push(1.5);
-  const std::string s = t.to_string();
-  EXPECT_EQ(s, "a,b\nx,1.5\n");
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, OverfilledRowThrows) {
-  CsvTable t({"only"});
-  t.new_row();
-  t.push(1.0);
-  EXPECT_THROW(t.push(2.0), CheckError);
 }
 
 TEST(JsonEscape, PinsEscapesForQuotesBackslashesAndControlBytes) {

@@ -1,14 +1,16 @@
-// Unit tests: .skl snapshot and sample-set storage.
+// Unit tests: SKS1 sample-set storage.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "field/field.hpp"
 #include "io/snapshot_io.hpp"
 
 namespace sickle::io {
@@ -30,29 +32,6 @@ class IoTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(IoTest, SnapshotRoundTrip) {
-  field::Snapshot snap({4, 3, 2}, 2.5);
-  Rng rng(1);
-  for (const char* name : {"u", "v", "p"}) {
-    auto& f = snap.add(name);
-    for (auto& x : f.data()) x = rng.normal();
-  }
-  const std::size_t bytes = save_snapshot(snap, path("snap.skl"));
-  EXPECT_GT(bytes, 3u * 24u * sizeof(double));
-
-  const auto loaded = load_snapshot(path("snap.skl"));
-  EXPECT_EQ(loaded.shape(), snap.shape());
-  EXPECT_DOUBLE_EQ(loaded.time(), 2.5);
-  EXPECT_EQ(loaded.names(), snap.names());
-  for (const char* name : {"u", "v", "p"}) {
-    const auto a = snap.get(name).data();
-    const auto b = loaded.get(name).data();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a[i], b[i]);
-    }
-  }
-}
-
 TEST_F(IoTest, SamplesRoundTrip) {
   SampleFile s;
   s.variables = {"u", "v"};
@@ -72,7 +51,7 @@ TEST_F(IoTest, SampleFileIsSmallerThanSnapshot) {
     auto& f = snap.add(name);
     for (auto& x : f.data()) x = rng.normal();
   }
-  const std::size_t full = save_snapshot(snap, path("full.skl"));
+  const std::size_t full = snap.bytes();
 
   SampleFile s;
   s.variables = {"u", "v"};
@@ -83,11 +62,10 @@ TEST_F(IoTest, SampleFileIsSmallerThanSnapshot) {
     s.features.push_back(0.0);
   }
   const std::size_t sampled = save_samples(s, path("sub.skl"));
-  EXPECT_LT(sampled * 5, full);  // well under 20% of the dense file
+  EXPECT_LT(sampled * 5, full);  // well under 20% of the dense payload
 }
 
 TEST_F(IoTest, LoadMissingFileThrows) {
-  EXPECT_THROW(load_snapshot(path("missing.skl")), RuntimeError);
   EXPECT_THROW(load_samples(path("missing.skl")), RuntimeError);
 }
 
@@ -96,16 +74,46 @@ TEST_F(IoTest, WrongMagicThrows) {
     std::ofstream f(path("bad.skl"), std::ios::binary);
     f << "NOTSKLDATA";
   }
-  EXPECT_THROW(load_snapshot(path("bad.skl")), RuntimeError);
   EXPECT_THROW(load_samples(path("bad.skl")), RuntimeError);
 }
 
 TEST_F(IoTest, TruncatedFileThrows) {
-  field::Snapshot snap({8, 8, 1});
-  snap.add("u");
-  save_snapshot(snap, path("trunc.skl"));
-  std::filesystem::resize_file(path("trunc.skl"), 40);
-  EXPECT_THROW(load_snapshot(path("trunc.skl")), RuntimeError);
+  SampleFile s;
+  s.variables = {"u", "v"};
+  s.indices = {3, 17, 255};
+  s.features = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const std::size_t full = save_samples(s, path("whole.skl"));
+  // Cut inside the header, the variable names, the indices and the
+  // features in turn.
+  for (const std::size_t cut : {std::size_t{10}, std::size_t{23},
+                                std::size_t{40}, full - 1}) {
+    std::filesystem::copy_file(
+        path("whole.skl"), path("trunc.skl"),
+        std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(path("trunc.skl"), cut);
+    EXPECT_THROW(load_samples(path("trunc.skl")), RuntimeError) << cut;
+  }
+}
+
+TEST_F(IoTest, CraftedSampleCountFailsTyped) {
+  // A 33-byte file whose header claims far more points than it holds:
+  // the reader must refuse it before sizing a vector from the count.
+  for (const std::uint64_t n : {std::uint64_t{1} << 40,
+                                std::uint64_t{1} << 62}) {
+    {
+      std::ofstream f(path("crafted.skl"), std::ios::binary);
+      const std::uint64_t nvars = 1, index = 0;
+      const std::uint32_t name_len = 1;
+      f.write("SKS1", 4);
+      f.write(reinterpret_cast<const char*>(&n), sizeof n);
+      f.write(reinterpret_cast<const char*>(&nvars), sizeof nvars);
+      f.write(reinterpret_cast<const char*>(&name_len), sizeof name_len);
+      f.write("u", 1);
+      f.write(reinterpret_cast<const char*>(&index), sizeof index);
+    }
+    ASSERT_EQ(file_bytes(path("crafted.skl")), 33u);
+    EXPECT_THROW(load_samples(path("crafted.skl")), RuntimeError) << n;
+  }
 }
 
 TEST_F(IoTest, MismatchedFeatureCountRejected) {

@@ -1,10 +1,8 @@
-// Tests: optimizers, scheduler, precision emulation, trainer, DDP, HPO.
+// Tests: optimizers, scheduler, precision emulation, trainer, DDP.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "common/mathx.hpp"
-#include "ml/hpo.hpp"
 #include "ml/layers_basic.hpp"
 #include "ml/models.hpp"
 #include "ml/optim.hpp"
@@ -235,34 +233,6 @@ TEST(Evaluate, MatchesManualMse) {
   Identity model;
   const std::vector<std::size_t> idx{0};
   EXPECT_DOUBLE_EQ(evaluate(model, data, idx), 1.0);  // (1-2)^2
-}
-
-TEST(Hpo, FindsTheGoodRegion) {
-  // Objective: loss minimized at lr = 1e-3, hidden = 64, improving with
-  // epochs — checks both selection and budget growth.
-  const HpoObjective objective = [](const HpoCandidate& c,
-                                    std::size_t epochs) {
-    const double lr_term = sqr(std::log10(c.lr) + 3.0);
-    const double hidden_term =
-        sqr(std::log2(static_cast<double>(c.hidden)) - 6.0);
-    return lr_term + hidden_term + 1.0 / static_cast<double>(epochs);
-  };
-  HpoConfig cfg;
-  cfg.num_candidates = 12;
-  cfg.seed = 1;
-  const auto report = tune(objective, cfg);
-  EXPECT_DOUBLE_EQ(report.best.lr, 1e-3);
-  EXPECT_EQ(report.best.hidden, 64u);
-  EXPECT_GT(report.history.size(), cfg.num_candidates);
-  EXPECT_GT(report.total_epochs, 0u);
-}
-
-TEST(Hpo, EmptySpaceThrows) {
-  HpoConfig cfg;
-  cfg.lr_choices.clear();
-  EXPECT_THROW(tune([](const HpoCandidate&, std::size_t) { return 0.0; },
-                    cfg),
-               CheckError);
 }
 
 }  // namespace

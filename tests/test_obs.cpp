@@ -302,6 +302,35 @@ TEST(Case, StageSpansCoverOrchestratorAndStore) {
   reset_obs();
 }
 
+TEST(Case, StageMetricsEqualTheirSpans) {
+  // Each case.<stage>_seconds metric is the wall time of the scope its
+  // case.<stage> span covers: one clock per stage, whatever the backend
+  // or retention policy does inside it.
+  auto memory = tiny_case("memory", "materialize");
+  auto rolling = tiny_case("skl2", "streaming");  // temporal off: rolls
+  auto series = tiny_case("series", "streaming");
+  series.temporal.num_snapshots = 2;
+  for (const CaseConfig& cfg : {memory, rolling, series}) {
+    reset_obs();
+    obs::set_enabled(true);
+    const auto report = run_tiny(cfg.backend, cfg.ingest, cfg);
+    obs::set_enabled(false);
+    std::map<std::string, std::vector<double>> spans;
+    for (const auto& ev : obs::Tracer::instance().events()) {
+      spans[ev.name].push_back(static_cast<double>(ev.dur_ns) * 1e-9);
+    }
+    for (const std::string stage : {"case.ingest", "case.selection",
+                                    "case.sampling", "case.training"}) {
+      ASSERT_EQ(spans[stage].size(), 1u) << cfg.backend << " " << stage;
+      const double span_seconds = spans[stage].front();
+      EXPECT_NEAR(report.metrics.at(stage + "_seconds"), span_seconds,
+                  1e-3 + 0.01 * span_seconds)
+          << cfg.backend << " " << stage;
+    }
+  }
+  reset_obs();
+}
+
 TEST(Case, MetricsBitStableAcrossRunsAndBackends) {
   // Everything except wall-clock keys must be identical run to run at
   // threads == 1 — and populated even with the obs layer disabled.

@@ -1,4 +1,4 @@
-// Unit tests: histograms, entropy/KL, descriptive stats, uniformity metrics.
+// Unit tests: histograms, entropy/KL, descriptive stats, tail coverage.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/discrepancy.hpp"
 #include "stats/entropy.hpp"
 #include "stats/histogram.hpp"
 
@@ -303,33 +302,6 @@ TEST(TailCoverage, CenterOnlySamplerScoresZero) {
     if (std::abs(x) < 0.5) center.push_back(x);
   }
   EXPECT_DOUBLE_EQ(tail_coverage(ref, center, 0.01), 0.0);
-}
-
-TEST(Clumping, UniformLowerThanClustered) {
-  Rng rng(8);
-  std::vector<std::vector<double>> uniform, clustered;
-  for (int i = 0; i < 2000; ++i) {
-    uniform.push_back({rng.uniform(), rng.uniform()});
-    clustered.push_back({0.5 + 0.02 * rng.normal(), 0.5 + 0.02 * rng.normal()});
-  }
-  EXPECT_LT(clumping_index(uniform, 8), clumping_index(clustered, 8));
-  EXPECT_GT(cell_coverage(uniform, 8), cell_coverage(clustered, 8));
-}
-
-TEST(ClarkEvans, UniformNearOneClusteredBelow) {
-  Rng rng(9);
-  std::vector<std::vector<double>> uniform, clustered;
-  for (int i = 0; i < 400; ++i) {
-    uniform.push_back({rng.uniform(), rng.uniform()});
-  }
-  for (int i = 0; i < 400; ++i) {
-    const double cx = (i % 2 == 0) ? 0.25 : 0.75;
-    clustered.push_back({cx + 0.01 * rng.normal(), cx + 0.01 * rng.normal()});
-  }
-  const double ce_uniform = clark_evans_index(uniform);
-  const double ce_clustered = clark_evans_index(clustered);
-  EXPECT_NEAR(ce_uniform, 1.0, 0.2);
-  EXPECT_LT(ce_clustered, ce_uniform);
 }
 
 }  // namespace

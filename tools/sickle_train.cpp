@@ -211,8 +211,13 @@ int main(int argc, char** argv) {
       std::printf("model parameters: %zu\n", report.train.parameters);
       std::printf("final train loss: %.6f\n", report.train.final_train_loss);
       std::printf("Evaluation on test set: %.6f\n", report.train.test_loss);
-      std::printf("Elapsed Time: %.3f s\n",
-                  report.sampling_seconds + report.train.seconds);
+      double elapsed = 0.0;
+      for (const char* stage :
+           {"case.ingest_seconds", "case.selection_seconds",
+            "case.sampling_seconds", "case.training_seconds"}) {
+        elapsed += report.metrics.at(stage);
+      }
+      std::printf("Elapsed Time: %.3f s\n", elapsed);
       std::printf("Total Energy Consumed: %.6f kJ\n",
                   report.total_kilojoules());
       if (oo.enabled) {
