@@ -534,7 +534,7 @@ void record_selection_single_pass(sickle::bench::JsonReport* report) {
 
   sampling::TemporalConfig tc;
   tc.variable = "cv";
-  tc.num_snapshots = 2;  // m = refine_factor * k = 4 candidates < n = 16
+  tc.num_snapshots = 2;  // m = 2k = 4 candidates < n = 16
   tc.bins = 64;
 
   auto select_seconds = [&](bool hide_histograms) {

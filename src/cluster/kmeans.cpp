@@ -195,55 +195,6 @@ void validate_inputs(std::span<const double> data, std::size_t n,
 
 }  // namespace
 
-KMeansResult kmeans(std::span<const double> data, std::size_t n,
-                    std::size_t dims, const KMeansOptions& opts, Rng& rng) {
-  validate_inputs(data, n, dims, opts);
-  KMeansResult result;
-  result.k = opts.k;
-  result.dims = dims;
-  result.centroids = kmeanspp_init(data, n, dims, opts.k, rng);
-
-  std::vector<double> sums(opts.k * dims);
-  std::vector<std::size_t> counts(opts.k);
-  std::vector<std::uint32_t> labels(n, 0);
-
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    result.iterations = it + 1;
-    std::fill(sums.begin(), sums.end(), 0.0);
-    std::fill(counts.begin(), counts.end(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto p = point_at(data, i, dims);
-      const std::uint32_t c = nearest_centroid(
-          p, std::span<const double>(result.centroids), opts.k, dims);
-      labels[i] = c;
-      ++counts[c];
-      for (std::size_t d = 0; d < dims; ++d) sums[c * dims + d] += p[d];
-    }
-    double shift = 0.0;
-    double scale = 0.0;
-    for (std::size_t c = 0; c < opts.k; ++c) {
-      if (counts[c] == 0) {
-        // Empty cluster: reseed at a random point, standard Lloyd repair.
-        const std::size_t j = rng.uniform_int(n);
-        std::copy_n(data.begin() + j * dims, dims,
-                    result.centroids.begin() + c * dims);
-        continue;
-      }
-      for (std::size_t d = 0; d < dims; ++d) {
-        const double next =
-            sums[c * dims + d] / static_cast<double>(counts[c]);
-        const double old = result.centroids[c * dims + d];
-        shift += (next - old) * (next - old);
-        scale += old * old;
-        result.centroids[c * dims + d] = next;
-      }
-    }
-    if (shift <= opts.tolerance * std::max(scale, 1e-300)) break;
-  }
-  finalize(data, n, dims, result);
-  return result;
-}
-
 KMeansResult minibatch_kmeans(std::span<const double> data, std::size_t n,
                               std::size_t dims, const KMeansOptions& opts,
                               Rng& rng) {

@@ -1,9 +1,8 @@
-// K-means clustering (Lloyd) and MiniBatchKMeans (Sculley 2010).
+// MiniBatchKMeans (Sculley 2010) with k-means++ seeding.
 //
 // The paper's MaxEnt sampler clusters the target variable with scikit-learn
-// MiniBatchKMeans before computing per-cluster entropy weights. We provide
-// both the exact Lloyd iteration (for tests and small data) and the
-// mini-batch variant (for the large-field path), with k-means++ seeding.
+// MiniBatchKMeans before computing per-cluster entropy weights; both the
+// hypercube selector and the MaxEnt point sampler fit with it.
 //
 // Data layout: row-major flat array, `n` points of `dims` doubles.
 #pragma once
@@ -18,9 +17,8 @@ namespace sickle::cluster {
 
 struct KMeansOptions {
   std::size_t k = 8;
-  std::size_t max_iterations = 100;
-  double tolerance = 1e-6;      ///< relative centroid-shift stopping criterion
-  std::size_t batch_size = 1024;  ///< mini-batch variant only
+  std::size_t max_iterations = 100;  ///< mini-batch updates
+  std::size_t batch_size = 1024;     ///< points drawn per update
 };
 
 struct KMeansResult {
@@ -43,11 +41,6 @@ struct KMeansResult {
   void assign_batch(std::span<const double> values,
                     std::span<std::uint32_t> labels) const;
 };
-
-/// Exact Lloyd k-means with k-means++ initialization.
-[[nodiscard]] KMeansResult kmeans(std::span<const double> data, std::size_t n,
-                                  std::size_t dims, const KMeansOptions& opts,
-                                  Rng& rng);
 
 /// MiniBatchKMeans: per-centre learning-rate updates over random batches,
 /// followed by one full labeling pass. Matches the reference pipeline's

@@ -1,7 +1,6 @@
 #include "ml/trainer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 
 #include "common/timer.hpp"
@@ -99,7 +98,7 @@ TrainReport fit(Module& model, const TensorDataset& data,
 
   Adam opt(model.parameters(), cfg.lr);
   opt.set_precision(cfg.precision);
-  ReduceLROnPlateau scheduler(opt, cfg.lr_factor, cfg.patience);
+  ReduceLROnPlateau scheduler(opt, /*factor=*/0.5, cfg.patience);
 
   Rng epoch_rng(cfg.seed, /*stream=*/0xE9);
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -147,10 +146,6 @@ TrainReport fit(Module& model, const TensorDataset& data,
     epoch_loss /= static_cast<double>(std::max<std::size_t>(1, steps));
     report.epoch_losses.push_back(epoch_loss);
     scheduler.step(epoch_loss);
-    if (cfg.verbose && (epoch % 10 == 0 || epoch + 1 == cfg.epochs)) {
-      std::printf("epoch %zu loss %.6f lr %.2e\n", epoch, epoch_loss,
-                  opt.lr());
-    }
   }
 
   report.final_train_loss =

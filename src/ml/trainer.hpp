@@ -45,11 +45,9 @@ struct TrainConfig {
   std::size_t batch = 16;
   double lr = 1e-3;
   std::size_t patience = 20;     ///< ReduceLROnPlateau patience
-  double lr_factor = 0.5;
   double test_fraction = 0.1;    ///< 90:10 split as in the paper
   Precision precision = Precision::kFp32;
   std::uint64_t seed = 0;
-  bool verbose = false;
 };
 
 struct TrainReport {

@@ -13,6 +13,9 @@ namespace sickle::sampling {
 
 namespace {
 
+/// Most points k-means is fitted on; larger fields are subsampled to this.
+constexpr std::size_t kClusterSubsample = 65536;
+
 /// Fit 1D k-means to (a subsample of) the cluster variable. RNG consumption
 /// matches the historical in-memory implementation exactly (indices are
 /// drawn first, values gathered after), so Snapshot- and store-backed runs
@@ -24,7 +27,7 @@ cluster::KMeansResult fit_clusters(const field::FieldSource& src,
   opts.k = std::max<std::size_t>(2, cfg.num_clusters);
   opts.max_iterations = 50;
   const std::size_t n = src.shape().size();
-  if (n <= cfg.cluster_subsample) {
+  if (n <= kClusterSubsample) {
     std::vector<std::size_t> all(n);
     std::iota(all.begin(), all.end(), std::size_t{0});
     const auto cv = src.gather(cfg.cluster_var,
@@ -32,7 +35,7 @@ cluster::KMeansResult fit_clusters(const field::FieldSource& src,
     return cluster::minibatch_kmeans(std::span<const double>(cv), n, 1, opts,
                                      rng);
   }
-  std::vector<std::size_t> pick(cfg.cluster_subsample);
+  std::vector<std::size_t> pick(kClusterSubsample);
   for (std::size_t& i : pick) i = rng.uniform_int(n);
   const auto sub = src.gather(cfg.cluster_var,
                               std::span<const std::size_t>(pick));

@@ -31,7 +31,6 @@ struct HypercubeSelectorConfig {
   std::size_t num_hypercubes = 32;
   std::string cluster_var;
   std::size_t num_clusters = 20;
-  std::size_t cluster_subsample = 65536;  ///< points used to fit k-means
   std::uint64_t seed = 0;
   energy::EnergyCounter* energy = nullptr;
   /// Pool for the fused cube-scoring fan-out (label counting + KL rows);

@@ -34,6 +34,54 @@ std::size_t clamp_samples(const field::Hypercube& cube,
   return std::min<std::size_t>(ctx.num_samples, cube.points());
 }
 
+/// Bins of MaxEnt's shared per-cluster PMF binning.
+constexpr std::size_t kClusterPmfBins = 100;
+
+/// Allocate k draws across groups by their exact (fractional) quotas with
+/// largest-remainder rounding, each group capped at its size; a deficit
+/// left by small groups spills to groups with spare capacity in order.
+/// Then draw each group's share uniformly without replacement, groups in
+/// order. The one allocator behind stratified and MaxEnt sampling.
+std::vector<std::size_t> allocate_and_draw(
+    std::span<const double> quotas,
+    const std::vector<std::vector<std::size_t>>& members, std::size_t k,
+    Rng& rng) {
+  const std::size_t groups = members.size();
+  std::vector<std::size_t> alloc(groups, 0);
+  std::vector<std::pair<double, std::size_t>> remainders;
+  std::size_t assigned = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    alloc[g] = std::min<std::size_t>(
+        static_cast<std::size_t>(std::floor(quotas[g])), members[g].size());
+    assigned += alloc[g];
+    remainders.emplace_back(quotas[g] - std::floor(quotas[g]), g);
+  }
+  std::sort(remainders.rbegin(), remainders.rend());
+  for (const auto& [frac, g] : remainders) {
+    if (assigned >= k) break;
+    if (alloc[g] < members[g].size()) {
+      ++alloc[g];
+      ++assigned;
+    }
+  }
+  for (std::size_t g = 0; assigned < k && g < groups; ++g) {
+    while (assigned < k && alloc[g] < members[g].size()) {
+      ++alloc[g];
+      ++assigned;
+    }
+  }
+
+  std::vector<std::size_t> out;
+  out.reserve(k);
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (alloc[g] == 0) continue;
+    const auto pick =
+        rng.sample_without_replacement(members[g].size(), alloc[g]);
+    for (const std::size_t j : pick) out.push_back(members[g][j]);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::size_t> weighted_sample_without_replacement(
@@ -93,44 +141,14 @@ std::vector<std::size_t> StratifiedSampler::select(
     members[hist.bin_of(cv[i])].push_back(i);
   }
 
-  // Proportional allocation with largest-remainder rounding.
-  std::vector<std::size_t> alloc(strata, 0);
-  std::vector<std::pair<double, std::size_t>> remainders;
-  std::size_t assigned = 0;
+  // Proportional allocation.
+  std::vector<double> quotas(strata);
   for (std::size_t s = 0; s < strata; ++s) {
-    const double exact = static_cast<double>(k) *
-                         static_cast<double>(members[s].size()) /
-                         static_cast<double>(cv.size());
-    alloc[s] = static_cast<std::size_t>(std::floor(exact));
-    alloc[s] = std::min(alloc[s], members[s].size());
-    assigned += alloc[s];
-    remainders.emplace_back(exact - std::floor(exact), s);
+    quotas[s] = static_cast<double>(k) *
+                static_cast<double>(members[s].size()) /
+                static_cast<double>(cv.size());
   }
-  std::sort(remainders.rbegin(), remainders.rend());
-  for (const auto& [frac, s] : remainders) {
-    if (assigned >= k) break;
-    if (alloc[s] < members[s].size()) {
-      ++alloc[s];
-      ++assigned;
-    }
-  }
-  // If rounding still left a deficit (tiny strata), spill round-robin.
-  for (std::size_t s = 0; assigned < k && s < strata; ++s) {
-    while (assigned < k && alloc[s] < members[s].size()) {
-      ++alloc[s];
-      ++assigned;
-    }
-  }
-
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  for (std::size_t s = 0; s < strata; ++s) {
-    if (alloc[s] == 0) continue;
-    const auto pick =
-        rng.sample_without_replacement(members[s].size(), alloc[s]);
-    for (const std::size_t j : pick) out.push_back(members[s][j]);
-  }
-  return out;
+  return allocate_and_draw(quotas, members, k, rng);
 }
 
 std::vector<std::size_t> LatinHypercubeSampler::select(
@@ -209,11 +227,8 @@ std::vector<std::size_t> MaxEntSampler::select(const field::Hypercube& cube,
   cluster::KMeansOptions opts;
   opts.k = num_clusters;
   opts.max_iterations = 50;
-  cluster::KMeansResult clusters =
-      ctx.minibatch
-          ? cluster::minibatch_kmeans(std::span<const double>(cv), n, 1,
-                                      opts, rng)
-          : cluster::kmeans(std::span<const double>(cv), n, 1, opts, rng);
+  cluster::KMeansResult clusters = cluster::minibatch_kmeans(
+      std::span<const double>(cv), n, 1, opts, rng);
   if (ctx.energy != nullptr) {
     ctx.energy->add_flops(static_cast<double>(n) *
                           static_cast<double>(num_clusters) *
@@ -221,7 +236,7 @@ std::vector<std::size_t> MaxEntSampler::select(const field::Hypercube& cube,
   }
 
   // 2. Per-cluster PMFs of the target variable over a shared binning.
-  stats::Histogram global = stats::Histogram::fit(cv, ctx.histogram_bins);
+  stats::Histogram global = stats::Histogram::fit(cv, kClusterPmfBins);
   std::vector<stats::Histogram> per_cluster(
       num_clusters,
       stats::Histogram(global.lo(), global.hi(), global.bins()));
@@ -243,42 +258,12 @@ std::vector<std::size_t> MaxEntSampler::select(const field::Hypercube& cube,
       stats::normalize_weights(std::span<const double>(strengths));
 
   // 4. Allocate samples across clusters by strength and draw randomly
-  //    within each cluster. Largest-remainder rounding; spill to clusters
-  //    with spare capacity if a strong cluster is too small.
-  std::vector<std::size_t> alloc(num_clusters, 0);
-  std::vector<std::pair<double, std::size_t>> remainders;
-  std::size_t assigned = 0;
+  //    within each cluster.
+  std::vector<double> quotas(num_clusters);
   for (std::size_t c = 0; c < num_clusters; ++c) {
-    const double exact = static_cast<double>(k) * probs[c];
-    alloc[c] = std::min<std::size_t>(
-        static_cast<std::size_t>(std::floor(exact)), members[c].size());
-    assigned += alloc[c];
-    remainders.emplace_back(exact - std::floor(exact), c);
+    quotas[c] = static_cast<double>(k) * probs[c];
   }
-  std::sort(remainders.rbegin(), remainders.rend());
-  for (const auto& [frac, c] : remainders) {
-    if (assigned >= k) break;
-    if (alloc[c] < members[c].size()) {
-      ++alloc[c];
-      ++assigned;
-    }
-  }
-  for (std::size_t c = 0; assigned < k && c < num_clusters; ++c) {
-    while (assigned < k && alloc[c] < members[c].size()) {
-      ++alloc[c];
-      ++assigned;
-    }
-  }
-
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  for (std::size_t c = 0; c < num_clusters; ++c) {
-    if (alloc[c] == 0) continue;
-    const auto pick =
-        rng.sample_without_replacement(members[c].size(), alloc[c]);
-    for (const std::size_t j : pick) out.push_back(members[c][j]);
-  }
-  return out;
+  return allocate_and_draw(quotas, members, k, rng);
 }
 
 SamplerRegistry::SamplerRegistry() {

@@ -30,8 +30,6 @@ struct SamplerContext {
   std::size_t num_samples = 1024;   ///< points to keep per cube
   std::size_t num_clusters = 20;    ///< MaxEnt k
   std::size_t pdf_bins = 10;        ///< UIPS bins per phase-space axis
-  std::size_t histogram_bins = 100; ///< bins for per-cluster PMFs
-  bool minibatch = true;            ///< MiniBatchKMeans vs exact Lloyd
   energy::EnergyCounter* energy = nullptr;  ///< optional work tally
 };
 

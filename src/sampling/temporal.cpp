@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "stats/entropy.hpp"
@@ -11,64 +12,94 @@
 
 namespace sickle::sampling {
 
-std::vector<std::vector<double>> snapshot_pmfs(
-    const field::SeriesSource& series, const TemporalConfig& cfg) {
-  const std::size_t n = series.num_snapshots();
-  SICKLE_CHECK_MSG(n > 0, "empty series");
-  // Pass 1: global range, so JS distances are comparable across
-  // snapshots. Sources with index-resident summaries (SKL3) answer
-  // this from metadata, turning cold-store selection into a single pass
-  // over the payload. For lossless codecs the summary min/max equal what
-  // the scan would compute, so the range and every downstream PMF are
-  // bit-identical; for quant the summary describes pre-encode values
-  // (within codec tolerance — histogram binning clamps, so PMFs stay
-  // well-defined). Sources without summaries fall back to the full scan.
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  bool summarized = true;
-  for (std::size_t t = 0; t < n && summarized; ++t) {
-    if (const auto r = series.value_range(t, cfg.variable)) {
-      lo = std::min(lo, r->min);
-      hi = std::max(hi, r->max);
-    } else {
-      summarized = false;
-    }
-  }
-  if (!summarized) {
-    lo = std::numeric_limits<double>::infinity();
-    hi = -std::numeric_limits<double>::infinity();
-    for (std::size_t t = 0; t < n; ++t) {
-      field::for_each_flat_batch(series.source(t), cfg.variable,
-                                 [&](std::span<const double> vals) {
-                                   for (const double x : vals) {
-                                     lo = std::min(lo, x);
-                                     hi = std::max(hi, x);
-                                   }
-                                 });
-    }
-  }
+namespace {
+
+/// Candidate slack of the coarse seeding stage: it keeps 2k candidates
+/// (k = num_snapshots) for the exact pass.
+constexpr std::size_t kCandidatesPerPick = 2;
+
+/// [lo, hi] widened by +/-0.5 when degenerate, so a Histogram over it is
+/// well-defined.
+field::VarRange widened(double lo, double hi) {
   if (!(hi > lo)) {
     lo -= 0.5;
     hi += 0.5;
   }
-  // Pass 2: per-snapshot histograms over the shared range.
-  std::vector<std::vector<double>> pmfs;
-  pmfs.reserve(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    stats::Histogram h(lo, hi, cfg.bins);
-    field::for_each_flat_batch(
-        series.source(t), cfg.variable,
-        [&](std::span<const double> vals) { h.add(vals); });
-    pmfs.push_back(h.pmf());
-  }
-  return pmfs;
+  return {lo, hi};
 }
 
-namespace {
+/// Exact [min, max] of `var` on snapshot t. Sources with index-resident
+/// summaries (SKL3) answer from metadata; the others get one NaN-skipping
+/// scan (an all-NaN snapshot scans to {+inf, -inf}). For lossless codecs
+/// the summary min/max equal what the scan would compute, so every
+/// downstream PMF is bit-identical; for quant the summary describes
+/// pre-encode values (within codec tolerance; histogram binning clamps,
+/// so PMFs stay well-defined).
+field::VarRange snapshot_range(const field::SeriesSource& series,
+                               std::size_t t, const std::string& var) {
+  if (const auto r = series.value_range(t, var)) return *r;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  field::for_each_flat_batch(series.source(t), var,
+                             [&](std::span<const double> vals) {
+                               for (const double x : vals) {
+                                 lo = std::min(lo, x);
+                                 hi = std::max(hi, x);
+                               }
+                             });
+  return {lo, hi};
+}
+
+/// The range every snapshot is binned over, so JS distances are
+/// comparable across snapshots.
+field::VarRange shared_range(const std::vector<field::VarRange>& ranges) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const auto& r : ranges) {
+    lo = std::min(lo, r.min);
+    hi = std::max(hi, r.max);
+  }
+  return widened(lo, hi);
+}
+
+/// Exact PMF of snapshot t over `bins` bins of `range`, streamed in
+/// flat-order gather batches.
+std::vector<double> snapshot_pmf(const field::SeriesSource& series,
+                                 std::size_t t, const std::string& var,
+                                 const field::VarRange& range,
+                                 std::size_t bins) {
+  stats::Histogram h(range.min, range.max, bins);
+  field::for_each_flat_batch(
+      series.source(t), var,
+      [&](std::span<const double> vals) { h.add(vals); });
+  return h.pmf();
+}
+
+/// Canonical coarse histogram of snapshot t over its own exact `range`
+/// (the field::kCoarseHistogramBins contract): read from the index when
+/// the source carries it (SKL3, alongside the index range: zero payload
+/// decodes), else scanned through the same stats::Histogram kernel the
+/// writer used, so either path yields bit-identical counts under lossless
+/// codecs.
+std::vector<std::uint64_t> coarse_counts(const field::SeriesSource& series,
+                                         std::size_t t, const std::string& var,
+                                         const field::VarRange& range) {
+  if (auto h = series.coarse_histogram(t, var)) return std::move(*h);
+  const field::VarRange r = widened(range.min, range.max);
+  if (!std::isfinite(r.min) || !std::isfinite(r.max) || !(r.max > r.min)) {
+    return std::vector<std::uint64_t>(field::kCoarseHistogramBins, 0);
+  }
+  stats::Histogram h(r.min, r.max, field::kCoarseHistogramBins);
+  field::for_each_flat_batch(
+      series.source(t), var,
+      [&](std::span<const double> vals) { h.add(vals); });
+  const auto& c = h.counts();
+  return std::vector<std::uint64_t>(c.begin(), c.end());
+}
 
 /// Farthest-point (max-min JS) greedy over a PMF set, starting at
 /// position 0. Returns positions in selection order — the single greedy
-/// kernel behind both the coarse seeding stage and the exact refinement.
+/// kernel behind both the coarse seeding stage and the exact pass.
 std::vector<std::size_t> greedy_maxmin(
     const std::vector<std::vector<double>>& pmfs, std::size_t k) {
   const std::size_t n = pmfs.size();
@@ -105,66 +136,57 @@ std::vector<std::size_t> greedy_maxmin(
   return selected;
 }
 
-/// Per-snapshot exact range + canonical coarse histogram, answered from
-/// the index (SKL3: zero payload decodes) or scanned through the
-/// exact same stats::Histogram kernel the writer used — the
-/// field::kCoarseHistogramBins contract — so either path yields
-/// bit-identical counts under lossless codecs.
-struct CoarseSummaries {
-  std::vector<field::VarRange> ranges;
-  std::vector<std::vector<std::uint64_t>> counts;
-};
-
-CoarseSummaries coarse_summaries(const field::SeriesSource& series,
-                                 const std::string& var) {
-  const std::size_t n = series.num_snapshots();
-  CoarseSummaries out;
-  out.ranges.resize(n);
-  out.counts.resize(n);
+/// Coarse seeding stage: each snapshot's coarse counts, rebinned from its
+/// own range onto the shared one by bin center, rank novelty
+/// approximately; the greedy keeps m candidates, returned ascending.
+std::vector<std::size_t> seed_candidates(
+    const std::vector<std::vector<std::uint64_t>>& counts,
+    const std::vector<field::VarRange>& ranges, const field::VarRange& shared,
+    std::size_t bins, std::size_t m) {
+  const std::size_t n = ranges.size();
+  const stats::Histogram ref(shared.min, shared.max, bins);  // bins only
+  std::vector<std::vector<double>> approx(n);
   for (std::size_t t = 0; t < n; ++t) {
-    const auto r = series.value_range(t, var);
-    if (r) {
-      if (auto h = series.coarse_histogram(t, var)) {
-        out.ranges[t] = *r;
-        out.counts[t] = std::move(*h);
-        continue;
-      }
+    approx[t].assign(bins, 0.0);
+    const field::VarRange own = widened(ranges[t].min, ranges[t].max);
+    const double cw =
+        (own.max - own.min) / static_cast<double>(field::kCoarseHistogramBins);
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts[t]) total += c;
+    if (total == 0) continue;  // all-NaN snapshot: zero PMF, like a scan
+    for (std::size_t i = 0; i < field::kCoarseHistogramBins; ++i) {
+      if (counts[t][i] == 0) continue;
+      const double center = own.min + (static_cast<double>(i) + 0.5) * cw;
+      approx[t][ref.bin_of(center)] += static_cast<double>(counts[t][i]);
     }
-    // Scan fallback. The range comes from the index when available (ranges
-    // only: one payload pass) or its own NaN-skipping scan (memory: two).
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    if (r) {
-      lo = r->min;
-      hi = r->max;
-    } else {
-      field::for_each_flat_batch(series.source(t), var,
-                                 [&](std::span<const double> vals) {
-                                   for (const double x : vals) {
-                                     lo = std::min(lo, x);
-                                     hi = std::max(hi, x);
-                                   }
-                                 });
-    }
-    out.ranges[t] = {lo, hi};
-    if (!(hi > lo)) {
-      lo -= 0.5;
-      hi += 0.5;
-    }
-    if (std::isfinite(lo) && std::isfinite(hi) && hi > lo) {
-      stats::Histogram h(lo, hi, field::kCoarseHistogramBins);
-      field::for_each_flat_batch(
-          series.source(t), var,
-          [&](std::span<const double> vals) { h.add(vals); });
-      out.counts[t].assign(h.counts().begin(), h.counts().end());
-    } else {
-      out.counts[t].assign(field::kCoarseHistogramBins, 0);
-    }
+    const double inv = 1.0 / static_cast<double>(total);
+    for (double& p : approx[t]) p *= inv;
   }
-  return out;
+  std::vector<std::size_t> candidates = greedy_maxmin(approx, m);
+  // Ascending order makes the exact pass deterministic AND keeps snapshot
+  // 0 (always seeded) at position 0, so the exact greedy starts there.
+  std::sort(candidates.begin(), candidates.end());
+  return candidates;
 }
 
 }  // namespace
+
+std::vector<std::vector<double>> snapshot_pmfs(
+    const field::SeriesSource& series, const TemporalConfig& cfg) {
+  const std::size_t n = series.num_snapshots();
+  SICKLE_CHECK_MSG(n > 0, "empty series");
+  std::vector<field::VarRange> ranges(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    ranges[t] = snapshot_range(series, t, cfg.variable);
+  }
+  const field::VarRange shared = shared_range(ranges);
+  std::vector<std::vector<double>> pmfs;
+  pmfs.reserve(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    pmfs.push_back(snapshot_pmf(series, t, cfg.variable, shared, cfg.bins));
+  }
+  return pmfs;
+}
 
 std::vector<std::size_t> select_snapshots(const field::SeriesSource& series,
                                           const TemporalConfig& cfg) {
@@ -172,69 +194,29 @@ std::vector<std::size_t> select_snapshots(const field::SeriesSource& series,
   SICKLE_CHECK_MSG(n > 0, "empty series");
   const std::size_t k = std::min(cfg.num_snapshots, n);
   const std::size_t m =
-      std::min(n, std::max(k, cfg.refine_factor * cfg.num_snapshots));
-  if (m >= n) {
-    // Candidates cover the series: the refinement pass IS a full exact
-    // pass, so run the legacy single-stage greedy directly (bit-identical
-    // result, and snapshot_pmfs already exploits index ranges).
-    return greedy_maxmin(snapshot_pmfs(series, cfg), k);
-  }
-
-  // Stage 1 — seed: coarse per-snapshot histograms (index-resident on
-  // SKL3, else scanned), rebinned from each snapshot's own range onto
-  // the shared global range by bin center, rank novelty approximately.
-  const CoarseSummaries cs = coarse_summaries(series, cfg.variable);
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const auto& r : cs.ranges) {
-    lo = std::min(lo, r.min);
-    hi = std::max(hi, r.max);
-  }
-  if (!(hi > lo)) {
-    lo -= 0.5;
-    hi += 0.5;
-  }
-  const stats::Histogram ref(lo, hi, cfg.bins);  // bin mapping only
-  std::vector<std::vector<double>> approx(n);
+      std::min(n, std::max(k, kCandidatesPerPick * cfg.num_snapshots));
+  // The coarse seeding stage runs only when its m candidates cannot cover
+  // the series. Each snapshot's coarse counts are read right after its
+  // range, while a scanning source still has that snapshot open.
+  const bool seed = m < n;
+  std::vector<field::VarRange> ranges(n);
+  std::vector<std::vector<std::uint64_t>> counts(seed ? n : 0);
   for (std::size_t t = 0; t < n; ++t) {
-    approx[t].assign(cfg.bins, 0.0);
-    double slo = cs.ranges[t].min;
-    double shi = cs.ranges[t].max;
-    if (!(shi > slo)) {
-      slo -= 0.5;
-      shi += 0.5;
-    }
-    const double cw =
-        (shi - slo) / static_cast<double>(field::kCoarseHistogramBins);
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : cs.counts[t]) total += c;
-    if (total == 0) continue;  // all-NaN snapshot: zero PMF, like a scan
-    for (std::size_t i = 0; i < field::kCoarseHistogramBins; ++i) {
-      if (cs.counts[t][i] == 0) continue;
-      const double center = slo + (static_cast<double>(i) + 0.5) * cw;
-      approx[t][ref.bin_of(center)] +=
-          static_cast<double>(cs.counts[t][i]);
-    }
-    const double inv = 1.0 / static_cast<double>(total);
-    for (double& p : approx[t]) p *= inv;
+    ranges[t] = snapshot_range(series, t, cfg.variable);
+    if (seed) counts[t] = coarse_counts(series, t, cfg.variable, ranges[t]);
   }
-  std::vector<std::size_t> candidates = greedy_maxmin(approx, m);
-  // Ascending order makes the refinement deterministic AND keeps snapshot
-  // 0 (always seeded) at position 0 so the exact greedy starts there,
-  // matching the legacy algorithm's anchor.
-  std::sort(candidates.begin(), candidates.end());
+  const field::VarRange shared = shared_range(ranges);
+  std::vector<std::size_t> candidates(n);
+  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+  if (seed) candidates = seed_candidates(counts, ranges, shared, cfg.bins, m);
 
-  // Stage 2 — refine: ONE exact streamed PMF pass over the candidates
-  // only (the first payload decodes on a sealed SKL3 series), then the
-  // exact greedy restricted to them picks the final k.
+  // ONE exact streamed PMF pass over the candidates (the first payload
+  // decodes on a sealed SKL3 series), then the exact greedy over them
+  // picks the final k.
   std::vector<std::vector<double>> exact;
   exact.reserve(candidates.size());
   for (const std::size_t t : candidates) {
-    stats::Histogram h(lo, hi, cfg.bins);
-    field::for_each_flat_batch(
-        series.source(t), cfg.variable,
-        [&](std::span<const double> vals) { h.add(vals); });
-    exact.push_back(h.pmf());
+    exact.push_back(snapshot_pmf(series, t, cfg.variable, shared, cfg.bins));
   }
   const std::vector<std::size_t> picks = greedy_maxmin(exact, k);
   std::vector<std::size_t> selected;
@@ -246,27 +228,6 @@ std::vector<std::size_t> select_snapshots(const field::SeriesSource& series,
 std::vector<std::size_t> select_snapshots(const field::Dataset& dataset,
                                           const TemporalConfig& cfg) {
   return select_snapshots(field::DatasetSeriesSource(dataset), cfg);
-}
-
-std::vector<double> snapshot_novelty(const field::SeriesSource& series,
-                                     const TemporalConfig& cfg,
-                                     std::size_t reference) {
-  const auto pmfs = snapshot_pmfs(series, cfg);
-  SICKLE_CHECK(reference < pmfs.size());
-  std::vector<double> out;
-  out.reserve(pmfs.size());
-  for (const auto& p : pmfs) {
-    out.push_back(stats::js_divergence(std::span<const double>(p),
-                                       std::span<const double>(pmfs[reference])));
-  }
-  return out;
-}
-
-std::vector<double> snapshot_novelty(const field::Dataset& dataset,
-                                     const TemporalConfig& cfg,
-                                     std::size_t reference) {
-  return snapshot_novelty(field::DatasetSeriesSource(dataset), cfg,
-                          reference);
 }
 
 }  // namespace sickle::sampling

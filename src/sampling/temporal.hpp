@@ -10,8 +10,8 @@
 /// Selection runs over any field::SeriesSource — an in-memory Dataset or
 /// a chunked on-disk store::SeriesReader — through one shared histogram
 /// kernel, so the streamed and in-memory paths return bit-identical
-/// snapshot indices for equal data (the Dataset overloads are thin
-/// adapters). Memory is O(bins * snapshots) plus one gather batch, never
+/// snapshot indices for equal data (the Dataset overload is a thin
+/// adapter). Memory is O(bins * snapshots) plus one gather batch, never
 /// the grid.
 #pragma once
 
@@ -29,24 +29,14 @@ struct TemporalConfig {
   std::string variable;        ///< variable whose PDF drives novelty
   std::size_t num_snapshots = 10;  ///< snapshots to keep
   std::size_t bins = 100;
-  /// Seed-and-refine candidate slack: the coarse seeding stage keeps
-  /// min(n, max(k, refine_factor * k)) candidates for the exact
-  /// refinement pass (k = num_snapshots). When the candidate set covers
-  /// the whole series (refine_factor * k >= n) selection is exactly the
-  /// legacy single-stage greedy; smaller candidate sets trade a slightly
-  /// different (still deterministic, backend-independent) selection for
-  /// proportionally less payload I/O.
-  std::size_t refine_factor = 2;
 };
 
 /// Shared-range per-snapshot PMFs of cfg.variable: all snapshots binned
-/// over the global min/max so JS distances are comparable. Streams each
-/// snapshot in flat-order gather batches — the single histogram kernel
-/// behind every select_snapshots overload. When the source carries
-/// index-resident summaries (SeriesSource::value_range, SKL3), the
-/// range pass reads metadata instead of the payload and the whole job is
-/// ONE streaming pass; otherwise it is two (range, then bins). For
-/// lossless codecs both paths produce bit-identical PMFs, since the
+/// over the global min/max so JS distances are comparable. The range comes
+/// from the index when the source carries summaries
+/// (SeriesSource::value_range, SKL3), else from one scan of each snapshot;
+/// the bins then take one streamed pass in flat-order gather batches. For
+/// lossless codecs both range sources give bit-identical PMFs, since the
 /// summaries are exact min/max of the values the scan would see; for the
 /// lossy quant codec summaries describe pre-encode values, so the shared
 /// range (and hence the selection) may differ from a decoded-value scan
@@ -58,19 +48,20 @@ struct TemporalConfig {
 /// snapshot whose PDF is farthest (min-JS over selected) from the current
 /// set. Returns selected snapshot indices in selection order.
 ///
-/// Runs as seed-then-refine (the exactness-vs-refinement contract):
-/// (1) coarse per-snapshot histograms — read from the index when the
-/// source carries them (SeriesSource::coarse_histogram + value_range,
-/// SKL3: ZERO payload decodes), else streamed — are rebinned onto the
-/// shared range and an approximate greedy keeps min(n, max(k,
-/// refine_factor * k)) candidates; (2) one exact streamed PMF pass over
-/// the candidates only, then the exact greedy restricted to them picks
-/// the final k. Every stage is deterministic and uses the same canonical
-/// coarse kernel whether summaries come from the index or a scan, so all
-/// backends (in-memory, SKL3, SKL2 spill) return identical indices
-/// for equal data under lossless codecs. When the candidate set covers
-/// the series the result is bit-identical to the legacy single-stage
-/// exact greedy.
+/// One path for every source: (1) per-snapshot ranges, from the index
+/// when the source carries them, else from one scan, form the shared
+/// range; (2) when 2k candidates (k = num_snapshots) cannot cover the n
+/// snapshots, a coarse seeding stage rebins each snapshot's canonical
+/// coarse histogram (SeriesSource::coarse_histogram on SKL3: ZERO payload
+/// decodes; else scanned) onto the shared range and an approximate
+/// greedy keeps 2k candidates, otherwise every snapshot is a candidate;
+/// (3) one exact streamed PMF pass over the candidates,
+/// then the exact greedy over them picks the final k. Every stage is
+/// deterministic and uses the same canonical kernels whether summaries
+/// come from the index or a scan, so all backends (in-memory, SKL3, SKL2
+/// spill) return identical indices for equal data under lossless codecs.
+/// When the candidates cover the series the result is the plain greedy
+/// over snapshot_pmfs.
 [[nodiscard]] std::vector<std::size_t> select_snapshots(
     const field::SeriesSource& series, const TemporalConfig& cfg);
 
@@ -78,15 +69,5 @@ struct TemporalConfig {
 /// equal data (it delegates through field::DatasetSeriesSource).
 [[nodiscard]] std::vector<std::size_t> select_snapshots(
     const field::Dataset& dataset, const TemporalConfig& cfg);
-
-/// Per-snapshot novelty scores against a fixed reference snapshot's PDF
-/// (exposed for diagnostics and tests).
-[[nodiscard]] std::vector<double> snapshot_novelty(
-    const field::SeriesSource& series, const TemporalConfig& cfg,
-    std::size_t reference = 0);
-
-[[nodiscard]] std::vector<double> snapshot_novelty(
-    const field::Dataset& dataset, const TemporalConfig& cfg,
-    std::size_t reference = 0);
 
 }  // namespace sickle::sampling

@@ -6,12 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <inttypes.h>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -82,7 +84,7 @@ struct Server::Impl {
   explicit Impl(ServeOptions o) : opts(std::move(o)) {}
 
   struct Conn {
-    int fd = -1;
+    int fd = -1;       ///< -1 once connection_loop has closed it
     std::thread th;
   };
 
@@ -247,6 +249,10 @@ struct Server::Impl {
     metrics.set("serve.cases_queued", static_cast<double>(session->queued()));
     metrics.set("serve.cases_running",
                 static_cast<double>(session->running()));
+    {
+      std::lock_guard<std::mutex> lk(conns_mu);
+      metrics.set("serve.connections", static_cast<double>(conns.size()));
+    }
     const store::CacheStats cache = CaseSession::shared_cache_stats();
     metrics.set("serve.shared_cache.hits", static_cast<double>(cache.hits));
     metrics.set("serve.shared_cache.misses",
@@ -332,10 +338,25 @@ struct Server::Impl {
       }
     }
     // Close under the registry lock so stop() can't shutdown() a reused
-    // fd number.
+    // fd number; fd == -1 then tells the accept loop this thread is done.
     std::lock_guard<std::mutex> lk(conns_mu);
     ::close(conn->fd);
     conn->fd = -1;
+  }
+
+  /// Join and drop the connections whose loop has returned, so a
+  /// long-lived daemon holds one thread per open connection only.
+  void reap_finished() {
+    std::vector<std::unique_ptr<Conn>> finished;
+    {
+      std::lock_guard<std::mutex> lk(conns_mu);
+      const auto done = std::stable_partition(
+          conns.begin(), conns.end(),
+          [](const std::unique_ptr<Conn>& c) { return c->fd >= 0; });
+      std::move(done, conns.end(), std::back_inserter(finished));
+      conns.erase(done, conns.end());
+    }
+    for (auto& conn : finished) conn->th.join();
   }
 
   void accept_loop() {
@@ -352,6 +373,7 @@ struct Server::Impl {
       }
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      reap_finished();
       auto conn = std::make_unique<Conn>();
       conn->fd = fd;
       Conn* raw = conn.get();
@@ -436,13 +458,14 @@ void Server::stop() {
   s.lifecycle_cv.notify_all();
   s.stopping.store(true, std::memory_order_relaxed);
 
-  // 1. Stop accepting: shutdown() unblocks accept(), then join.
+  // 1. Stop accepting: shutdown() unblocks accept(), then join. The fd is
+  //    closed only after the join, because the accept loop reads it.
+  if (s.listen_fd >= 0) ::shutdown(s.listen_fd, SHUT_RDWR);
+  if (s.accept_thread.joinable()) s.accept_thread.join();
   if (s.listen_fd >= 0) {
-    ::shutdown(s.listen_fd, SHUT_RDWR);
     ::close(s.listen_fd);
     s.listen_fd = -1;
   }
-  if (s.accept_thread.joinable()) s.accept_thread.join();
 
   // 2. Cancel every case so connection threads blocked in result-wait()
   //    unblock with CancelledError instead of deadlocking the joins below.

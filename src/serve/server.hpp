@@ -13,9 +13,11 @@
 ///   {"verb":"result","id":N}   -> blocks until terminal; report or error
 ///   {"verb":"cancel","id":N}   -> {"ok":true,"cancelled":bool}
 ///   {"verb":"metrics"}         -> MetricsRegistry::global() snapshot
+///                                 plus the serve.* gauges
 ///   {"verb":"shutdown"}        -> ack, then the daemon drains and exits
 ///
-/// Concurrency: one accept loop, one thread per connection, all case
+/// Concurrency: one accept loop, one thread per connection (the accept
+/// loop joins finished ones before it registers the next), all case
 /// execution inside the embedded CaseSession (admission control =
 /// server.max_concurrent_cases runners + server.queue_capacity FIFO
 /// slots). Hand-rolled on POSIX sockets — no new dependencies.

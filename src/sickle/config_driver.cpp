@@ -17,17 +17,11 @@ std::string lower(std::string s) {
   return s;
 }
 
-/// Issue sink for the section parsers: collecting mode (case_from_config
-/// gathers every problem across all sections and throws ONE ConfigError at
-/// the end) or immediate mode (the public per-section helpers, which throw
-/// on the section's full issue list as soon as it is non-empty).
-void report(std::vector<ValidationIssue>* sink, std::string field,
+/// Issue sink for the section parsers: each caller gathers every problem
+/// and throws ONE ConfigError at the end.
+void report(std::vector<ValidationIssue>& sink, std::string field,
             std::string message, std::string hint = "") {
-  if (sink == nullptr) {
-    throw ConfigError({{std::move(field), std::move(message),
-                        std::move(hint)}});
-  }
-  sink->push_back({std::move(field), std::move(message), std::move(hint)});
+  sink.push_back({std::move(field), std::move(message), std::move(hint)});
 }
 
 /// Positive-int config read: flags non-positive values as an issue and
@@ -35,7 +29,7 @@ void report(std::vector<ValidationIssue>* sink, std::string field,
 /// CaseConfig::validate() does not re-flag the same field).
 long positive_int(const Config& cfg, const std::string& section,
                   const std::string& key, long fallback,
-                  std::vector<ValidationIssue>* sink) {
+                  std::vector<ValidationIssue>& sink) {
   const long v = cfg.get_int(section, key, fallback);
   if (v <= 0) {
     report(sink, section + "." + key, key + " must be positive");
@@ -45,7 +39,7 @@ long positive_int(const Config& cfg, const std::string& section,
 }
 
 sampling::PipelineConfig pipeline_into(const Config& cfg,
-                                       std::vector<ValidationIssue>* sink) {
+                                       std::vector<ValidationIssue>& sink) {
   sampling::PipelineConfig pl;
   // Cube edges: the paper's --nxsl/--nysl/--nzsl.
   pl.cube.ex = static_cast<std::size_t>(
@@ -57,11 +51,11 @@ sampling::PipelineConfig pipeline_into(const Config& cfg,
   pl.hypercube_method = cfg.get_str("subsample", "hypercubes", "maxent");
   pl.point_method = cfg.get_str("subsample", "method", "maxent");
   pl.num_hypercubes = static_cast<std::size_t>(
-      cfg.get_int("subsample", "num_hypercubes", 32));
+      positive_int(cfg, "subsample", "num_hypercubes", 32, sink));
   pl.num_samples = static_cast<std::size_t>(
-      cfg.get_int("subsample", "num_samples", 3277));
+      positive_int(cfg, "subsample", "num_samples", 3277, sink));
   pl.num_clusters = static_cast<std::size_t>(
-      cfg.get_int("subsample", "num_clusters", 20));
+      positive_int(cfg, "subsample", "num_clusters", 20, sink));
   if (cfg.has("shared", "input_vars")) {
     pl.input_vars = cfg.get_list("shared", "input_vars");
   }
@@ -70,7 +64,7 @@ sampling::PipelineConfig pipeline_into(const Config& cfg,
   }
   pl.cluster_var = cfg.get_str("shared", "cluster_var", "");
   pl.pdf_bins = static_cast<std::size_t>(
-      cfg.get_int("subsample", "pdf_bins", 10));
+      positive_int(cfg, "subsample", "pdf_bins", 10, sink));
   pl.seed = static_cast<std::uint64_t>(cfg.get_int("shared", "seed", 42));
   // Worker threads for scoring + point sampling: 1 serial, 0 = all
   // hardware threads, N = dedicated pool. Bit-identical samples for every
@@ -87,7 +81,7 @@ sampling::PipelineConfig pipeline_into(const Config& cfg,
 }
 
 store::StoreOptions store_into(const Config& cfg,
-                               std::vector<ValidationIssue>* sink) {
+                               std::vector<ValidationIssue>& sink) {
   store::StoreOptions opts;
   // Fail at config time, not at the first mid-run snapshot spill.
   const long edge = positive_int(cfg, "store", "chunk", 32, sink);
@@ -123,7 +117,7 @@ store::StoreOptions store_into(const Config& cfg,
 }
 
 TemporalSelection temporal_into(const Config& cfg,
-                                std::vector<ValidationIssue>* sink) {
+                                std::vector<ValidationIssue>& sink) {
   TemporalSelection ts;
   const long keep = cfg.get_int("temporal", "num_snapshots", 0);
   if (keep < 0) {
@@ -166,30 +160,25 @@ double dataset_scale_from_config(const Config& cfg) {
 }
 
 sampling::PipelineConfig pipeline_from_config(const Config& cfg) {
-  return pipeline_into(cfg, nullptr);
-}
-
-store::StoreOptions store_options_from_config(const Config& cfg) {
-  return store_into(cfg, nullptr);
-}
-
-TemporalSelection temporal_from_config(const Config& cfg) {
-  return temporal_into(cfg, nullptr);
+  std::vector<ValidationIssue> issues;
+  sampling::PipelineConfig pl = pipeline_into(cfg, issues);
+  if (!issues.empty()) throw ConfigError(std::move(issues));
+  return pl;
 }
 
 CaseConfig case_from_config(const Config& cfg) {
-  // Collecting mode: every section parser appends to `issues`, invalid
-  // values are replaced with defaults so parsing continues, and the caller
-  // gets ONE ConfigError naming every problem — the contract both the
+  // Every section parser appends to `issues`, invalid values are replaced
+  // with defaults so parsing continues, and the caller gets ONE
+  // ConfigError naming every problem — the contract both the
   // config_driver CLIs and the server's submit verb rely on.
   std::vector<ValidationIssue> issues;
   CaseConfig cc;
-  cc.pipeline = pipeline_into(cfg, &issues);
+  cc.pipeline = pipeline_into(cfg, issues);
   cc.backend = lower(cfg.get_str("store", "backend", "memory"));
   cc.ingest = lower(cfg.get_str("store", "ingest", "materialize"));
-  cc.store = store_into(cfg, &issues);
+  cc.store = store_into(cfg, issues);
   cc.spill_dir = cfg.get_str("store", "spill_dir", "");
-  cc.temporal = temporal_into(cfg, &issues);
+  cc.temporal = temporal_into(cfg, issues);
   const std::string raw_arch =
       cfg.get_str("train", "arch", "MLP_transformer");
   try {
@@ -200,21 +189,25 @@ CaseConfig case_from_config(const Config& cfg) {
     cc.arch = raw_arch;
   }
   cc.window = static_cast<std::size_t>(
-      positive_int(cfg, "train", "window", 1, &issues));
+      positive_int(cfg, "train", "window", 1, issues));
   cc.model_dim = static_cast<std::size_t>(
-      positive_int(cfg, "train", "dim", 32, &issues));
+      positive_int(cfg, "train", "dim", 32, issues));
   cc.model_heads = static_cast<std::size_t>(
-      positive_int(cfg, "train", "heads", 4, &issues));
+      positive_int(cfg, "train", "heads", 4, issues));
   cc.model_layers = static_cast<std::size_t>(
-      positive_int(cfg, "train", "layers", 1, &issues));
+      positive_int(cfg, "train", "layers", 1, issues));
 
   cc.train.epochs = static_cast<std::size_t>(
-      positive_int(cfg, "train", "epochs", 1000, &issues));
+      positive_int(cfg, "train", "epochs", 1000, issues));
   cc.train.batch = static_cast<std::size_t>(
-      positive_int(cfg, "train", "batch", 16, &issues));
+      positive_int(cfg, "train", "batch", 16, issues));
   cc.train.lr = cfg.get_double("train", "lr", 1e-3);
-  cc.train.patience =
-      static_cast<std::size_t>(cfg.get_int("train", "patience", 20));
+  const long patience = cfg.get_int("train", "patience", 20);
+  if (patience < 0) {
+    report(issues, "train.patience", "train patience must be >= 0");
+  } else {
+    cc.train.patience = static_cast<std::size_t>(patience);
+  }
   cc.train.test_fraction = cfg.get_double("train", "test_frac", 0.1);
   cc.train.seed = static_cast<std::uint64_t>(
       cfg.get_int("train", "seed", cfg.get_int("shared", "seed", 42)));

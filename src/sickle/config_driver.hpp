@@ -28,35 +28,35 @@ namespace sickle {
 [[nodiscard]] double dataset_scale_from_config(const Config& cfg);
 
 /// Build the sampling pipeline from the `shared` + `subsample` sections.
-/// Missing keys fall back to the same defaults the paper's CLI uses.
-/// `subsample.threads` maps onto PipelineConfig::threads (1 = serial,
-/// 0 = all hardware threads, N = dedicated pool; samples are bit-identical
-/// for every value).
+/// Missing keys fall back to the same defaults the paper's CLI uses; the
+/// cube edges and the sizes (num_hypercubes, num_samples, num_clusters,
+/// pdf_bins) must be positive. `subsample.threads` maps onto
+/// PipelineConfig::threads (1 = serial, 0 = all hardware threads,
+/// N = dedicated pool; samples are bit-identical for every value). Throws
+/// one ConfigError naming every bad field.
 [[nodiscard]] sampling::PipelineConfig pipeline_from_config(
     const Config& cfg);
 
-/// Build the store options from the `store` section:
+/// Build the full case from the `shared`, `subsample`, `store`,
+/// `temporal` and `train` sections, and throw one ConfigError naming
+/// every bad field across all of them. The `store` section:
 ///   store:
-///     backend: skl2        # memory | skl2 | series (via case_from_config)
-///     ingest: streaming    # materialize | streaming (via case_from_config)
-///     codec: delta         # raw | delta | quant
+///     backend: skl2        # memory | skl2 | series
+///     ingest: streaming    # materialize | streaming
+///     codec: delta         # raw | delta | quant | gorilla (+ zstd in
+///                          # SICKLE_WITH_ZSTD builds)
 ///     tolerance: 1e-6      # quant max abs error
 ///     chunk: 32            # cubic chunk edge; chunk_x/y/z override
 ///     cache_mb: 64         # reader block-cache capacity
 ///     write_budget_mb: 8   # streaming-writer flush budget (SKL2 + SKL3)
 ///     spill_dir: /scratch  # spill placement (CaseConfig::spill_dir)
-[[nodiscard]] store::StoreOptions store_options_from_config(
-    const Config& cfg);
-
-/// Build the temporal snapshot-selection stage from the `temporal`
-/// section; absent section (or num_snapshots: 0) disables the stage:
+/// The `temporal` section; absent section (or num_snapshots: 0) disables
+/// the stage:
 ///   temporal:
 ///     num_snapshots: 10    # snapshots to keep (0 = keep all)
 ///     variable: T          # PDF variable; default cluster_var
 ///     bins: 100
-[[nodiscard]] TemporalSelection temporal_from_config(const Config& cfg);
-
-/// Build the full case (pipeline + training) from all three sections.
+/// `train.patience` must be >= 0.
 [[nodiscard]] CaseConfig case_from_config(const Config& cfg);
 
 /// Build the observability options from the `observability` section:

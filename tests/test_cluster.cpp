@@ -1,4 +1,4 @@
-// Unit tests: k-means and MiniBatchKMeans.
+// Unit tests: MiniBatchKMeans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,25 +22,12 @@ std::vector<double> three_blobs(Rng& rng, std::size_t per_blob) {
   return data;
 }
 
-TEST(KMeans, RecoversSeparatedBlobs) {
-  Rng rng(1);
-  const auto data = three_blobs(rng, 200);
-  KMeansOptions opts;
-  opts.k = 3;
-  const auto result = kmeans(data, data.size(), 1, opts, rng);
-  std::vector<double> centers(result.centroids);
-  std::sort(centers.begin(), centers.end());
-  EXPECT_NEAR(centers[0], 0.0, 0.5);
-  EXPECT_NEAR(centers[1], 10.0, 0.5);
-  EXPECT_NEAR(centers[2], 20.0, 0.5);
-}
-
 TEST(KMeans, LabelsConsistentWithCentroids) {
   Rng rng(2);
   const auto data = three_blobs(rng, 100);
   KMeansOptions opts;
   opts.k = 3;
-  const auto result = kmeans(data, data.size(), 1, opts, rng);
+  const auto result = minibatch_kmeans(data, data.size(), 1, opts, rng);
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(result.labels[i],
               result.assign(std::span<const double>(&data[i], 1)));
@@ -52,7 +39,7 @@ TEST(KMeans, AssignBatchMatchesPerPointAssign1D) {
   const auto data = three_blobs(rng, 150);
   KMeansOptions opts;
   opts.k = 4;
-  const auto result = kmeans(data, data.size(), 1, opts, rng);
+  const auto result = minibatch_kmeans(data, data.size(), 1, opts, rng);
   std::vector<std::uint32_t> labels(data.size());
   result.assign_batch(data, std::span<std::uint32_t>(labels));
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -67,7 +54,7 @@ TEST(KMeans, AssignBatchMatchesPerPointAssignMultiDim) {
   for (double& x : data) x = rng.normal();
   KMeansOptions opts;
   opts.k = 5;
-  const auto result = kmeans(data, 120, 3, opts, rng);
+  const auto result = minibatch_kmeans(data, 120, 3, opts, rng);
   std::vector<std::uint32_t> labels(120);
   result.assign_batch(data, std::span<std::uint32_t>(labels));
   for (std::size_t i = 0; i < 120; ++i) {
@@ -81,7 +68,7 @@ TEST(KMeans, AssignBatchSizeMismatchThrows) {
   const auto data = three_blobs(rng, 20);
   KMeansOptions opts;
   opts.k = 2;
-  const auto result = kmeans(data, data.size(), 1, opts, rng);
+  const auto result = minibatch_kmeans(data, data.size(), 1, opts, rng);
   std::vector<std::uint32_t> labels(data.size() + 1);
   EXPECT_THROW(
       result.assign_batch(data, std::span<std::uint32_t>(labels)),
@@ -93,7 +80,7 @@ TEST(KMeans, SizesSumToN) {
   const auto data = three_blobs(rng, 50);
   KMeansOptions opts;
   opts.k = 5;
-  const auto result = kmeans(data, data.size(), 1, opts, rng);
+  const auto result = minibatch_kmeans(data, data.size(), 1, opts, rng);
   std::size_t total = 0;
   for (const auto s : result.sizes) total += s;
   EXPECT_EQ(total, data.size());
@@ -107,8 +94,8 @@ TEST(KMeans, InertiaDecreasesWithMoreClusters) {
   KMeansOptions opts6;
   opts6.k = 6;
   Rng r1(10), r2(10);
-  const auto one = kmeans(data, data.size(), 1, opts1, r1);
-  const auto six = kmeans(data, data.size(), 1, opts6, r2);
+  const auto one = minibatch_kmeans(data, data.size(), 1, opts1, r1);
+  const auto six = minibatch_kmeans(data, data.size(), 1, opts6, r2);
   EXPECT_LT(six.inertia, one.inertia);
 }
 
@@ -117,7 +104,7 @@ TEST(KMeans, KEqualsNGivesZeroInertia) {
   KMeansOptions opts;
   opts.k = 4;
   Rng rng(5);
-  const auto result = kmeans(data, 4, 1, opts, rng);
+  const auto result = minibatch_kmeans(data, 4, 1, opts, rng);
   EXPECT_NEAR(result.inertia, 0.0, 1e-20);
 }
 
@@ -126,7 +113,7 @@ TEST(KMeans, RejectsMoreClustersThanPoints) {
   KMeansOptions opts;
   opts.k = 3;
   Rng rng(6);
-  EXPECT_THROW(kmeans(data, 2, 1, opts, rng), CheckError);
+  EXPECT_THROW(minibatch_kmeans(data, 2, 1, opts, rng), CheckError);
 }
 
 TEST(KMeans, MultiDimensional) {
@@ -140,7 +127,7 @@ TEST(KMeans, MultiDimensional) {
   }
   KMeansOptions opts;
   opts.k = 2;
-  const auto result = kmeans(data, 200, 2, opts, rng);
+  const auto result = minibatch_kmeans(data, 200, 2, opts, rng);
   EXPECT_EQ(result.dims, 2u);
   // Cluster centres near (0,0) and (5,-3) in some order.
   const double c0x = result.centroids[0], c1x = result.centroids[2];

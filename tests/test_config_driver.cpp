@@ -324,6 +324,54 @@ train:
   }
 }
 
+TEST(ConfigDriver, NegativeSizesAreConfigIssues) {
+  // A negative size must not wrap to ~2^64 on its way to size_t: every
+  // bad size is named in the one ConfigError, at parse time.
+  const auto cfg = Config::parse(R"(
+shared:
+  dataset: SST-P1F4
+subsample:
+  num_hypercubes: -3
+  num_samples: -1
+  num_clusters: 0
+  pdf_bins: -2
+train:
+  patience: -1
+)");
+  const auto fields_of = [](const ConfigError& e) {
+    std::vector<std::string> fields;
+    for (const auto& issue : e.issues()) fields.push_back(issue.field);
+    return fields;
+  };
+  const std::vector<std::string> sizes{
+      "subsample.num_hypercubes", "subsample.num_samples",
+      "subsample.num_clusters", "subsample.pdf_bins"};
+  try {
+    (void)case_from_config(cfg);
+    FAIL() << "case_from_config accepted negative sizes";
+  } catch (const ConfigError& e) {
+    const auto fields = fields_of(e);
+    for (const auto& field : sizes) {
+      EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
+          << field << " missing from: " << e.what();
+    }
+    EXPECT_NE(std::find(fields.begin(), fields.end(), "train.patience"),
+              fields.end())
+        << e.what();
+  }
+  // The pipeline-only entry point names the same four sizes at once.
+  try {
+    (void)pipeline_from_config(cfg);
+    FAIL() << "pipeline_from_config accepted negative sizes";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(fields_of(e), sizes);
+  }
+  // Zero patience stays valid.
+  EXPECT_EQ(case_from_config(Config::parse("train:\n  patience: 0\n"))
+                .train.patience,
+            0u);
+}
+
 TEST(ConfigDriver, ConfigErrorIsARuntimeError) {
   const auto cfg = Config::parse("shared:\n  dataset: OF2D\n  scale: -1\n");
   EXPECT_THROW((void)dataset_scale_from_config(cfg), ConfigError);

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <span>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "common/rng.hpp"
 #include "file_bytes.hpp"
 #include "gather_patterns.hpp"
+#include "stats/entropy.hpp"
 #include "stats/histogram.hpp"
 #include "sampling/pipeline.hpp"
 #include "sampling/temporal.hpp"
@@ -312,13 +314,17 @@ TEST_F(SeriesStoreTest, StreamedTemporalSelectionMatchesInMemory) {
   const auto streamed = sampling::select_snapshots(reader, cfg);
   EXPECT_EQ(streamed, in_memory);
   ASSERT_EQ(in_memory.size(), 5u);
-  // The periodic flow only has 4 distinct phases; novelty against the
-  // reference must vanish for same-phase snapshots.
-  const auto novelty_mem = sampling::snapshot_novelty(ds, cfg);
-  const auto novelty_str = sampling::snapshot_novelty(reader, cfg);
-  EXPECT_EQ(novelty_mem, novelty_str);
-  EXPECT_LT(novelty_mem[4], 1e-3);   // same phase as reference 0
-  EXPECT_GT(novelty_mem[2], 1e-3);   // opposite phase
+  // The periodic flow only has 4 distinct phases; novelty against
+  // snapshot 0 must vanish for same-phase snapshots.
+  const auto pmfs_mem =
+      sampling::snapshot_pmfs(field::DatasetSeriesSource(ds), cfg);
+  EXPECT_EQ(sampling::snapshot_pmfs(reader, cfg), pmfs_mem);
+  const auto novelty = [&](std::size_t t) {
+    return stats::js_divergence(std::span<const double>(pmfs_mem[t]),
+                                std::span<const double>(pmfs_mem[0]));
+  };
+  EXPECT_LT(novelty(4), 1e-3);   // same phase as snapshot 0
+  EXPECT_GT(novelty(2), 1e-3);   // opposite phase
 }
 
 /// Acceptance: the multi-snapshot streaming pipeline over an SKL3 series
@@ -823,7 +829,7 @@ TEST_F(SeriesStoreTest, SeededSelectionIsIdenticalWithoutIndexSummaries) {
   sampling::TemporalConfig tc;
   tc.variable = "u";
   tc.num_snapshots = 2;
-  tc.bins = 16;  // refine_factor 2 -> 4 candidates out of 12
+  tc.bins = 16;  // 2k = 4 candidates out of 12
   const auto expected =
       sampling::select_snapshots(field::DatasetSeriesSource(ds), tc);
   ASSERT_EQ(expected.size(), 2u);
@@ -836,6 +842,61 @@ TEST_F(SeriesStoreTest, SeededSelectionIsIdenticalWithoutIndexSummaries) {
   EXPECT_EQ(sampling::select_snapshots(no_summaries, tc), expected);
   EXPECT_EQ(sampling::select_snapshots(ranges_only, tc), expected);
   EXPECT_EQ(sampling::select_snapshots(reader, tc), expected);
+}
+
+/// The plain max-min JS greedy over every snapshot's PMF, written out as
+/// the reference for selection whose candidates cover the series: start at
+/// snapshot 0, then repeatedly add the snapshot whose minimum JS
+/// divergence to the picks so far is largest (lowest index on ties).
+std::vector<std::size_t> exhaustive_greedy(
+    const std::vector<std::vector<double>>& pmfs, std::size_t k) {
+  std::vector<std::size_t> picks{0};
+  while (picks.size() < k) {
+    std::size_t best = 0;
+    double best_d = -1.0;
+    for (std::size_t t = 0; t < pmfs.size(); ++t) {
+      if (std::find(picks.begin(), picks.end(), t) != picks.end()) continue;
+      double d = std::numeric_limits<double>::infinity();
+      for (const std::size_t p : picks) {
+        d = std::min(d, stats::js_divergence(std::span<const double>(pmfs[t]),
+                                             std::span<const double>(pmfs[p])));
+      }
+      if (d > best_d) {
+        best_d = d;
+        best = t;
+      }
+    }
+    picks.push_back(best);
+  }
+  return picks;
+}
+
+/// With 2k >= n the seeding stage is skipped and every snapshot is a
+/// candidate, so selection over the in-memory source and over a sealed
+/// series must both be exactly the exhaustive greedy.
+TEST_F(SeriesStoreTest, CoveringCandidatesMatchExhaustiveGreedy) {
+  const auto ds = make_series(8, /*period=*/8);
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  SeriesWriter writer(path("cover.skl3"), opts);
+  for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+    writer.append(ds.snapshot(t));
+  }
+  (void)writer.close();
+  const SeriesReader reader(path("cover.skl3"));
+  const field::DatasetSeriesSource memory(ds);
+
+  sampling::TemporalConfig tc;
+  tc.variable = "u";
+  tc.bins = 24;
+  for (const std::size_t k : {std::size_t{4}, std::size_t{6}}) {
+    tc.num_snapshots = k;  // 2k >= 8 snapshots
+    const auto expected =
+        exhaustive_greedy(sampling::snapshot_pmfs(memory, tc), k);
+    ASSERT_EQ(expected.size(), k);
+    EXPECT_EQ(sampling::select_snapshots(memory, tc), expected) << "k=" << k;
+    EXPECT_EQ(sampling::select_snapshots(reader, tc), expected) << "k=" << k;
+  }
 }
 
 /// The tentpole acceptance criterion: on a sealed series the seeding
@@ -860,7 +921,7 @@ TEST_F(SeriesStoreTest, SeededSelectionDecodesOnlyCandidateBlocks) {
   tc.num_snapshots = 2;
   tc.bins = 16;
   const std::size_t n = 12;
-  const std::size_t m = tc.refine_factor * tc.num_snapshots;  // 4 candidates
+  const std::size_t m = 2 * tc.num_snapshots;  // 4 candidates
   // 12 chunks per field per snapshot (10x6x5 grid in 4^3 chunks).
   const std::size_t chunks_per_snap = 12;
   const std::size_t tiny_cache = 2 * 4 * 4 * 4 * sizeof(double);
