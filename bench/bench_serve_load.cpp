@@ -27,8 +27,8 @@
 
 #include "bench_util.hpp"
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "common/timer.hpp"
-#include "serve/json.hpp"
 #include "serve/server.hpp"
 #include "sickle/config_driver.hpp"
 #include "sickle/dataset_zoo.hpp"
@@ -199,7 +199,7 @@ int main() {
       Client client(server.port());
       for (std::size_t i = 0; i < kCasesPerClient; ++i) {
         const std::uint64_t seed = (c * kCasesPerClient + i) % kSeeds;
-        serve::Json req = serve::Json::object();
+        Json req = Json::object();
         req.set("verb", "submit");
         req.set("config", case_yaml(seed, spill_dir));
         Timer t;
@@ -211,7 +211,7 @@ int main() {
           mismatches.fetch_add(1);
           continue;
         }
-        serve::Json res = serve::Json::object();
+        Json res = Json::object();
         res.set("verb", "result");
         res.set("id", id);
         const std::string result = client.round_trip(res.dump());

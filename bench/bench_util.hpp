@@ -5,12 +5,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/json_escape.hpp"
+#include "common/json.hpp"
 
 namespace sickle::bench {
 
@@ -44,8 +45,8 @@ inline std::string git_sha() {
 
 /// Minimal machine-readable bench report: one JSON object with a context
 /// block (bench name, git sha, hardware threads) and a flat array of
-/// records, each a name plus numeric metrics and optional string labels.
-/// Kept dependency-free on purpose — benches must build on bare images.
+/// records, each a name plus numeric metrics and optional string labels,
+/// written through the tree's own Json so benches build on bare images.
 class JsonReport {
  public:
   explicit JsonReport(std::string bench_name)
@@ -94,64 +95,49 @@ class JsonReport {
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
-  /// Write the report; returns false (after printing a warning) on I/O
-  /// failure so benches still exit 0 when run from a read-only directory.
+  /// Write the report as one line of JSON; returns false (after printing
+  /// a warning) on I/O failure so benches still exit 0 when run from a
+  /// read-only directory.
   bool write(const std::string& path) const {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n",
-                 json_escape(bench_name_).c_str());
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n",
-                 json_escape(git_sha()).c_str());
-    std::fprintf(f, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"records\": [\n");
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::fprintf(f, "    {\"name\": \"%s\"", json_escape(r.name).c_str());
-      for (const auto& [key, value] : r.labels) {
-        std::fprintf(f, ", \"%s\": \"%s\"", json_escape(key).c_str(),
-                     json_escape(value).c_str());
-      }
-      for (const auto& [key, value] : r.metrics) {
-        std::fprintf(f, ", \"%s\": %.9g", json_escape(key).c_str(), value);
-      }
+    Json records = Json::array();
+    for (const Record& r : records_) {
+      Json rec = Json::object();
+      rec.set("name", r.name);
+      for (const auto& [key, value] : r.labels) rec.set(key, value);
+      for (const auto& [key, value] : r.metrics) rec.set(key, value);
       std::size_t repeats = 0;
       for (const auto& [key, samples] : r.samples) {
         std::vector<double> sorted = samples;
         std::sort(sorted.begin(), sorted.end());
         const std::size_t n = sorted.size();
-        const double median = n % 2 == 1
-                                  ? sorted[n / 2]
-                                  : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-        std::fprintf(f, ", \"%s\": %.9g", json_escape(key).c_str(), median);
+        rec.set(key, n % 2 == 1 ? sorted[n / 2]
+                                : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]));
         if (n > 1) {
-          std::fprintf(f, ", \"%s_min\": %.9g, \"%s_max\": %.9g",
-                       json_escape(key).c_str(), sorted.front(),
-                       json_escape(key).c_str(), sorted.back());
+          rec.set(key + "_min", sorted.front());
+          rec.set(key + "_max", sorted.back());
         }
         repeats = std::max(repeats, n);
       }
-      if (repeats > 1) {
-        std::fprintf(f, ", \"repeats\": %zu", repeats);
-      }
-      std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
+      if (repeats > 1) rec.set("repeats", static_cast<double>(repeats));
+      records.push(std::move(rec));
     }
-    std::fprintf(f, "  ]\n}\n");
-    // fclose flushes the stdio buffer — its result is the real verdict
-    // (a full disk surfaces here, not at the fprintfs). Always close,
-    // even when a write already failed.
-    const bool had_error = std::ferror(f) != 0;
-    const bool ok = (std::fclose(f) == 0) && !had_error;
-    if (ok) {
-      std::printf("wrote %s (%zu records)\n", path.c_str(), size());
-    } else {
-      std::fprintf(stderr, "bench: error writing %s\n", path.c_str());
+    Json doc = Json::object();
+    doc.set("bench", bench_name_);
+    doc.set("git_sha", git_sha());
+    doc.set("hardware_threads",
+            static_cast<double>(std::thread::hardware_concurrency()));
+    doc.set("records", std::move(records));
+
+    std::ofstream out(path, std::ios::trunc);
+    out << doc.dump() << '\n';
+    // close() flushes, so a full disk fails the stream here too.
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+      return false;
     }
-    return ok;
+    std::printf("wrote %s (%zu records)\n", path.c_str(), size());
+    return true;
   }
 
  private:

@@ -1,13 +1,12 @@
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/json_escape.hpp"
-
-namespace sickle::serve {
+namespace sickle {
 
 namespace {
 
@@ -201,24 +200,44 @@ struct Parser {
   }
 };
 
+/// `"` and `\` get a backslash, newline, CR and tab their short escapes,
+/// and every other byte below 0x20 a \u00XX escape. All other bytes,
+/// UTF-8 sequences included, pass through unchanged.
 void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
-  out += json_escape(s);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
   out.push_back('"');
 }
 
 void dump_number(double v, std::string& out) {
-  // Integers (the common case: ids, counts) print without an exponent or
-  // trailing zeros; everything else round-trips via %.17g.
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-    return;
-  }
+  // Integers a double holds exactly (the common case: ids, counts) print
+  // in full, without an exponent; everything else in the shortest form
+  // that parses back to the same double.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  const bool integral =
+      std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 0x1p53;
+  const auto res =
+      integral ? std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::fixed)
+               : std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
 }
 
 }  // namespace
@@ -316,4 +335,4 @@ void Json::dump_to(std::string& out) const {
   }
 }
 
-}  // namespace sickle::serve
+}  // namespace sickle

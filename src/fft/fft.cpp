@@ -49,6 +49,11 @@ void transform(std::span<cplx> data, bool inverse) {
   }
 }
 
+namespace {
+
+/// Strided transform used to build the 3D FFT: transforms `count` lines
+/// of length n with stride `stride`, starting at offsets
+/// 0..count-1 * `dist`.
 void transform_lines(cplx* data, std::size_t n, std::size_t stride,
                      std::size_t count, std::size_t dist, bool inverse) {
   std::vector<cplx> line(n);
@@ -64,15 +69,7 @@ void transform_lines(cplx* data, std::size_t n, std::size_t stride,
   }
 }
 
-void transform_2d(std::span<cplx> data, std::size_t nx, std::size_t ny,
-                  bool inverse) {
-  SICKLE_CHECK(data.size() == nx * ny);
-  // Rows (contiguous along y), then columns.
-  transform_lines(data.data(), ny, 1, nx, ny, inverse);
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    transform_lines(data.data() + iy, nx, ny, 1, 0, inverse);
-  }
-}
+}  // namespace
 
 void transform_3d(std::span<cplx> data, std::size_t nx, std::size_t ny,
                   std::size_t nz, bool inverse) {

@@ -27,20 +27,10 @@ void transform(std::span<cplx> data, bool inverse);
 inline void forward(std::span<cplx> data) { transform(data, false); }
 inline void inverse(std::span<cplx> data) { transform(data, true); }
 
-/// Out-of-place strided transform used to build multidimensional FFTs.
-/// Transforms `count` interleaved lines of length n with stride `stride`
-/// starting at offsets 0..count-1 * `dist`.
-void transform_lines(cplx* data, std::size_t n, std::size_t stride,
-                     std::size_t count, std::size_t dist, bool inverse);
-
 /// 3D FFT over a contiguous nz-fastest array: index = (ix*ny + iy)*nz + iz.
 /// All three extents must be powers of two.
 void transform_3d(std::span<cplx> data, std::size_t nx, std::size_t ny,
                   std::size_t nz, bool inverse);
-
-/// 2D FFT, ny-fastest: index = ix*ny + iy.
-void transform_2d(std::span<cplx> data, std::size_t nx, std::size_t ny,
-                  bool inverse);
 
 /// Signed integer wavenumber for FFT bin i of an n-point transform:
 /// 0,1,...,n/2-1, -n/2, ..., -1.

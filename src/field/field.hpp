@@ -73,7 +73,6 @@ class Snapshot {
 
   [[nodiscard]] const GridShape& shape() const noexcept { return shape_; }
   [[nodiscard]] double time() const noexcept { return time_; }
-  void set_time(double t) noexcept { time_ = t; }
 
   /// Add a variable; name must be unique within the snapshot. The
   /// returned reference stays valid across later add() calls (fields live

@@ -1,32 +1,11 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "common/json_escape.hpp"
+#include "common/json.hpp"
 
 namespace sickle::obs {
-
-namespace {
-
-// %.17g round-trips doubles exactly; trim to a plain decimal when the
-// value is integral so counter exports stay human-readable.
-std::string format_value(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 double Histogram::min() const noexcept {
   return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
@@ -131,17 +110,11 @@ std::map<std::string, double> MetricsRegistry::snapshot() const {
 }
 
 std::string MetricsRegistry::to_json() const {
-  const auto snap = snapshot();
-  std::ostringstream os;
-  os << "{\n  \"metrics\": {";
-  bool first = true;
-  for (const auto& [name, value] : snap) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    \"" << json_escape(name) << "\": " << format_value(value);
-  }
-  os << (first ? "}" : "\n  }") << "\n}\n";
-  return os.str();
+  Json metrics = Json::object();
+  for (const auto& [name, value] : snapshot()) metrics.set(name, value);
+  Json doc = Json::object();
+  doc.set("metrics", std::move(metrics));
+  return doc.dump() + "\n";
 }
 
 void MetricsRegistry::write_json(const std::string& path) const {

@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named atomic counters, gauges, and
-// histograms with snapshot-to-JSON export (ROADMAP D2: the exported
-// metrics endpoint sickle-as-a-service will serve).
+// histograms with snapshot-to-JSON export (the `metrics_path` file; the
+// sickle-serve `metrics` verb serves the same snapshot).
 //
 // Design notes:
 //  - Instrument handles (`Counter&`, `Gauge&`, `Histogram&`) are stable
@@ -117,8 +117,8 @@ class MetricsRegistry {
   /// `.count` / `.sum` / `.min` / `.max` entries.
   [[nodiscard]] std::map<std::string, double> snapshot() const;
 
-  /// `{"metrics": {name: value, ...}}`, names sorted, one entry per
-  /// line — stable across runs for diffing.
+  /// `{"metrics": {name: value, ...}}` on one line ending in a newline,
+  /// names sorted so the output is stable across runs.
   [[nodiscard]] std::string to_json() const;
 
   /// Write to_json() to `path` (throws RuntimeError on I/O failure).

@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
-#include "serve/json.hpp"
 #include "sickle/config_driver.hpp"
 #include "sickle/dataset_zoo.hpp"
 
@@ -68,15 +68,24 @@ void send_all(int fd, const std::string& line) {
 }  // namespace
 
 ServeOptions serve_options_from_config(const Config& cfg) {
+  // Every value is checked before its cast (-1 runners would become
+  // 2^64-1 threads), and one ConfigError names every bad field.
+  std::vector<ValidationIssue> issues;
   ServeOptions o;
   o.host = cfg.get_str("server", "host", o.host);
-  o.port = static_cast<std::uint16_t>(cfg.get_int("server", "port", 0));
+  const long port = cfg.get_int("server", "port", 0);
+  if (port < 0 || port > 65535) {
+    issues.push_back({"server.port", "port must be in 0-65535", ""});
+  } else {
+    o.port = static_cast<std::uint16_t>(port);
+  }
   o.session.max_concurrent_cases = static_cast<std::size_t>(
-      cfg.get_int("server", "max_concurrent_cases", 1));
-  o.session.queue_capacity =
-      static_cast<std::size_t>(cfg.get_int("server", "queue_capacity", 16));
+      positive_int(cfg, "server", "max_concurrent_cases", 1, issues));
+  o.session.queue_capacity = static_cast<std::size_t>(
+      positive_int(cfg, "server", "queue_capacity", 16, issues));
   o.session.shared_block_cache =
       cfg.get_bool("server", "shared_block_cache", true);
+  if (!issues.empty()) throw ConfigError(std::move(issues));
   return o;
 }
 
@@ -238,8 +247,8 @@ struct Server::Impl {
   }
 
   Json do_metrics() {
-    // MetricsRegistry::to_json() pretty-prints across lines; the NDJSON
-    // frame is rebuilt single-line from the snapshot instead.
+    // The registry snapshot plus the serve.* gauges, which the daemon
+    // reads from its own state rather than the registry.
     Json metrics = Json::object();
     for (const auto& [k, v] : obs::MetricsRegistry::global().snapshot()) {
       metrics.set(k, v);

@@ -42,7 +42,9 @@ struct ServeOptions {
 };
 
 /// Map the `server:` config section (port, host, max_concurrent_cases,
-/// queue_capacity, shared_block_cache) onto ServeOptions.
+/// queue_capacity, shared_block_cache) onto ServeOptions. The port must
+/// be in 0-65535 and both sizes positive; throws one ConfigError naming
+/// every bad field.
 [[nodiscard]] ServeOptions serve_options_from_config(const Config& cfg);
 
 class Server {

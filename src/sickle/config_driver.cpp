@@ -24,20 +24,6 @@ void report(std::vector<ValidationIssue>& sink, std::string field,
   sink.push_back({std::move(field), std::move(message), std::move(hint)});
 }
 
-/// Positive-int config read: flags non-positive values as an issue and
-/// substitutes `fallback` so downstream casts never see garbage (and
-/// CaseConfig::validate() does not re-flag the same field).
-long positive_int(const Config& cfg, const std::string& section,
-                  const std::string& key, long fallback,
-                  std::vector<ValidationIssue>& sink) {
-  const long v = cfg.get_int(section, key, fallback);
-  if (v <= 0) {
-    report(sink, section + "." + key, key + " must be positive");
-    return fallback;
-  }
-  return v;
-}
-
 sampling::PipelineConfig pipeline_into(const Config& cfg,
                                        std::vector<ValidationIssue>& sink) {
   sampling::PipelineConfig pl;
@@ -133,6 +119,17 @@ TemporalSelection temporal_into(const Config& cfg,
 }
 
 }  // namespace
+
+long positive_int(const Config& cfg, const std::string& section,
+                  const std::string& key, long fallback,
+                  std::vector<ValidationIssue>& sink) {
+  const long v = cfg.get_int(section, key, fallback);
+  if (v <= 0) {
+    report(sink, section + "." + key, key + " must be positive");
+    return fallback;
+  }
+  return v;
+}
 
 std::string normalize_arch(const std::string& arch) {
   const std::string a = lower(arch);
@@ -251,18 +248,20 @@ obs::ObsOptions obs_options_from_config(const Config& cfg) {
 }
 
 InferenceOptions inference_from_config(const Config& cfg) {
+  std::vector<ValidationIssue> issues;
   InferenceOptions io;
   io.prune_rms = cfg.get_double("inference", "prune_rms", 0.0);
-  io.probes =
-      static_cast<std::size_t>(cfg.get_int("inference", "probes", 32));
-  io.min_hidden =
-      static_cast<std::size_t>(cfg.get_int("inference", "min_hidden", 2));
+  io.probes = static_cast<std::size_t>(
+      positive_int(cfg, "inference", "probes", 32, issues));
+  io.min_hidden = static_cast<std::size_t>(
+      positive_int(cfg, "inference", "min_hidden", 2, issues));
   io.engine_path = cfg.get_str("inference", "engine_path", "");
   const bool any_key =
       cfg.has("inference", "prune_rms") || cfg.has("inference", "probes") ||
       cfg.has("inference", "min_hidden") ||
       cfg.has("inference", "engine_path");
   io.enabled = cfg.get_bool("inference", "enabled", any_key);
+  if (!issues.empty()) throw ConfigError(std::move(issues));
   return io;
 }
 

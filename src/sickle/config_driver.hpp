@@ -11,12 +11,21 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "obs/obs.hpp"
 #include "sickle/case.hpp"
 
 namespace sickle {
+
+/// Read `section.key` as an integer that must be positive. A value <= 0
+/// is appended to `sink` as an issue and `fallback` returned in its place,
+/// so a parser can go on and then throw one ConfigError naming every bad
+/// field (and downstream casts never see garbage).
+[[nodiscard]] long positive_int(const Config& cfg, const std::string& section,
+                                const std::string& key, long fallback,
+                                std::vector<ValidationIssue>& sink);
 
 /// Dataset label: `shared.dataset` (zoo label, e.g. "SST-P1F4"); the
 /// paper's `dtype`+`path` pair maps onto the generator zoo offline.
@@ -91,6 +100,8 @@ struct InferenceOptions {
 ///     engine_path: drag.engine
 /// `enabled` defaults to true exactly when any other inference key is
 /// set, mirroring the observability section; absent section = disabled.
+/// `probes` and `min_hidden` must be positive; throws one ConfigError
+/// naming every bad field.
 [[nodiscard]] InferenceOptions inference_from_config(const Config& cfg);
 
 /// Normalize the paper's architecture spellings ("MLP_transformer",

@@ -117,9 +117,6 @@ class SeriesWriter {
   /// Requires at least one appended snapshot.
   SeriesWriteReport close();
 
-  [[nodiscard]] std::size_t snapshots_appended() const noexcept {
-    return times_.size();
-  }
   [[nodiscard]] bool closed() const noexcept { return closed_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 

@@ -6,7 +6,7 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
-#include "common/json_escape.hpp"
+#include "common/json.hpp"
 #include "common/mathx.hpp"
 #include "common/rng.hpp"
 
@@ -166,6 +166,14 @@ TEST(Mathx, XlogxOverY) {
   EXPECT_NEAR(xlogx_over_y(0.5, 0.25), 0.5 * std::log(2.0), 1e-12);
 }
 
+/// What Json's string writer puts between the quotes for `s`.
+std::string json_escape(const std::string& s) {
+  const std::string quoted = Json(s).dump();
+  EXPECT_EQ(quoted.front(), '"');
+  EXPECT_EQ(quoted.back(), '"');
+  return quoted.substr(1, quoted.size() - 2);
+}
+
 TEST(JsonEscape, PinsEscapesForQuotesBackslashesAndControlBytes) {
   EXPECT_EQ(json_escape("\""), "\\\"");
   EXPECT_EQ(json_escape("\\"), "\\\\");
@@ -181,6 +189,17 @@ TEST(JsonEscape, Utf8MultiByteNamePassesThrough) {
   // "séance→Ω" in UTF-8: two-, three- and two-byte sequences.
   const std::string name = "s\xc3\xa9" "ance\xe2\x86\x92\xce\xa9";
   EXPECT_EQ(json_escape(name), name);
+}
+
+TEST(JsonNumber, IntegersPrintInFullAndFractionsRoundTrip) {
+  EXPECT_EQ(Json(3.0).dump(), "3");
+  EXPECT_EQ(Json(-42.0).dump(), "-42");
+  EXPECT_EQ(Json(4503599627370497.0).dump(), "4503599627370497");  // 2^52+1
+  EXPECT_EQ(Json(0.1).dump(), "0.1");
+  EXPECT_EQ(Json(1234.567).dump(), "1234.567");
+  for (const double v : {0.1, 1.0 / 3.0, 1234.567, 6.02e23, -2.5e-300}) {
+    EXPECT_EQ(Json::parse(Json(v).dump()).as_number(), v) << v;
+  }
 }
 
 TEST(Config, ParsesSectionsAndScalars) {

@@ -372,6 +372,26 @@ train:
             0u);
 }
 
+TEST(ConfigDriver, InferenceSizesMustBePositive) {
+  // probes and min_hidden become size_t: a non-positive value is named in
+  // one ConfigError instead of wrapping to ~2^64.
+  try {
+    (void)inference_from_config(
+        Config::parse("inference:\n  probes: 0\n  min_hidden: -2\n"));
+    FAIL() << "inference_from_config accepted non-positive sizes";
+  } catch (const ConfigError& e) {
+    std::vector<std::string> fields;
+    for (const auto& issue : e.issues()) fields.push_back(issue.field);
+    EXPECT_EQ(fields, (std::vector<std::string>{"inference.probes",
+                                                "inference.min_hidden"}));
+  }
+  const auto io = inference_from_config(
+      Config::parse("inference:\n  probes: 1\n  min_hidden: 1\n"));
+  EXPECT_TRUE(io.enabled);
+  EXPECT_EQ(io.probes, 1u);
+  EXPECT_EQ(io.min_hidden, 1u);
+}
+
 TEST(ConfigDriver, ConfigErrorIsARuntimeError) {
   const auto cfg = Config::parse("shared:\n  dataset: OF2D\n  scale: -1\n");
   EXPECT_THROW((void)dataset_scale_from_config(cfg), ConfigError);

@@ -74,19 +74,6 @@ TEST(Fft, ParsevalHolds) {
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-6);
 }
 
-TEST(Fft, RoundTrip2D) {
-  Rng rng(3);
-  const std::size_t nx = 16, ny = 8;
-  std::vector<cplx> data(nx * ny);
-  for (auto& x : data) x = cplx(rng.normal(), 0.0);
-  auto copy = data;
-  transform_2d(std::span<cplx>(data), nx, ny, false);
-  transform_2d(std::span<cplx>(data), nx, ny, true);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(data[i].real(), copy[i].real(), 1e-10);
-  }
-}
-
 TEST(Fft, RoundTrip3D) {
   Rng rng(4);
   const std::size_t nx = 8, ny = 4, nz = 16;

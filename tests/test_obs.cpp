@@ -1,7 +1,7 @@
 // Observability layer: metrics registry, scoped span tracing, Chrome
 // trace export, and the per-stage case telemetry the orchestrator and
 // store publish through it. The pool fan-out tests double as the TSan
-// targets for the per-thread span buffers.
+// targets for the tracer's locked span buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +10,11 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -26,8 +28,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Reset every piece of process-global obs state so tests compose in one
-/// process as well as under ctest's per-test processes.
+/// Disable the layer, drop every buffered span and zero every metric. The
+/// registry keeps the names an earlier test in the same process registered
+/// (cached handles must stay valid), so a test compares snapshots rather
+/// than expecting an empty one.
 void reset_obs() {
   obs::set_enabled(false);
   obs::Tracer::instance().clear();
@@ -116,9 +120,15 @@ TEST(Metrics, JsonExportIsSortedAndParsesBack) {
   reg.counter("b.count").add(2);
   reg.gauge("a.seconds").set(1.5);
   const std::string json = reg.to_json();
-  // Sorted: "a.seconds" before "b.count"; both carried verbatim.
-  EXPECT_LT(json.find("\"a.seconds\": 1.5"), json.find("\"b.count\": 2"));
-  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+  const Json doc = Json::parse(json);
+  const Json* metrics = doc.get("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_NE(metrics->get("a.seconds"), nullptr);
+  ASSERT_NE(metrics->get("b.count"), nullptr);
+  EXPECT_EQ(metrics->get("a.seconds")->as_number(), 1.5);
+  EXPECT_EQ(metrics->get("b.count")->as_number(), 2.0);
+  // Sorted: "a.seconds" before "b.count".
+  EXPECT_LT(json.find("\"a.seconds\""), json.find("\"b.count\""));
 
   const auto path = fs::temp_directory_path() / "sickle_obs_metrics.json";
   reg.write_json(path.string());
@@ -132,13 +142,14 @@ TEST(Metrics, JsonExportIsSortedAndParsesBack) {
 TEST(Trace, DisabledSpansRecordNothing) {
   reset_obs();
   const std::size_t before = obs::Tracer::instance().size();
+  const auto metrics_before = obs::MetricsRegistry::global().snapshot();
   for (int i = 0; i < 200000; ++i) {
     obs::Span span("test.disabled", "test");
   }
   EXPECT_EQ(obs::Tracer::instance().size(), before);
   // The registry is untouched too: disabled instrumentation publishes
   // nothing (the BlockCache/pool publications are gated on enabled()).
-  EXPECT_TRUE(obs::MetricsRegistry::global().snapshot().empty());
+  EXPECT_EQ(obs::MetricsRegistry::global().snapshot(), metrics_before);
 }
 
 TEST(Trace, NestedSpansSingleThread) {
@@ -184,10 +195,10 @@ TEST(Trace, NestedSpansSingleThread) {
 }
 
 TEST(Trace, PoolFanOutNestingDeterministic) {
-  // Spans on pool workers land in per-thread buffers; every task's
+  // Spans on pool workers land in the one locked buffer; every task's
   // inner/outer pair must nest under that worker's pool.task span with
   // consistent parent links regardless of scheduling. This is the TSan
-  // target for the tracer's buffer handoff.
+  // target for the tracer's buffer and its thread-local span stacks.
   reset_obs();
   obs::set_enabled(true);
   const std::uint64_t tasks_before =
@@ -236,6 +247,83 @@ TEST(Trace, PoolFanOutNestingDeterministic) {
       obs::MetricsRegistry::global().counter("pool.tasks_executed").value(),
       tasks_before + kTasks);
   reset_obs();
+}
+
+TEST(Trace, ChromeExportParsesBackToTheBufferedEvents) {
+  // The exporter's own round trip, which needs no python3: one line of
+  // JSON holding every buffered event in events() order, with integer
+  // ids, parents, depths and dropped_events.
+  reset_obs();
+  obs::set_enabled(true);
+  {
+    obs::Span root("test.root", "test");
+    obs::Span child("test.child", "test");
+    ThreadPool pool(2);
+    TaskGroup group(pool);
+    for (int i = 0; i < 4; ++i) {
+      group.run([] { obs::Span task_span("test.task", "test"); });
+    }
+    group.wait();
+  }
+  obs::set_enabled(false);
+
+  const auto want = obs::Tracer::instance().events();
+  const auto path = fs::temp_directory_path() / "sickle_obs_parse.json";
+  obs::Tracer::instance().write_chrome_trace(path.string());
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  fs::remove(path);
+  EXPECT_EQ(text.find('\n'), text.size() - 1);
+
+  const Json doc = Json::parse(text);
+  ASSERT_NE(doc.get("otherData"), nullptr);
+  EXPECT_EQ(doc.get("otherData")->dump(), "{\"dropped_events\":0}");
+  const Json* events = doc.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->items().size(), want.size());
+  ASSERT_EQ(want.size(), 10u);  // root, child, 4 tasks, 4 pool.task
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const obs::TraceEvent& e = want[i];
+    const Json& ev = events->items()[i];
+    ASSERT_TRUE(ev.is_object());
+    ASSERT_NE(ev.get("name"), nullptr);
+    EXPECT_EQ(ev.get("name")->as_string(), e.name);
+    ASSERT_NE(ev.get("ts"), nullptr);
+    EXPECT_EQ(ev.get("ts")->as_number(), static_cast<double>(e.ts_ns) / 1e3);
+    ASSERT_NE(ev.get("dur"), nullptr);
+    EXPECT_EQ(ev.get("dur")->as_number(),
+              static_cast<double>(e.dur_ns) / 1e3);
+    ASSERT_NE(ev.get("tid"), nullptr);
+    EXPECT_EQ(ev.get("tid")->dump(), std::to_string(e.tid));
+    ASSERT_NE(ev.get("args"), nullptr);
+    EXPECT_EQ(ev.get("args")->dump(),
+              "{\"id\":" + std::to_string(e.id) +
+                  ",\"parent\":" + std::to_string(e.parent) +
+                  ",\"depth\":" + std::to_string(e.depth) + "}");
+  }
+  reset_obs();
+}
+
+TEST(TraceCap, ConcurrentRecordersStopAtExactlyTheCap) {
+  // 2^20 events are kept, every span past them is counted as dropped,
+  // however many threads race for the last slots.
+  reset_obs();
+  constexpr std::size_t kCap = std::size_t{1} << 20;
+  obs::set_enabled(true);
+  const auto fill = [] {
+    for (std::size_t i = 0; i < kCap / 2 + 2; ++i) {
+      obs::Span span("test.fill", "test");
+    }
+  };
+  std::thread a(fill), b(fill);
+  a.join();
+  b.join();
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::Tracer::instance().size(), kCap);
+  EXPECT_EQ(obs::Tracer::instance().dropped(), 4u);
+  reset_obs();
+  EXPECT_EQ(obs::Tracer::instance().dropped(), 0u);
 }
 
 TEST(Trace, ChromeExportRoundTripsThroughTraceCheck) {

@@ -9,9 +9,11 @@
 #include <unistd.h>
 
 #include <string>
+#include <vector>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 #include "serve/server.hpp"
+#include "sickle/errors.hpp"
 
 namespace sickle::serve {
 namespace {
@@ -51,6 +53,42 @@ double held_connections(std::uint16_t port) {
   const Json* held = metrics->get("serve.connections");
   EXPECT_NE(held, nullptr) << reply.dump();
   return held == nullptr ? -1.0 : held->as_number();
+}
+
+/// The fields one ConfigError from serve_options_from_config names; empty
+/// (and a test failure) when the config is accepted.
+std::vector<std::string> rejected_fields(const std::string& yaml) {
+  std::vector<std::string> fields;
+  try {
+    (void)serve_options_from_config(Config::parse(yaml));
+    ADD_FAILURE() << "accepted:\n" << yaml;
+  } catch (const ConfigError& e) {
+    for (const auto& issue : e.issues()) fields.push_back(issue.field);
+  }
+  return fields;
+}
+
+TEST(Serve, OptionsRejectOutOfRangeValues) {
+  // Options only: no Server or CaseSession is built, so an unchecked -1
+  // can never ask for 2^64-1 runner threads here.
+  EXPECT_EQ(rejected_fields("server:\n"
+                            "  port: 65536\n"
+                            "  max_concurrent_cases: -1\n"
+                            "  queue_capacity: 0\n"),
+            (std::vector<std::string>{"server.port",
+                                      "server.max_concurrent_cases",
+                                      "server.queue_capacity"}));
+  EXPECT_EQ(rejected_fields("server:\n  port: -1\n"),
+            std::vector<std::string>{"server.port"});
+  // The bounds themselves are accepted.
+  const ServeOptions edge = serve_options_from_config(
+      Config::parse("server:\n"
+                    "  port: 65535\n"
+                    "  max_concurrent_cases: 1\n"
+                    "  queue_capacity: 1\n"));
+  EXPECT_EQ(edge.port, 65535);
+  EXPECT_EQ(edge.session.max_concurrent_cases, 1u);
+  EXPECT_EQ(edge.session.queue_capacity, 1u);
 }
 
 TEST(Serve, FinishedConnectionsAreJoined) {

@@ -1,10 +1,10 @@
-// serve::Json parser bounds: container nesting is capped, so one request
+// Json parser bounds: container nesting is capped, so one request
 // line cannot recurse the daemon's connection thread off its stack.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 namespace sickle::serve {
 namespace {

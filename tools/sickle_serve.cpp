@@ -44,6 +44,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
       port_override = std::atoi(argv[++i]);
+      if (port_override < 0 || port_override > 65535) {
+        std::fprintf(stderr, "sickle-serve: --port must be in 0-65535\n");
+        return 2;
+      }
     } else if (config_path.empty()) {
       config_path = argv[i];
     } else {

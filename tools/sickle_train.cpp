@@ -128,6 +128,8 @@ void inference_stage(ml::LstmModel& model, const ml::TensorDataset& data,
 /// LstmModel training, then the optional inference stage.
 void run_lstm_drag_case(const Config& cfg, const CaseConfig& cc,
                         const std::string& label) {
+  // Parsed first, so a bad inference key fails before training does.
+  const InferenceOptions io = inference_from_config(cfg);
   const auto seed =
       static_cast<std::uint64_t>(cfg.get_int("shared", "seed", 42));
   DatasetBundle bundle =
@@ -162,7 +164,6 @@ void run_lstm_drag_case(const Config& cfg, const CaseConfig& cc,
               sampling_energy.projected_kilojoules() +
                   tr.energy.projected_kilojoules());
 
-  const InferenceOptions io = inference_from_config(cfg);
   if (io.enabled) inference_stage(model, data, io);
 }
 

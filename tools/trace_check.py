@@ -33,9 +33,10 @@ import argparse
 import json
 import sys
 
-# ts/dur are nanoseconds printed as microseconds with three decimals, so
-# containment is exact up to float formatting; a couple of nanoseconds of
-# slack absorbs the double round-trip.
+# ts/dur are nanoseconds divided into microseconds and printed as the
+# shortest decimal that parses back to the same double, so containment is
+# exact up to float arithmetic; a couple of nanoseconds of slack absorbs
+# the sums.
 EPS_US = 0.002
 
 
