@@ -1,13 +1,17 @@
 // Tests: optimizers, scheduler, precision emulation, trainer, DDP.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <functional>
 
 #include "ml/layers_basic.hpp"
 #include "ml/models.hpp"
 #include "ml/optim.hpp"
 #include "ml/trainer.hpp"
 #include "parallel/world.hpp"
+#include "store/chunk_layout.hpp"
 
 namespace sickle::ml {
 namespace {
@@ -233,6 +237,182 @@ TEST(Evaluate, MatchesManualMse) {
   Identity model;
   const std::vector<std::size_t> idx{0};
   EXPECT_DOUBLE_EQ(evaluate(model, data, idx), 1.0);  // (1-2)^2
+}
+
+
+/// FNV-1a over the raw bytes of a float vector.
+std::uint64_t float_digest(const std::vector<float>& v) {
+  return store::fnv1a64(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(v.data()),
+      v.size() * sizeof(float)));
+}
+
+/// Every libm result the training path depends on: Box-Muller's log and
+/// cos (weight init), the float exp and tanh of the activations, softmax
+/// and LSTM gates, and Adam's bias-correction pow.
+std::uint64_t libm_probe() {
+  std::vector<float> out;
+  for (int i = -4000; i <= 4000; ++i) {
+    const float x = static_cast<float>(i) * 2.5e-3f;
+    out.push_back(std::exp(x));
+    out.push_back(std::tanh(x));
+  }
+  for (int i = 1; i <= 4000; ++i) {
+    const double u = static_cast<double>(i) / 4001.0;
+    out.push_back(static_cast<float>(std::log(u)));
+    out.push_back(static_cast<float>(std::cos(6.283185307179586 * u)));
+    out.push_back(static_cast<float>(std::pow(0.999, static_cast<double>(i))));
+  }
+  return float_digest(out);
+}
+
+struct GoldenFit {
+  std::vector<double> epoch_losses;
+  double test_loss = 0.0;
+  std::size_t parameters = 0;
+  double flops = 0.0;
+  double projected_kj = 0.0;
+};
+
+/// A tiny seeded fit: 20 random examples of the given shapes, 3 epochs of
+/// batch 4 (18 train, 2 test).
+GoldenFit golden_fit(Module& model, const std::vector<std::size_t>& in_shape,
+                     const std::vector<std::size_t>& out_shape) {
+  Rng rng(77);
+  TensorDataset data;
+  for (int i = 0; i < 20; ++i) {
+    Tensor in = Tensor::randn(in_shape, rng);  // drawn before the target
+    data.push(std::move(in), Tensor::randn(out_shape, rng, 0.5f));
+  }
+  TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.batch = 4;
+  cfg.seed = 3;
+  const TrainReport r = fit(model, data, cfg);
+  return {r.epoch_losses, r.test_loss, model.num_parameters(),
+          r.energy.flops(), r.energy.projected_kilojoules()};
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Training may get faster, never different: for each surrogate a tiny
+/// seeded fit pins every epoch loss and the test loss as exact bits, the
+/// parameter count, and the report's FLOPs and projected kJ. The fits go
+/// through libm (weight init, activations, Adam), so the platform's libm
+/// results are pinned first; on a platform whose libm rounds differently
+/// the test is reported and skipped rather than failed.
+TEST(ModelGolden, FitsArePinned) {
+  if (const std::uint64_t probe = libm_probe();
+      probe != 0x87978aff38a47dc7ull) {
+    std::printf("libm differs on this platform (%016llx); skipped\n",
+                static_cast<unsigned long long>(probe));
+    GTEST_SKIP();
+  }
+  struct Golden {
+    const char* arch;
+    std::function<GoldenFit()> run;
+    std::vector<std::uint64_t> epoch_losses;
+    std::uint64_t test_loss;
+    std::size_t parameters;
+    std::uint64_t flops;
+    std::uint64_t projected_kj;
+  };
+  const std::vector<Golden> goldens = {
+      {"LSTM",
+       [] {
+         Rng rng(11);
+         LstmModelConfig mc;
+         mc.in_channels = 2;
+         mc.hidden = 8;
+         LstmModel model(mc, rng);
+         return golden_fit(model, {4, 2}, {1, 1});
+       },
+       {0x3fca62e7482af66aull, 0x3fc9561d77c8539eull, 0x3fc9c3a3ffd8c6aeull},
+       0x3fe2dee5a55e1257ull, 1009,
+       0x4130f29000000000ull, 0x3e72d22b7ed56713ull},
+      {"MLP_Transformer",
+       [] {
+         Rng rng(12);
+         MlpTransformerConfig mc;
+         mc.in_channels = 2;
+         mc.num_points = 8;
+         mc.dim = 8;
+         mc.heads = 2;
+         mc.layers = 2;
+         mc.ffn = 16;
+         mc.out_edge = 4;
+         MlpTransformer model(mc, rng);
+         return golden_fit(model, {2, 16}, {1, 4, 4, 4});
+       },
+       {0x3fce8d86bebfc665ull, 0x3fcef7abee9a8d66ull, 0x3fcddbdb73668abbull},
+       0x3fd12c3dfe2be6d1ull, 12117,
+       0x41418f8000000000ull, 0x3e9a0cd88bf7639aull},
+      {"CNN_Transformer/fine",
+       [] {
+         Rng rng(13);
+         CnnTransformerConfig mc;
+         mc.in_channels = 2;
+         mc.edge = 4;
+         mc.dim = 8;
+         mc.heads = 2;
+         mc.layers = 2;
+         mc.ffn = 16;
+         mc.out_edge = 4;
+         mc.fine_tokens = true;
+         CnnTransformer model(mc, rng);
+         return golden_fit(model, {2, 2, 4, 4, 4}, {1, 4, 4, 4});
+       },
+       {0x3fcf74da7b1b23fdull, 0x3fce90eb481f02b0ull, 0x3fcf0e0c0b2813e6ull},
+       0x3fd22a9d2050c524ull, 12221,
+       0x4166a9a000000000ull, 0x3eb71ef4fbae3cd9ull},
+      {"CNN_Transformer/coarse",
+       [] {
+         Rng rng(14);
+         CnnTransformerConfig mc;
+         mc.in_channels = 2;
+         mc.edge = 4;
+         mc.dim = 8;
+         mc.heads = 2;
+         mc.layers = 2;
+         mc.ffn = 16;
+         mc.out_edge = 4;
+         CnnTransformer model(mc, rng);
+         return golden_fit(model, {2, 2, 4, 4, 4}, {1, 4, 4, 4});
+       },
+       {0x3fd00a54f1fbdb9aull, 0x3fcebb5fc588afd3ull, 0x3fcf0f44e2392835ull},
+       0x3fd3289df3f2b83dull, 15757,
+       0x41593bc000000000ull, 0x3eb55a87a8e2c9a6ull},
+      {"Foundation",
+       [] {
+         Rng rng(15);
+         FoundationModelConfig mc;
+         mc.in_channels = 2;
+         mc.edge = 4;
+         mc.patch = 2;
+         mc.dim = 8;
+         mc.heads = 2;
+         mc.layers = 2;
+         mc.ffn = 16;
+         FoundationModel model(mc, rng);
+         return golden_fit(model, {2, 4, 4, 4}, {1, 4, 4, 4});
+       },
+       {0x402d4a453640bef5ull, 0x402893a75077d04full, 0x40245d837a6ddb47ull},
+       0x40241c84b1bcaf6cull, 1544,
+       0x414dbe0000000000ull, 0x3ea993b943683aaeull},
+  };
+  for (const auto& g : goldens) {
+    const GoldenFit got = g.run();
+    ASSERT_EQ(got.epoch_losses.size(), g.epoch_losses.size()) << g.arch;
+    for (std::size_t e = 0; e < got.epoch_losses.size(); ++e) {
+      EXPECT_EQ(bits(got.epoch_losses[e]), g.epoch_losses[e])
+          << g.arch << " epoch " << e << " loss " << got.epoch_losses[e];
+    }
+    EXPECT_EQ(bits(got.test_loss), g.test_loss) << g.arch << " test loss";
+    EXPECT_EQ(got.parameters, g.parameters) << g.arch << " parameters";
+    EXPECT_EQ(bits(got.flops), g.flops) << g.arch << " FLOPs";
+    EXPECT_EQ(bits(got.projected_kj), g.projected_kj)
+        << g.arch << " projected kJ";
+  }
 }
 
 }  // namespace
