@@ -121,7 +121,6 @@ int main() {
     tc.lr = 2e-3;
     tc.patience = 8;
     (void)ml::fit(model, data, tc);
-    model.set_training(false);
 
     infer::Engine engine = infer::compile(model);
     const auto& x0 = data.input(0);

@@ -60,7 +60,6 @@ void lstm_row(bench::JsonReport& report, std::size_t in, std::size_t hidden,
   mc.out_channels = 1;
   mc.horizon = 1;
   ml::LstmModel model(mc, rng);
-  model.set_training(false);
 
   infer::Engine engine = infer::compile(model);
   const std::vector<float> window_data = random_window(rng, window * in);
@@ -115,7 +114,6 @@ void mlp_row(bench::JsonReport& report) {
   seq.push(std::make_unique<ml::Dense>(64, 32, rng));
   seq.push(std::make_unique<ml::ActivationLayer>(ml::Activation::kRelu));
   seq.push(std::make_unique<ml::Dense>(32, 1, rng));
-  seq.set_training(false);
 
   infer::Engine engine = infer::compile(seq);
   const std::vector<float> x = random_window(rng, 64);

@@ -30,8 +30,8 @@ constexpr std::uint32_t kVersion = 1;
   throw RuntimeError("infer: unknown activation kind");
 }
 
-/// Walk a Sequential of Dense/Activation(/Dropout) layers into a packed
-/// chain; activations fold onto the preceding dense layer.
+/// Walk a Sequential of Dense/Activation layers into a packed chain;
+/// activations fold onto the preceding dense layer.
 [[nodiscard]] std::vector<PackedDense> pack_dense_chain(
     ml::Sequential& seq) {
   std::vector<PackedDense> chain;
@@ -53,9 +53,6 @@ constexpr std::uint32_t kVersion = 1;
             "infer: activation layer without a preceding dense layer");
       }
       chain.back().act = map_act(a->kind());
-    } else if (dynamic_cast<ml::Dropout*>(&m) != nullptr) {
-      // Inverted dropout is the identity at inference; fold it away.
-      continue;
     } else {
       throw RuntimeError("infer: unsupported layer in dense chain: " +
                          m.name());

@@ -201,8 +201,7 @@ namespace sickle::infer {
 /// dispatches the matching variant. Traced as `infer.compile`.
 [[nodiscard]] Engine compile(ml::LstmModel& model);
 
-/// Compile a plain Dense/Activation stack (Dropout layers are identity
-/// at inference and are folded away; anything else is rejected).
+/// Compile a plain Dense/Activation stack (anything else is rejected).
 [[nodiscard]] Engine compile(ml::Sequential& mlp);
 
 }  // namespace sickle::infer

@@ -18,6 +18,7 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t dim,
       w_o_("w_o", Tensor::randn({dim, dim}, rng,
                                 static_cast<float>(std::sqrt(1.0 / dim)))) {
   SICKLE_CHECK_MSG(dim % heads == 0, "attention dim must divide by heads");
+  for (Param* p : {&w_q_, &w_k_, &w_v_, &w_o_}) own(*p);
 }
 
 Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
@@ -151,10 +152,6 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_output) {
   return grad_in;
 }
 
-std::vector<Param*> MultiHeadSelfAttention::parameters() {
-  return {&w_q_, &w_k_, &w_v_, &w_o_};
-}
-
 double MultiHeadSelfAttention::flops() const {
   const double rows = static_cast<double>(batch_ * steps_);
   const double proj = 4.0 * 2.0 * rows * static_cast<double>(dim_ * dim_);
@@ -174,7 +171,12 @@ TransformerEncoderLayer::TransformerEncoderLayer(std::size_t dim,
       ln2_(dim),
       ffn1_(dim, ffn_dim, rng),
       gelu_(Activation::kGelu),
-      ffn2_(ffn_dim, dim, rng) {}
+      ffn2_(ffn_dim, dim, rng) {
+  for (Module* m : std::initializer_list<Module*>{&ln1_, &attn_, &ln2_,
+                                                  &ffn1_, &gelu_, &ffn2_}) {
+    child(*m);
+  }
+}
 
 Tensor TransformerEncoderLayer::forward(const Tensor& input) {
   // x1 = x + attn(ln1(x))
@@ -203,28 +205,6 @@ Tensor TransformerEncoderLayer::backward(const Tensor& grad_output) {
     grad_in[i] = g_x1[i] + g_attn[i];
   }
   return grad_in;
-}
-
-std::vector<Param*> TransformerEncoderLayer::parameters() {
-  std::vector<Param*> out;
-  for (Module* m : std::initializer_list<Module*>{&ln1_, &attn_, &ln2_,
-                                                  &ffn1_, &ffn2_}) {
-    const auto p = m->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-double TransformerEncoderLayer::flops() const {
-  return attn_.flops() + ffn1_.flops() + ffn2_.flops();
-}
-
-void TransformerEncoderLayer::set_training(bool training) {
-  Module::set_training(training);
-  for (Module* m : std::initializer_list<Module*>{&ln1_, &attn_, &ln2_,
-                                                  &ffn1_, &gelu_, &ffn2_}) {
-    m->set_training(training);
-  }
 }
 
 }  // namespace sickle::ml

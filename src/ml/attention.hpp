@@ -21,7 +21,6 @@ class MultiHeadSelfAttention final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
   [[nodiscard]] double flops() const override;
   [[nodiscard]] std::string name() const override { return "MHSA"; }
 
@@ -44,9 +43,6 @@ class TransformerEncoderLayer final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
-  [[nodiscard]] double flops() const override;
-  void set_training(bool training) override;
   [[nodiscard]] std::string name() const override {
     return "TransformerEncoderLayer";
   }

@@ -38,6 +38,8 @@ Conv3D::Conv3D(std::size_t in_channels, std::size_t out_channels,
                                                 kernel * kernel))))),
       bias_("bias", Tensor::zeros({out_channels})) {
   SICKLE_CHECK(kernel >= 1 && stride >= 1);
+  own(weight_);
+  own(bias_);
 }
 
 Tensor Conv3D::forward(const Tensor& input) {
@@ -143,8 +145,6 @@ Tensor Conv3D::backward(const Tensor& grad_output) {
   return grad_in;
 }
 
-std::vector<Param*> Conv3D::parameters() { return {&weight_, &bias_}; }
-
 double Conv3D::flops() const { return last_flops_; }
 
 ConvTranspose3D::ConvTranspose3D(std::size_t in_channels,
@@ -165,6 +165,8 @@ ConvTranspose3D::ConvTranspose3D(std::size_t in_channels,
       bias_("bias", Tensor::zeros({out_channels})) {
   SICKLE_CHECK(kernel >= 1 && stride >= 1);
   SICKLE_CHECK_MSG(kernel >= 2 * padding, "transpose conv: kernel < 2*pad");
+  own(weight_);
+  own(bias_);
 }
 
 Tensor ConvTranspose3D::forward(const Tensor& input) {
@@ -290,10 +292,6 @@ Tensor ConvTranspose3D::backward(const Tensor& grad_output) {
     }
   }
   return grad_in;
-}
-
-std::vector<Param*> ConvTranspose3D::parameters() {
-  return {&weight_, &bias_};
 }
 
 double ConvTranspose3D::flops() const { return last_flops_; }

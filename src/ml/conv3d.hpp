@@ -19,7 +19,6 @@ class Conv3D final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
   [[nodiscard]] double flops() const override;
   [[nodiscard]] std::string name() const override { return "Conv3D"; }
 
@@ -44,7 +43,6 @@ class ConvTranspose3D final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
   [[nodiscard]] double flops() const override;
   [[nodiscard]] std::string name() const override { return "ConvTranspose3D"; }
 

@@ -25,7 +25,10 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
                                 std::sqrt(2.0 / static_cast<double>(
                                                     in_features))))),
       bias_("bias", Tensor::zeros({out_features})),
-      has_bias_(bias) {}
+      has_bias_(bias) {
+  own(weight_);
+  if (has_bias_) own(bias_);
+}
 
 Tensor Dense::forward(const Tensor& input) {
   SICKLE_CHECK_MSG(input.dim(input.rank() - 1) == in_,
@@ -62,12 +65,6 @@ Tensor Dense::backward(const Tensor& grad_output) {
   matmul(grad_output.data(), weight_.value.data(), grad_in.data(), b, out_,
          in_);
   return grad_in;
-}
-
-std::vector<Param*> Dense::parameters() {
-  std::vector<Param*> p{&weight_};
-  if (has_bias_) p.push_back(&bias_);
-  return p;
 }
 
 double Dense::flops() const {
@@ -150,6 +147,8 @@ LayerNorm::LayerNorm(std::size_t features, double eps)
       gamma_("gamma", Tensor({features})),
       beta_("beta", Tensor::zeros({features})) {
   gamma_.value.fill(1.0f);
+  own(gamma_);
+  own(beta_);
 }
 
 Tensor LayerNorm::forward(const Tensor& input) {
@@ -208,37 +207,6 @@ Tensor LayerNorm::backward(const Tensor& grad_output) {
   return grad_in;
 }
 
-std::vector<Param*> LayerNorm::parameters() { return {&gamma_, &beta_}; }
-
-Dropout::Dropout(double rate, Rng& rng) : rate_(rate), rng_(&rng) {
-  SICKLE_CHECK_MSG(rate >= 0.0 && rate < 1.0, "dropout rate in [0,1)");
-}
-
-Tensor Dropout::forward(const Tensor& input) {
-  if (!training_ || rate_ == 0.0) {
-    mask_ = Tensor();  // identity
-    return input;
-  }
-  mask_ = Tensor(input.shape());
-  Tensor out(input.shape());
-  const float scale = 1.0f / static_cast<float>(1.0 - rate_);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const bool keep = rng_->uniform() >= rate_;
-    mask_[i] = keep ? scale : 0.0f;
-    out[i] = input[i] * mask_[i];
-  }
-  return out;
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (mask_.size() == 0) return grad_output;
-  Tensor grad_in(grad_output.shape());
-  for (std::size_t i = 0; i < grad_output.size(); ++i) {
-    grad_in[i] = grad_output[i] * mask_[i];
-  }
-  return grad_in;
-}
-
 Tensor Sequential::forward(const Tensor& input) {
   Tensor x = input;
   for (auto& m : modules_) x = m->forward(x);
@@ -251,26 +219,6 @@ Tensor Sequential::backward(const Tensor& grad_output) {
     g = (*it)->backward(g);
   }
   return g;
-}
-
-std::vector<Param*> Sequential::parameters() {
-  std::vector<Param*> out;
-  for (auto& m : modules_) {
-    const auto p = m->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-double Sequential::flops() const {
-  double total = 0.0;
-  for (const auto& m : modules_) total += m->flops();
-  return total;
-}
-
-void Sequential::set_training(bool training) {
-  Module::set_training(training);
-  for (auto& m : modules_) m->set_training(training);
 }
 
 }  // namespace sickle::ml

@@ -1,4 +1,4 @@
-// Basic layers: Dense, activations, LayerNorm, Dropout, Sequential.
+// Basic layers: Dense, activations, LayerNorm, Sequential.
 //
 // Shapes are batch-first; Dense treats the last axis as features and
 // flattens everything before it into an effective batch.
@@ -18,7 +18,6 @@ class Dense final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
   [[nodiscard]] double flops() const override;
   [[nodiscard]] std::string name() const override { return "Dense"; }
 
@@ -61,7 +60,6 @@ class LayerNorm final : public Module {
   explicit LayerNorm(std::size_t features, double eps = 1e-5);
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
   [[nodiscard]] std::string name() const override { return "LayerNorm"; }
 
  private:
@@ -73,32 +71,16 @@ class LayerNorm final : public Module {
   Tensor cached_inv_std_;  ///< per-row 1/std
 };
 
-/// Inverted dropout (scales at train time; identity at eval).
-class Dropout final : public Module {
- public:
-  Dropout(double rate, Rng& rng);
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  [[nodiscard]] std::string name() const override { return "Dropout"; }
-
- private:
-  double rate_;
-  Rng* rng_;
-  Tensor mask_;
-};
-
 /// Container running sub-modules in order.
 class Sequential final : public Module {
  public:
   Sequential() = default;
   void push(std::unique_ptr<Module> module) {
+    child(*module);
     modules_.push_back(std::move(module));
   }
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
-  [[nodiscard]] double flops() const override;
-  void set_training(bool training) override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
   [[nodiscard]] std::size_t size() const noexcept { return modules_.size(); }
   [[nodiscard]] Module& at(std::size_t i) { return *modules_.at(i); }

@@ -1,7 +1,5 @@
 #include "ml/loss.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace sickle::ml {
@@ -19,33 +17,6 @@ LossResult mse_loss(const Tensor& pred, const Tensor& target) {
   }
   out.value = acc * inv_n;
   return out;
-}
-
-LossResult mae_loss(const Tensor& pred, const Tensor& target) {
-  SICKLE_CHECK_MSG(pred.size() == target.size(), "loss size mismatch");
-  LossResult out;
-  out.grad = Tensor(pred.shape());
-  const double inv_n = 1.0 / static_cast<double>(pred.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const double d = static_cast<double>(pred[i]) - target[i];
-    acc += std::abs(d);
-    out.grad[i] = static_cast<float>((d > 0.0 ? 1.0 : d < 0.0 ? -1.0 : 0.0) *
-                                     inv_n);
-  }
-  out.value = acc * inv_n;
-  return out;
-}
-
-double relative_l2(const Tensor& pred, const Tensor& target) {
-  SICKLE_CHECK_MSG(pred.size() == target.size(), "metric size mismatch");
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const double d = static_cast<double>(pred[i]) - target[i];
-    num += d * d;
-    den += static_cast<double>(target[i]) * target[i];
-  }
-  return std::sqrt(num / std::max(den, 1e-300));
 }
 
 }  // namespace sickle::ml

@@ -12,9 +12,5 @@ struct LossResult {
 };
 
 [[nodiscard]] LossResult mse_loss(const Tensor& pred, const Tensor& target);
-[[nodiscard]] LossResult mae_loss(const Tensor& pred, const Tensor& target);
-
-/// Relative L2 error  ||pred - target|| / ||target||  (evaluation metric).
-[[nodiscard]] double relative_l2(const Tensor& pred, const Tensor& target);
 
 }  // namespace sickle::ml

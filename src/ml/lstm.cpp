@@ -18,7 +18,9 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, Rng& rng)
       w_h_("w_h", Tensor::randn({4 * hidden_size, hidden_size}, rng,
                                 static_cast<float>(std::sqrt(
                                     1.0 / static_cast<double>(hidden_size))))),
-      bias_("bias", Tensor::zeros({4 * hidden_size})) {}
+      bias_("bias", Tensor::zeros({4 * hidden_size})) {
+  for (Param* p : {&w_x_, &w_h_, &bias_}) own(*p);
+}
 
 Tensor Lstm::forward(const Tensor& input) {
   SICKLE_CHECK_MSG(input.rank() == 3, "LSTM expects [B, T, C]");
@@ -147,8 +149,6 @@ Tensor Lstm::backward(const Tensor& grad_output) {
   }
   return grad_in;
 }
-
-std::vector<Param*> Lstm::parameters() { return {&w_x_, &w_h_, &bias_}; }
 
 double Lstm::flops() const {
   const double per_step =

@@ -18,7 +18,6 @@ class Lstm final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
   [[nodiscard]] double flops() const override;
   [[nodiscard]] std::string name() const override { return "Lstm"; }
 

@@ -18,6 +18,9 @@ LstmModel::LstmModel(const LstmModelConfig& cfg, Rng& rng)
   head_.push(std::make_unique<ActivationLayer>(Activation::kRelu));
   head_.push(
       std::make_unique<Dense>(h / 2, cfg.horizon * cfg.out_channels, rng));
+  child(lstm1_);
+  child(lstm2_);
+  child(head_);
 }
 
 Tensor LstmModel::forward(const Tensor& input) {
@@ -47,26 +50,6 @@ Tensor LstmModel::backward(const Tensor& grad_output) {
   return lstm1_.backward(lstm2_.backward(d_h2));
 }
 
-std::vector<Param*> LstmModel::parameters() {
-  std::vector<Param*> out = lstm1_.parameters();
-  const auto p2 = lstm2_.parameters();
-  out.insert(out.end(), p2.begin(), p2.end());
-  const auto ph = head_.parameters();
-  out.insert(out.end(), ph.begin(), ph.end());
-  return out;
-}
-
-double LstmModel::flops() const {
-  return lstm1_.flops() + lstm2_.flops() + head_.flops();
-}
-
-void LstmModel::set_training(bool training) {
-  Module::set_training(training);
-  lstm1_.set_training(training);
-  lstm2_.set_training(training);
-  head_.set_training(training);
-}
-
 // --------------------------------------------------------------- GridDecoder
 
 namespace {
@@ -92,6 +75,10 @@ GridDecoder::GridDecoder(std::size_t token_dim, std::size_t out_channels,
            /*padding=*/1, rng) {
   SICKLE_CHECK_MSG(edge % 4 == 0 && edge >= 4,
                    "decoder edge must be a positive multiple of 4");
+  for (Module* m : std::initializer_list<Module*>{&seed_, &act1_, &up1_,
+                                                  &act2_, &up2_}) {
+    child(*m);
+  }
 }
 
 Tensor GridDecoder::forward(const Tensor& input) {
@@ -116,27 +103,6 @@ Tensor GridDecoder::backward(const Tensor& grad_output) {
   return seed_.backward(g);
 }
 
-std::vector<Param*> GridDecoder::parameters() {
-  std::vector<Param*> out = seed_.parameters();
-  for (Module* m : std::initializer_list<Module*>{&up1_, &up2_}) {
-    const auto p = m->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-double GridDecoder::flops() const {
-  return seed_.flops() + up1_.flops() + up2_.flops();
-}
-
-void GridDecoder::set_training(bool training) {
-  Module::set_training(training);
-  for (Module* m : std::initializer_list<Module*>{&seed_, &act1_, &up1_,
-                                                  &act2_, &up2_}) {
-    m->set_training(training);
-  }
-}
-
 // ----------------------------------------------------------- MlpTransformer
 
 namespace {
@@ -156,6 +122,10 @@ MlpTransformer::MlpTransformer(const MlpTransformerConfig& cfg, Rng& rng)
     blocks_.push_back(std::make_unique<TransformerEncoderLayer>(
         cfg.dim, cfg.heads, cfg.ffn, rng));
   }
+  own(pos_embed_);
+  child(encoder_);
+  child(decoder_);
+  for (auto& b : blocks_) child(*b);
 }
 
 Tensor MlpTransformer::forward(const Tensor& input) {
@@ -210,31 +180,6 @@ Tensor MlpTransformer::backward(const Tensor& grad_output) {
       {batch_, steps_, cfg_.in_channels * cfg_.num_points});
 }
 
-std::vector<Param*> MlpTransformer::parameters() {
-  std::vector<Param*> out = encoder_.parameters();
-  out.push_back(&pos_embed_);
-  for (auto& b : blocks_) {
-    const auto p = b->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  const auto pd = decoder_.parameters();
-  out.insert(out.end(), pd.begin(), pd.end());
-  return out;
-}
-
-double MlpTransformer::flops() const {
-  double total = encoder_.flops() + decoder_.flops();
-  for (const auto& b : blocks_) total += b->flops();
-  return total;
-}
-
-void MlpTransformer::set_training(bool training) {
-  Module::set_training(training);
-  encoder_.set_training(training);
-  for (auto& b : blocks_) b->set_training(training);
-  decoder_.set_training(training);
-}
-
 // ----------------------------------------------------------- CnnTransformer
 
 CnnTransformer::CnnTransformer(const CnnTransformerConfig& cfg, Rng& rng)
@@ -255,6 +200,18 @@ CnnTransformer::CnnTransformer(const CnnTransformerConfig& cfg, Rng& rng)
     blocks_.push_back(std::make_unique<TransformerEncoderLayer>(
         cfg.dim, cfg.heads, cfg.ffn, rng));
   }
+  own(pos_embed_);
+  child(conv1_);
+  child(act1_);
+  // Fine tokens skip conv2_, but it is still built above: its weights are
+  // drawn from the RNG that seeds every later layer.
+  if (!cfg.fine_tokens) {
+    child(conv2_);
+    child(act2_);
+  }
+  child(to_token_);
+  child(decoder_);
+  for (auto& b : blocks_) child(*b);
 }
 
 Tensor CnnTransformer::forward(const Tensor& input) {
@@ -356,41 +313,6 @@ Tensor CnnTransformer::backward(const Tensor& grad_output) {
   return d_in.reshaped({batch_, steps_, cfg_.in_channels, e, e, e});
 }
 
-std::vector<Param*> CnnTransformer::parameters() {
-  std::vector<Param*> out;
-  std::vector<Module*> mods{&conv1_, &to_token_};
-  if (!cfg_.fine_tokens) mods.insert(mods.begin() + 1, &conv2_);
-  for (Module* m : mods) {
-    const auto p = m->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  out.push_back(&pos_embed_);
-  for (auto& b : blocks_) {
-    const auto p = b->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  const auto pd = decoder_.parameters();
-  out.insert(out.end(), pd.begin(), pd.end());
-  return out;
-}
-
-double CnnTransformer::flops() const {
-  double total = conv1_.flops() + conv2_.flops() + to_token_.flops() +
-                 decoder_.flops();
-  for (const auto& b : blocks_) total += b->flops();
-  return total;
-}
-
-void CnnTransformer::set_training(bool training) {
-  Module::set_training(training);
-  for (Module* m : std::initializer_list<Module*>{&conv1_, &act1_, &conv2_,
-                                                  &act2_, &to_token_}) {
-    m->set_training(training);
-  }
-  for (auto& b : blocks_) b->set_training(training);
-  decoder_.set_training(training);
-}
-
 // ---------------------------------------------------------- FoundationModel
 
 FoundationModel::FoundationModel(const FoundationModelConfig& cfg, Rng& rng)
@@ -413,6 +335,11 @@ FoundationModel::FoundationModel(const FoundationModelConfig& cfg, Rng& rng)
     blocks_.push_back(std::make_unique<TransformerEncoderLayer>(
         cfg.dim, cfg.heads, cfg.ffn, rng));
   }
+  own(pos_embed_);
+  child(coarse_embed_);
+  child(fine_embed_);
+  child(decode_);
+  for (auto& b : blocks_) child(*b);
 }
 
 Tensor FoundationModel::forward(const Tensor& input) {
@@ -602,35 +529,6 @@ Tensor FoundationModel::backward(const Tensor& grad_output) {
   // is the top of the graph (inputs are data, not activations).
   (void)coarse_embed_.backward(g_rows);
   return Tensor({batch_, C, E, E, E});
-}
-
-std::vector<Param*> FoundationModel::parameters() {
-  std::vector<Param*> out = coarse_embed_.parameters();
-  const auto pf = fine_embed_.parameters();
-  out.insert(out.end(), pf.begin(), pf.end());
-  out.push_back(&pos_embed_);
-  for (auto& b : blocks_) {
-    const auto p = b->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  const auto pd = decode_.parameters();
-  out.insert(out.end(), pd.begin(), pd.end());
-  return out;
-}
-
-double FoundationModel::flops() const {
-  double total = coarse_embed_.flops() + fine_embed_.flops() +
-                 decode_.flops();
-  for (const auto& b : blocks_) total += b->flops();
-  return total;
-}
-
-void FoundationModel::set_training(bool training) {
-  Module::set_training(training);
-  coarse_embed_.set_training(training);
-  fine_embed_.set_training(training);
-  for (auto& b : blocks_) b->set_training(training);
-  decode_.set_training(training);
 }
 
 }  // namespace sickle::ml

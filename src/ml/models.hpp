@@ -36,9 +36,6 @@ class LstmModel final : public Module {
   /// [B, T, C] -> [B, horizon, out_channels].
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
-  [[nodiscard]] double flops() const override;
-  void set_training(bool training) override;
   [[nodiscard]] std::string name() const override { return "LstmModel"; }
 
   // Structure access for checkpoint converters (infer::compile): the two
@@ -66,9 +63,6 @@ class GridDecoder final : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
-  [[nodiscard]] double flops() const override;
-  void set_training(bool training) override;
   [[nodiscard]] std::string name() const override { return "GridDecoder"; }
 
  private:
@@ -101,9 +95,6 @@ class MlpTransformer final : public Module {
   /// [B, T, C*N] -> [B, C', E, E, E] (prediction for the target frame).
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
-  [[nodiscard]] double flops() const override;
-  void set_training(bool training) override;
   [[nodiscard]] std::string name() const override { return "MlpTransformer"; }
 
  private:
@@ -146,9 +137,6 @@ class CnnTransformer final : public Module {
   /// [B, T, C, E, E, E] -> [B, C', E', E', E'].
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
-  [[nodiscard]] double flops() const override;
-  void set_training(bool training) override;
   [[nodiscard]] std::string name() const override { return "CnnTransformer"; }
 
  private:
@@ -187,9 +175,6 @@ class FoundationModel final : public Module {
   /// [B, C, E, E, E] -> [B, C', E, E, E].
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param*> parameters() override;
-  [[nodiscard]] double flops() const override;
-  void set_training(bool training) override;
   [[nodiscard]] std::string name() const override { return "FoundationModel"; }
 
   /// Patch ids refined on the most recent forward (for tests/diagnostics).

@@ -1,9 +1,13 @@
 // Module interface: explicit-backprop neural network layers.
 //
-// Every layer owns its parameters (value + gradient pairs), caches what it
-// needs during forward(), and implements backward() returning the gradient
-// with respect to its input while accumulating parameter gradients.
-// Training mode toggles dropout-style stochastic behaviour.
+// Every layer caches what it needs during forward() and implements
+// backward() returning the gradient with respect to its input while
+// accumulating parameter gradients. Each module names what it owns once,
+// in its constructor: own(param) for its parameters and child(module) for
+// its sub-modules. parameters() walks that one list, and the default
+// flops() sums the children in registration order; leaves override
+// flops(). Registration stores pointers into the module, so modules are
+// never copied or moved.
 #pragma once
 
 #include <memory>
@@ -28,6 +32,9 @@ struct Param {
 
 class Module {
  public:
+  Module() = default;
+  Module(const Module&) = delete;
+  Module& operator=(const Module&) = delete;
   virtual ~Module() = default;
 
   /// Forward pass; caches activations needed by backward.
@@ -37,15 +44,24 @@ class Module {
   /// parameter gradients and returns dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// All parameters of this module (recursively for containers).
-  virtual std::vector<Param*> parameters() { return {}; }
+  /// This module's own parameters, then each child's, in registration
+  /// order.
+  [[nodiscard]] std::vector<Param*> parameters() {
+    std::vector<Param*> out = params_;
+    for (Module* c : children_) {
+      const auto p = c->parameters();
+      out.insert(out.end(), p.begin(), p.end());
+    }
+    return out;
+  }
 
   /// Approximate FLOPs of one forward+backward for the most recent input
   /// (energy accounting; 0 for cheap elementwise layers is acceptable).
-  [[nodiscard]] virtual double flops() const { return 0.0; }
-
-  virtual void set_training(bool training) { training_ = training; }
-  [[nodiscard]] bool training() const noexcept { return training_; }
+  [[nodiscard]] virtual double flops() const {
+    double total = 0.0;
+    for (const Module* c : children_) total += c->flops();
+    return total;
+  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -61,7 +77,12 @@ class Module {
   }
 
  protected:
-  bool training_ = true;
+  void own(Param& p) { params_.push_back(&p); }
+  void child(Module& m) { children_.push_back(&m); }
+
+ private:
+  std::vector<Param*> params_;
+  std::vector<Module*> children_;
 };
 
 }  // namespace sickle::ml

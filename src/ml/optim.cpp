@@ -37,39 +37,10 @@ float quantize(float x, Precision precision) noexcept {
   return x;
 }
 
-void Optimizer::quantize_params() {
-  if (precision_ == Precision::kFp32) return;
-  for (Param* p : params_) {
-    for (auto& x : p->value.data()) x = quantize(x, precision_);
-  }
-}
-
-Sgd::Sgd(std::vector<Param*> params, double lr, double momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const Param* p : params_) {
-    velocity_.emplace_back(Tensor::zeros(p->value.shape()));
-  }
-}
-
-void Sgd::step() {
-  const auto lr = static_cast<float>(lr_);
-  const auto mu = static_cast<float>(momentum_);
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto val = params_[i]->value.data();
-    const auto grad = params_[i]->grad.data();
-    auto vel = velocity_[i].data();
-    for (std::size_t j = 0; j < val.size(); ++j) {
-      vel[j] = mu * vel[j] - lr * grad[j];
-      val[j] += vel[j];
-    }
-  }
-  quantize_params();
-}
-
 Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2,
            double eps)
-    : Optimizer(std::move(params), lr),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps) {
@@ -100,10 +71,13 @@ void Adam::step() {
       val[j] -= alpha * m[j] / (std::sqrt(v[j]) + eps);
     }
   }
-  quantize_params();
+  if (precision_ == Precision::kFp32) return;
+  for (Param* p : params_) {
+    for (auto& x : p->value.data()) x = quantize(x, precision_);
+  }
 }
 
-ReduceLROnPlateau::ReduceLROnPlateau(Optimizer& opt, double factor,
+ReduceLROnPlateau::ReduceLROnPlateau(Adam& opt, double factor,
                                      std::size_t patience, double min_lr)
     : opt_(opt), factor_(factor), patience_(patience), min_lr_(min_lr) {}
 

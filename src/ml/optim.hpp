@@ -1,10 +1,9 @@
-// Optimizers and LR scheduling.
+// Optimizer and LR scheduling.
 //
 // The paper trains with Adam (lr = 0.001) plus ReduceLROnPlateau
-// (patience = 20); both are reproduced here, along with plain SGD for
-// tests. Precision emulation (fp16/bf16 weight rounding after each step)
-// implements the paper's --precision flag without mixed-precision
-// hardware.
+// (patience = 20); both are reproduced here. Precision emulation
+// (fp16/bf16 weight rounding after each step) implements the paper's
+// --precision flag without mixed-precision hardware.
 #pragma once
 
 #include <cstddef>
@@ -21,13 +20,13 @@ enum class Precision { kFp32, kFp16, kBf16 };
 /// Round a float to the nearest value representable at `precision`.
 [[nodiscard]] float quantize(float x, Precision precision) noexcept;
 
-class Optimizer {
+/// Adam with bias correction; after each step the weights are rounded to
+/// the set precision.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params, double lr)
-      : params_(std::move(params)), lr_(lr) {}
-  virtual ~Optimizer() = default;
-
-  virtual void step() = 0;
+  Adam(std::vector<Param*> params, double lr, double beta1 = 0.9,
+       double beta2 = 0.999, double eps = 1e-8);
+  void step();
   void zero_grad() {
     for (Param* p : params_) p->grad.zero();
   }
@@ -36,31 +35,10 @@ class Optimizer {
   void set_lr(double lr) noexcept { lr_ = lr; }
   void set_precision(Precision p) noexcept { precision_ = p; }
 
- protected:
-  void quantize_params();
-
+ private:
   std::vector<Param*> params_;
   double lr_;
   Precision precision_ = Precision::kFp32;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, double lr, double momentum = 0.0);
-  void step() override;
-
- private:
-  double momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Param*> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8);
-  void step() override;
-
- private:
   double beta1_, beta2_, eps_;
   std::size_t t_ = 0;
   std::vector<Tensor> m_, v_;
@@ -69,7 +47,7 @@ class Adam final : public Optimizer {
 /// Reduce LR by `factor` after `patience` epochs without improvement.
 class ReduceLROnPlateau {
  public:
-  ReduceLROnPlateau(Optimizer& opt, double factor = 0.5,
+  ReduceLROnPlateau(Adam& opt, double factor = 0.5,
                     std::size_t patience = 20, double min_lr = 1e-6);
 
   /// Call once per epoch with the monitored loss; returns true if the LR
@@ -79,7 +57,7 @@ class ReduceLROnPlateau {
   [[nodiscard]] double best() const noexcept { return best_; }
 
  private:
-  Optimizer& opt_;
+  Adam& opt_;
   double factor_;
   std::size_t patience_;
   double min_lr_;

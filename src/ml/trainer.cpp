@@ -36,32 +36,10 @@ std::pair<Tensor, Tensor> TensorDataset::batch(
   return {std::move(in), std::move(tg)};
 }
 
-namespace {
-
-/// Average gradients across ranks (DDP). Gradients are cast through double
-/// for the allreduce, matching the determinism of the SPMD collectives.
-void allreduce_gradients(Module& model, Comm& comm) {
-  std::vector<double> flat;
-  for (Param* p : model.parameters()) {
-    for (const float g : p->grad.data()) flat.push_back(g);
-  }
-  comm.allreduce_sum(flat);
-  const double inv = 1.0 / static_cast<double>(comm.size());
-  std::size_t pos = 0;
-  for (Param* p : model.parameters()) {
-    for (auto& g : p->grad.data()) {
-      g = static_cast<float>(flat[pos++] * inv);
-    }
-  }
-}
-
-}  // namespace
-
 double evaluate(Module& model, const TensorDataset& data,
                 std::span<const std::size_t> indices,
                 std::size_t batch_size) {
   if (indices.empty()) return 0.0;
-  model.set_training(false);
   double total = 0.0;
   std::size_t count = 0;
   for (std::size_t b = 0; b < indices.size(); b += batch_size) {
@@ -72,18 +50,17 @@ double evaluate(Module& model, const TensorDataset& data,
     total += mse_loss(pred, tg).value * static_cast<double>(e - b);
     count += e - b;
   }
-  model.set_training(true);
   return total / static_cast<double>(count);
 }
 
 TrainReport fit(Module& model, const TensorDataset& data,
-                const TrainConfig& cfg, Comm* comm) {
+                const TrainConfig& cfg) {
   SICKLE_CHECK_MSG(data.size() >= 2, "dataset too small to split");
   TrainReport report;
   Timer timer;
   report.parameters = model.num_parameters();
 
-  // Deterministic 90:10 split (same permutation on every rank).
+  // Deterministic 90:10 split.
   Rng split_rng(cfg.seed, /*stream=*/0x51);
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
@@ -107,37 +84,15 @@ TrainReport fit(Module& model, const TensorDataset& data,
     std::size_t steps = 0;
     for (std::size_t b = 0; b < n_train; b += cfg.batch) {
       const std::size_t e = std::min(n_train, b + cfg.batch);
-      // DDP: shard this batch across ranks.
-      std::size_t lo = b, hi = e;
-      if (comm != nullptr) {
-        const std::size_t span = e - b;
-        const std::size_t per =
-            (span + comm->size() - 1) / comm->size();
-        lo = std::min(e, b + comm->rank() * per);
-        hi = std::min(e, lo + per);
-        if (lo >= hi) {
-          // Idle rank this batch: still participates in the allreduce.
-          model.zero_grad();
-          allreduce_gradients(model, *comm);
-          opt.step();
-          continue;
-        }
-      }
       const auto [in, tg] = data.batch(
-          std::span<const std::size_t>(train_idx.data() + lo, hi - lo));
+          std::span<const std::size_t>(train_idx.data() + b, e - b));
       opt.zero_grad();
       const Tensor pred = model.forward(in);
       const LossResult loss = mse_loss(pred, tg);
       model.backward(loss.grad);
-      if (comm != nullptr) allreduce_gradients(model, *comm);
       opt.step();
 
-      double batch_loss = loss.value;
-      if (comm != nullptr) {
-        batch_loss = comm->allreduce_sum(batch_loss) /
-                     static_cast<double>(comm->size());
-      }
-      epoch_loss += batch_loss;
+      epoch_loss += loss.value;
       ++steps;
       report.energy.add_flops(model.flops());
       report.energy.add_bytes(

@@ -2,9 +2,8 @@
 //
 // Features mirrored from the reference setup: Adam with lr = 1e-3,
 // ReduceLROnPlateau (patience 20), train/test split (default 90:10),
-// batched minibatches, optional DDP-style data parallelism over an SPMD
-// Comm (gradient allreduce), precision emulation (--precision), and
-// energy accounting for every step.
+// batched minibatches, precision emulation (--precision), and energy
+// accounting for every step.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +14,6 @@
 #include "ml/loss.hpp"
 #include "ml/module.hpp"
 #include "ml/optim.hpp"
-#include "parallel/world.hpp"
 
 namespace sickle::ml {
 
@@ -59,11 +57,9 @@ struct TrainReport {
   energy::EnergyCounter energy;
 };
 
-/// Train `model` on `data`; if `comm` is non-null the call must be
-/// collective (every rank constructs an identically-seeded model) and
-/// batches are sharded across ranks with gradient averaging.
+/// Train `model` on `data`.
 TrainReport fit(Module& model, const TensorDataset& data,
-                const TrainConfig& cfg, Comm* comm = nullptr);
+                const TrainConfig& cfg);
 
 /// Mean MSE of the model over the given examples.
 [[nodiscard]] double evaluate(Module& model, const TensorDataset& data,

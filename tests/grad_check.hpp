@@ -34,7 +34,6 @@ inline double linear_loss(const Tensor& y, const Tensor& coeff) {
 inline void check_gradients(Module& module, const Tensor& input,
                             std::uint64_t seed = 1234,
                             GradCheckOptions opts = {}) {
-  module.set_training(false);  // disable stochastic layers for the check
   Rng rng(seed);
 
   Tensor x = input;

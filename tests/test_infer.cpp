@@ -63,7 +63,6 @@ TEST(InferParity, LstmZooWithinTolerance) {
     cfg.out_channels = s.out;
     cfg.horizon = s.horizon;
     ml::LstmModel model(cfg, rng);
-    model.set_training(false);
     Engine engine = compile(model);
     EXPECT_EQ(engine.arch(), Engine::Arch::kLstmSurrogate);
     EXPECT_EQ(engine.hidden(), s.hidden);
@@ -90,12 +89,10 @@ TEST(InferParity, MlpAllActivations) {
   seq.push(std::make_unique<ml::ActivationLayer>(Activation::kRelu));
   seq.push(std::make_unique<ml::Dense>(16, 16, rng));
   seq.push(std::make_unique<ml::ActivationLayer>(Activation::kGelu));
-  seq.push(std::make_unique<ml::Dropout>(0.5, rng));
   seq.push(std::make_unique<ml::Dense>(16, 8, rng));
   seq.push(std::make_unique<ml::ActivationLayer>(Activation::kTanh));
   seq.push(std::make_unique<ml::Dense>(8, 3, rng));
   seq.push(std::make_unique<ml::ActivationLayer>(Activation::kSigmoid));
-  seq.set_training(false);
 
   Engine engine = compile(seq);
   EXPECT_EQ(engine.arch(), Engine::Arch::kMlp);

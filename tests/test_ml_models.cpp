@@ -194,7 +194,6 @@ TEST(FoundationModel, ParamGradCheck) {
   cfg.out_channels = 1;
   cfg.adaptive_fraction = 0.3;
   FoundationModel model(cfg, rng);
-  model.set_training(false);
 
   const Tensor x = Tensor::randn({1, 1, 4, 4, 4}, rng);
   Tensor y = model.forward(x);

@@ -1,4 +1,4 @@
-// Tests: optimizers, scheduler, precision emulation, trainer, DDP.
+// Tests: Adam, scheduler, precision emulation, trainer, pinned fits.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,7 +10,6 @@
 #include "ml/models.hpp"
 #include "ml/optim.hpp"
 #include "ml/trainer.hpp"
-#include "parallel/world.hpp"
 #include "store/chunk_layout.hpp"
 
 namespace sickle::ml {
@@ -26,33 +25,25 @@ TensorDataset linear_dataset(std::size_t n, Rng& rng) {
   return data;
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  // Minimize (w - 3)^2 by hand-driving the optimizer.
-  Param w("w", Tensor({1}, {0.0f}));
-  Sgd opt({&w}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    w.grad[0] = 2.0f * (w.value[0] - 3.0f);
-    opt.step();
-  }
-  EXPECT_NEAR(w.value[0], 3.0f, 1e-3);
-}
-
 TEST(Adam, ConvergesFasterThanSgdOnIllConditioned) {
-  auto run = [](Optimizer& opt, Param& w1, Param& w2) {
-    for (int i = 0; i < 100; ++i) {
-      w1.grad[0] = 2.0f * 100.0f * (w1.value[0] - 1.0f);
-      w2.grad[0] = 2.0f * 0.01f * (w2.value[0] - 1.0f);
-      opt.step();
-    }
-    return std::abs(w1.value[0] - 1.0f) + std::abs(w2.value[0] - 1.0f);
-  };
-  Param a1("a1", Tensor({1})), a2("a2", Tensor({1}));
-  Adam adam({&a1, &a2}, 0.1);
-  const double adam_err = run(adam, a1, a2);
-  Param s1("s1", Tensor({1})), s2("s2", Tensor({1}));
-  Sgd sgd({&s1, &s2}, 0.001);  // larger lr diverges on the stiff axis
-  const double sgd_err = run(sgd, s1, s2);
-  EXPECT_LT(adam_err, sgd_err);
+  // Minimize 100 (w1 - 1)^2 + 0.01 (w2 - 1)^2 from the origin, against a
+  // plain gradient-descent reference (a larger lr diverges on the stiff
+  // axis).
+  Param w1("w1", Tensor({1})), w2("w2", Tensor({1}));
+  Adam adam({&w1, &w2}, 0.1);
+  float s1 = 0.0f, s2 = 0.0f;
+  const float sgd_lr = 0.001f;
+  for (int i = 0; i < 100; ++i) {
+    w1.grad[0] = 2.0f * 100.0f * (w1.value[0] - 1.0f);
+    w2.grad[0] = 2.0f * 0.01f * (w2.value[0] - 1.0f);
+    adam.step();
+    s1 -= sgd_lr * 2.0f * 100.0f * (s1 - 1.0f);
+    s2 -= sgd_lr * 2.0f * 0.01f * (s2 - 1.0f);
+  }
+  const double adam_err =
+      std::abs(w1.value[0] - 1.0f) + std::abs(w2.value[0] - 1.0f);
+  EXPECT_LT(adam_err, 0.1);
+  EXPECT_LT(adam_err, std::abs(s1 - 1.0f) + std::abs(s2 - 1.0f));
 }
 
 TEST(ReduceLROnPlateau, ReducesAfterPatienceExhausted) {
@@ -182,31 +173,6 @@ TEST(Trainer, LstmLearnsSineContinuation) {
   cfg.lr = 5e-3;
   const auto report = fit(model, data, cfg);
   EXPECT_LT(report.test_loss, 0.05);
-}
-
-TEST(Trainer, DdpMatchesGradientAveragingSemantics) {
-  // 2-rank DDP on identical data halves must produce a *working* model;
-  // exact equality with serial isn't required (batch sharding changes the
-  // effective batch statistics) but convergence is.
-  World world(2);
-  std::vector<double> losses(2, 1e9);
-  world.run([&](Comm& comm) {
-    Rng rng(8);
-    TensorDataset data = linear_dataset(128, rng);
-    Rng mrng(9);  // identical init on both ranks
-    Sequential model;
-    model.push(std::make_unique<Dense>(1, 8, mrng));
-    model.push(std::make_unique<ActivationLayer>(Activation::kTanh));
-    model.push(std::make_unique<Dense>(8, 1, mrng));
-    TrainConfig cfg;
-    cfg.epochs = 40;
-    cfg.lr = 1e-2;
-    const auto report = fit(model, data, cfg, &comm);
-    losses[comm.rank()] = report.test_loss;
-  });
-  EXPECT_LT(losses[0], 0.02);
-  // Ranks end with identical models (same allreduced gradients).
-  EXPECT_DOUBLE_EQ(losses[0], losses[1]);
 }
 
 TEST(Trainer, PrecisionEmulationStillConverges) {

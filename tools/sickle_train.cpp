@@ -154,7 +154,6 @@ void run_lstm_drag_case(const Config& cfg, const CaseConfig& cc,
   mc.horizon = 1;
   ml::LstmModel model(mc, rng);
   const ml::TrainReport tr = ml::fit(model, data, cc.train);
-  model.set_training(false);
 
   std::printf("model parameters: %zu\n", tr.parameters);
   std::printf("final train loss: %.6f\n", tr.final_train_loss);
