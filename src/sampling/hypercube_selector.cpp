@@ -74,6 +74,12 @@ std::vector<std::size_t> draw_cubes(std::span<const double> weights,
   return weighted_sample_without_replacement(weights, k, rng);
 }
 
+void check_method(const std::string& method) {
+  SICKLE_CHECK_MSG(std::ranges::find(kHypercubeMethods, method) !=
+                       kHypercubeMethods.end(),
+                   "unknown hypercube method: " + method);
+}
+
 void tally_scan(const HypercubeSelectorConfig& cfg, std::size_t points) {
   if (cfg.energy == nullptr) return;
   cfg.energy->add_bytes(static_cast<double>(points) * sizeof(double));
@@ -113,8 +119,7 @@ std::vector<std::size_t> select_hypercubes(const field::FieldSource& src,
     tally_scan(cfg, 0);
     return rng.sample_without_replacement(n, k);
   }
-  SICKLE_CHECK_MSG(cfg.method == "maxent" || cfg.method == "entropy",
-                   "unknown hypercube method: " + cfg.method);
+  check_method(cfg.method);
   Rng fit_rng(cfg.seed, /*stream=*/0xF17);
   const auto clusters = fit_clusters(src, cfg, fit_rng);
   const auto weights = cube_weights(src, tiling, cfg, clusters);
@@ -139,8 +144,7 @@ std::vector<std::size_t> select_hypercubes(const field::Snapshot& snap,
     // Deterministic given the seed; every rank computes the same draw.
     return rng.sample_without_replacement(n, k);
   }
-  SICKLE_CHECK_MSG(cfg.method == "maxent" || cfg.method == "entropy",
-                   "unknown hypercube method: " + cfg.method);
+  check_method(cfg.method);
 
   // Root fits the clustering (as the reference does), then broadcasts the
   // centroids so labels are consistent across ranks.

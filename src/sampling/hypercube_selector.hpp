@@ -13,8 +13,10 @@
 /// weighted draw — making the selection independent of rank count.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,8 +28,12 @@
 
 namespace sickle::sampling {
 
+/// Every HypercubeSelectorConfig::method that select_hypercubes accepts.
+inline constexpr std::array<std::string_view, 3> kHypercubeMethods = {
+    "random", "maxent", "entropy"};
+
 struct HypercubeSelectorConfig {
-  std::string method = "maxent";    ///< "random" | "maxent" | "entropy"
+  std::string method = "maxent";    ///< one of kHypercubeMethods
   std::size_t num_hypercubes = 32;
   std::string cluster_var;
   std::size_t num_clusters = 20;

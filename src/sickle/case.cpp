@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "field/hypercube.hpp"
+#include "sampling/hypercube_selector.hpp"
 #include "sampling/point_samplers.hpp"
 #include "sickle/stage.hpp"
 #include "store/codec.hpp"
@@ -16,6 +17,16 @@ std::vector<ValidationIssue> CaseConfig::validate() const {
   const auto add = [&issues](std::string field, std::string message,
                              std::string hint = "") {
     issues.push_back({std::move(field), std::move(message), std::move(hint)});
+  };
+  // Checks `value` against its owner's list; the hint spells the list.
+  const auto check_one_of = [&add](const auto& names, const std::string& value,
+                                   std::string field, std::string message) {
+    std::string hint;
+    for (const auto& name : names) {
+      if (name == value) return;
+      hint += (hint.empty() ? "" : " | ") + std::string(name);
+    }
+    add(std::move(field), message + value, std::move(hint));
   };
 
   if (backend != "memory" && backend != "skl2" && backend != "series") {
@@ -31,6 +42,11 @@ std::vector<ValidationIssue> CaseConfig::validate() const {
     add("train.arch", "unknown architecture: " + arch,
         "LSTM | MLP_Transformer | CNN_Transformer | Foundation");
   }
+  check_one_of(sampling::kHypercubeMethods, pipeline.hypercube_method,
+               "subsample.hypercubes", "unknown hypercube method: ");
+  check_one_of(sampling::SamplerRegistry::instance().names(),
+               pipeline.point_method, "subsample.method",
+               "unknown point sampler: ");
   if (window == 0) add("train.window", "window must be >= 1");
   if (model_dim == 0) add("train.dim", "model dim must be >= 1");
   if (model_heads == 0) add("train.heads", "model heads must be >= 1");

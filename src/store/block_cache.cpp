@@ -106,6 +106,17 @@ void BlockCache::insert_prefetched(std::uint64_t key, Block values) const {
   evict_to_budget(shard);
 }
 
+void BlockCache::erase(std::uint64_t key) const {
+  Shard& shard = shards_[key & (shard_count_ - 1)];
+  std::lock_guard lock(shard.mu);
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) return;
+  shard.stats.resident_bytes -= it->second.values->size() * sizeof(double);
+  if (it->second.prefetched) ++shard.stats.prefetch_wasted;
+  shard.lru.erase(it->second.lru_it);
+  shard.map.erase(it);
+}
+
 bool BlockCache::contains(std::uint64_t key) const {
   Shard& shard = shards_[key & (shard_count_ - 1)];
   std::lock_guard lock(shard.mu);

@@ -104,6 +104,11 @@ class BlockCache {
   /// (the demand load won the race; its LRU position is not refreshed).
   void insert_prefetched(std::uint64_t key, Block values) const;
 
+  /// Drop `key` if resident: for blocks of a container no reader will
+  /// open again. Not counted as an eviction; a prefetched block never
+  /// demanded counts as wasted, as it would at eviction.
+  void erase(std::uint64_t key) const;
+
   /// True when `key` is resident right now — an advisory check prefetch
   /// schedulers use to skip already-cached blocks (racy by nature: the
   /// answer can be stale by the time the caller acts on it).

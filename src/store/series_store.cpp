@@ -276,10 +276,19 @@ SeriesReader::SeriesReader(const std::string& path, std::size_t cache_bytes,
                            std::size_t shards)
     : SeriesReader(path, ReaderOptions{cache_bytes, shards, 0, nullptr}) {}
 
-// Default member-wise teardown does the draining: prefetch_group_ is the
-// last member, so it is destroyed first and its TaskGroup dtor waits for
-// in-flight readahead tasks while file_/cache_/index_ are still alive.
-SeriesReader::~SeriesReader() = default;
+// Member-wise teardown does the draining for a private cache:
+// prefetch_group_ is the last member, so it is destroyed first and its
+// TaskGroup dtor waits for in-flight readahead tasks while
+// file_/cache_/index_ are still alive. A shared cache outlives the reader,
+// so its blocks of this container are erased here, after the readahead
+// that could re-insert them has drained.
+SeriesReader::~SeriesReader() {
+  if (owned_cache_ != nullptr) return;
+  drain_prefetch();
+  for (std::uint64_t key = 0; key < index_.size(); ++key) {
+    cache_->erase(key_salt_ ^ key);
+  }
+}
 
 SeriesReader::SeriesReader(const std::string& path,
                            const ReaderOptions& ropts) {

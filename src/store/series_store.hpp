@@ -61,8 +61,9 @@ struct ReaderOptions {
   /// Keys are salted with an FNV-1a hash of the container path, so any
   /// number of readers over different files share one byte budget without
   /// key collisions (same-file readers share decoded blocks). The cache
-  /// must outlive the reader; `cache_bytes`/`shards` are ignored when
-  /// set. cache_stats() then reports the shared cache's lifetime tallies.
+  /// must outlive the reader, which erases its blocks when destroyed;
+  /// `cache_bytes`/`shards` are ignored when set. cache_stats() then
+  /// reports the shared cache's lifetime tallies.
   BlockCache* shared_cache = nullptr;
 };
 
@@ -186,7 +187,9 @@ class SeriesReader final : public field::SeriesSource {
   /// Full-options form; the (path, cache_bytes, shards) overload is
   /// shorthand for ReaderOptions with readahead off.
   SeriesReader(const std::string& path, const ReaderOptions& opts);
-  /// Drains in-flight prefetch tasks before any member is torn down.
+  /// Drains in-flight prefetch tasks before any member is torn down; on a
+  /// shared cache it then erases this container's blocks (a live reader
+  /// of the same path reloads them on demand).
   ~SeriesReader() override;
 
   SeriesReader(const SeriesReader&) = delete;

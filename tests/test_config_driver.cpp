@@ -278,8 +278,10 @@ TEST(ConfigDriver, ValidateCollectsEveryIssueAtOnce) {
   cc.store.codec = "middle-out";
   cc.train.lr = 0.0;
   cc.train.test_fraction = 1.5;
+  cc.pipeline.point_method = "maxnet";
+  cc.pipeline.hypercube_method = "maxnet";
   const auto issues = cc.validate();
-  EXPECT_GE(issues.size(), 7u);
+  EXPECT_GE(issues.size(), 9u);
   std::vector<std::string> fields;
   for (const auto& issue : issues) {
     fields.push_back(issue.field);
@@ -287,19 +289,23 @@ TEST(ConfigDriver, ValidateCollectsEveryIssueAtOnce) {
   }
   for (const char* field :
        {"store.backend", "store.ingest", "train.arch", "train.window",
-        "store.codec", "train.lr", "train.test_frac"}) {
+        "store.codec", "train.lr", "train.test_frac", "subsample.method",
+        "subsample.hypercubes"}) {
     EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
         << field;
   }
 }
 
 TEST(ConfigDriver, CaseFromConfigReportsFullIssueList) {
-  // One parse, one throw, EVERY problem named: bad arch + bad codec + bad
-  // precision all surface in a single ConfigError instead of fix-one-
-  // rerun-find-the-next.
+  // One parse, one throw, EVERY problem named: bad sampling methods + bad
+  // arch + bad codec + bad precision all surface in a single ConfigError
+  // instead of fix-one-rerun-find-the-next.
   const auto cfg = Config::parse(R"(
 shared:
   dataset: SST-P1F4
+subsample:
+  hypercubes: maxnet
+  method: maxnet
 store:
   backend: series
   codec: middle-out
@@ -313,8 +319,8 @@ train:
   } catch (const ConfigError& e) {
     std::vector<std::string> fields;
     for (const auto& issue : e.issues()) fields.push_back(issue.field);
-    for (const char* field : {"store.codec", "train.arch",
-                              "train.precision"}) {
+    for (const char* field : {"store.codec", "train.arch", "train.precision",
+                              "subsample.method", "subsample.hypercubes"}) {
       EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
           << field << " missing from: " << e.what();
     }

@@ -1029,6 +1029,44 @@ TEST_F(SeriesStoreTest, PrefetchedReadsAreBitIdenticalWithAccountedHits) {
             sampling::select_snapshots(sel_plain, tc));
 }
 
+/// A reader on a shared cache erases its container's blocks when it is
+/// destroyed, readahead included: its keys are salted per file, so no
+/// other reader would hit them. An erase is not an eviction, and another
+/// container's blocks stay.
+TEST_F(SeriesStoreTest, SharedCacheReaderErasesItsPrefetchedBlocksOnClose) {
+  const auto ds = make_series(3);
+  StoreOptions opts;
+  opts.chunk = {4, 4, 4};
+  for (const char* name : {"a.skl3", "b.skl3"}) {
+    SeriesWriter writer(path(name), opts);
+    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+      writer.append(ds.snapshot(t));
+    }
+    (void)writer.close();
+  }
+  BlockCache shared(64ull << 20, 4 * 4 * 4 * sizeof(double));
+  ThreadPool pool(2);
+  ReaderOptions ropts;
+  ropts.prefetch_depth = 4;
+  ropts.pool = &pool;
+  ropts.shared_cache = &shared;
+  const SeriesReader open(path("b.skl3"), ropts);
+  (void)open.load_snapshot(0);
+  open.drain_prefetch();
+  const std::size_t kept = shared.stats().resident_bytes;
+  EXPECT_GT(kept, 0u);
+  {
+    const SeriesReader closing(path("a.skl3"), ropts);
+    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+      (void)closing.load_snapshot(t);
+    }
+    EXPECT_GT(shared.stats().resident_bytes, kept);
+  }
+  const CacheStats st = shared.stats();
+  EXPECT_EQ(st.resident_bytes, kept);
+  EXPECT_EQ(st.evictions, 0u);
+}
+
 TEST_F(SeriesStoreTest, IndexByteFlipFailsChecksum) {
   const auto ds = make_series(2);
   StoreOptions opts;

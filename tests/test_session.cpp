@@ -1,7 +1,8 @@
 // CaseSession: concurrent bit-identity vs run_case, admission control,
 // queue-slot-freeing cancellation, typed errors, shared-cache stats.
-// Runs under TSan in CI (the session's runner threads + shared BlockCache
-// are exactly the code this job exists to race-check).
+// Runs under TSan in CI (the session's runner threads + shared BlockCache,
+// including each closing reader's drain-then-erase of its blocks, are
+// exactly the code this job exists to race-check).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,27 +230,33 @@ TEST(Session, SubmitRejectsBadConfigWithEveryIssueAtOnce) {
   t.cfg.backend = "floppy";     // store.backend
   t.cfg.arch = "Perceptron9000";    // train.arch
   t.cfg.window = 0;                 // train.window
+  t.cfg.pipeline.point_method = "maxnet";      // subsample.method
+  t.cfg.pipeline.hypercube_method = "maxnet";  // subsample.hypercubes
   try {
     session.submit(std::move(t.bundle), std::move(t.cfg));
     FAIL() << "submit accepted an invalid config";
   } catch (const ConfigError& e) {
-    EXPECT_GE(e.issues().size(), 3u);
+    EXPECT_GE(e.issues().size(), 5u);
     std::vector<std::string> fields;
     for (const auto& issue : e.issues()) fields.push_back(issue.field);
-    EXPECT_NE(std::find(fields.begin(), fields.end(), "store.backend"),
-              fields.end());
-    EXPECT_NE(std::find(fields.begin(), fields.end(), "train.arch"),
-              fields.end());
-    EXPECT_NE(std::find(fields.begin(), fields.end(), "train.window"),
-              fields.end());
+    for (const char* field : {"store.backend", "train.arch", "train.window",
+                              "subsample.method", "subsample.hypercubes"}) {
+      EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
+          << field;
+    }
   }
   // Rejection happened before the bundle was consumed.
   EXPECT_NE(t.bundle.producer, nullptr);
 }
 
 TEST(Session, FailingProducerSurfacesTypedIngestError) {
+  // Its own spill root: a failed case keeps its spill by design.
+  const auto spill = std::filesystem::temp_directory_path() /
+                     "sickle_test_session_failed_spill";
+  std::filesystem::remove_all(spill);
   CaseSession session;
-  TinyCase t = tiny_case(0);
+  TinyCase t = tiny_case(0);  // series backend
+  t.cfg.spill_dir = spill.string();
   t.bundle.producer = std::make_unique<ExplodingProducer>();
   CaseHandle h = session.submit(std::move(t.bundle), std::move(t.cfg));
   try {
@@ -264,6 +271,15 @@ TEST(Session, FailingProducerSurfacesTypedIngestError) {
   EXPECT_EQ(s.state, CaseState::kFailed);
   EXPECT_EQ(s.error_code, CaseErrorCode::kIngest);
   EXPECT_FALSE(s.error.empty());
+  // Keep-on-failure: the case's one spill directory still holds its
+  // container for inspection.
+  std::vector<std::filesystem::path> kept;
+  for (const auto& entry : std::filesystem::directory_iterator(spill)) {
+    kept.push_back(entry.path());
+  }
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_TRUE(std::filesystem::exists(kept[0] / "series.skl3"));
+  std::filesystem::remove_all(spill);
 }
 
 TEST(Session, SharedCacheAccumulatesAcrossConcurrentSeriesCases) {
@@ -278,6 +294,21 @@ TEST(Session, SharedCacheAccumulatesAcrossConcurrentSeriesCases) {
   const store::CacheStats after = CaseSession::shared_cache_stats();
   // Both cases' readers routed through the one process-global cache.
   EXPECT_GT(after.hits + after.misses, before.hits + before.misses);
+}
+
+TEST(Session, FinishedSeriesCasesLeaveTheSharedCache) {
+  // Every spill is deleted when its case ends, and the shared cache salts
+  // its keys per spill file, so no later case can hit a finished case's
+  // blocks: each closing reader erases them instead of leaving them to LRU.
+  const std::size_t before = CaseSession::shared_cache_stats().resident_bytes;
+  CaseSession session;
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    TinyCase t = tiny_case(seed, "series", "streaming");
+    (void)session.submit(std::move(t.bundle), std::move(t.cfg)).wait();
+  }
+  const store::CacheStats after = CaseSession::shared_cache_stats();
+  EXPECT_GT(after.misses, 0u);  // the cases did decode through it
+  EXPECT_EQ(after.resident_bytes, before);
 }
 
 TEST(Session, DestructorCancelsQueuedCases) {

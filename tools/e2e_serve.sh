@@ -5,10 +5,13 @@
 #      prints for the same config (the daemon is a transport, not a
 #      numerics fork),
 #   2. the metrics verb reports all submissions and the shared cache,
-#   3. a 2 MiB request with no newline gets a typed `protocol` rejection
+#   3. a submit naming an unknown point sampler (`method: maxnet`) gets a
+#      typed `config` rejection with an issue on subsample.method, before
+#      any snapshot is generated,
+#   4. a 2 MiB request with no newline gets a typed `protocol` rejection
 #      (the daemon's request-line limit is 1 MiB) and the next connection
 #      is served normally,
-#   4. SIGTERM shuts the daemon down cleanly (exit 0, farewell line).
+#   5. SIGTERM shuts the daemon down cleanly (exit 0, farewell line).
 #
 # Usage: tools/e2e_serve.sh [path/to/sickle_serve] [path/to/sickle_train]
 # Local repro:  cmake -B build -S . && cmake --build build -j
@@ -138,6 +141,26 @@ if [[ "$submitted" -ne "$NUM_CASES" ]]; then
 fi
 echo "serve.cases_submitted = $submitted OK"
 
+echo "=== misspelled sampling method"
+sed 's/^  method: maxent$/  method: maxnet/' "$workdir/case_0.yaml" \
+  > "$workdir/typo.yaml"
+# serve_client.py exits 1 on a rejection, which is the expected outcome.
+if typo=$(python3 "$CLIENT" --port "$port" submit \
+          --config "$workdir/typo.yaml"); then
+  echo "error: the daemon accepted method: maxnet: $typo" >&2
+  exit 1
+fi
+echo "$typo" | python3 -c '
+import json, sys
+resp = json.load(sys.stdin)
+fields = [issue["field"] for issue in resp.get("issues", [])]
+if (resp.get("ok") is not False or resp.get("code") != "config"
+        or "subsample.method" not in fields):
+    sys.exit(f"error: method: maxnet got {resp}, expected a config issue "
+             "on subsample.method")
+'
+echo "method: maxnet rejected at submit (subsample.method) OK"
+
 echo "=== oversized request line"
 # The flood runs on a thread so the rejection is read while the daemon
 # still has the connection open; the send fails once it hangs up.
@@ -194,4 +217,5 @@ grep -q "shut down cleanly" "$workdir/serve.log" || {
 
 echo
 echo "e2e-serve OK: $NUM_CASES concurrent cases bit-identical, metrics"
-echo "consistent, oversized line rejected, clean SIGTERM shutdown"
+echo "consistent, unknown method and oversized line rejected, clean SIGTERM"
+echo "shutdown"
