@@ -78,8 +78,6 @@ class Module {
 
  protected:
   void own(Param& p) { params_.push_back(&p); }
-  /// flops() sums the children in this order. A float sum depends on its
-  /// order, so reordering registrations moves training energy's last bits.
   void child(Module& m) { children_.push_back(&m); }
 
  private:
