@@ -37,7 +37,6 @@ class CombustionProducer final : public SnapshotProducer {
 
   [[nodiscard]] std::size_t num_snapshots() const override { return 1; }
   [[nodiscard]] std::optional<field::Snapshot> next() override;
-  void reset() override { produced_ = false; }
 
  private:
   CombustionParams params_;

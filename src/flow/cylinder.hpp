@@ -59,14 +59,6 @@ class CylinderWakeProducer final : public SnapshotProducer {
     return params_.snapshots;
   }
   [[nodiscard]] std::optional<field::Snapshot> next() override;
-  /// Reseed the measurement-noise RNG and clear the accumulated targets:
-  /// replaying from the start re-draws the identical noise stream.
-  void reset() override {
-    rng_ = Rng(params_.seed);
-    produced_ = 0;
-    drag_.clear();
-    times_.clear();
-  }
   [[nodiscard]] std::vector<double> scalar_target() const override {
     return drag_;
   }

@@ -18,20 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "field/field.hpp"
 
 namespace sickle::flow {
-
-/// Thrown by SnapshotProducer::reset() when a generator genuinely cannot
-/// rewind (e.g. a producer draining an external one-shot stream). Every
-/// in-tree generator CAN rewind — their state is a seed plus counters —
-/// so this exists as the documented escape hatch of the reset() contract,
-/// not as a common case.
-class CloneError : public RuntimeError {
- public:
-  explicit CloneError(const std::string& what) : RuntimeError(what) {}
-};
 
 /// Pull-based snapshot generator: one field snapshot per next() call.
 ///
@@ -40,12 +29,10 @@ class CloneError : public RuntimeError {
 /// is known up front so consumers can size indexes and progress reporting
 /// without buffering the series.
 ///
-/// The reset() contract: after reset(), the producer yields the exact
-/// same snapshot sequence again from the start — the session layer uses
-/// it so a rejected or cancelled submission does not leave a
-/// half-consumed producer behind. Producers that cannot rewind throw
-/// flow::CloneError instead (the base-class default); all in-tree
-/// generators override it with a real rewind.
+/// A producer is single-use: it yields its sequence once and cannot
+/// rewind. To replay a series, build a fresh producer from the same
+/// parameters (every generator is a pure function of its seed), or
+/// materialize it once and replay the Dataset through DatasetProducer.
 class SnapshotProducer {
  public:
   virtual ~SnapshotProducer() = default;
@@ -55,12 +42,6 @@ class SnapshotProducer {
 
   /// Simulate and return the next snapshot; nullopt after the last.
   [[nodiscard]] virtual std::optional<field::Snapshot> next() = 0;
-
-  /// Rewind to the initial state so next() replays the identical
-  /// sequence. Throws flow::CloneError when this generator cannot rewind.
-  virtual void reset() {
-    throw CloneError("this SnapshotProducer cannot rewind");
-  }
 
   /// Per-snapshot scalar targets (e.g. OF2D drag) accumulated for the
   /// snapshots produced so far; empty for field-to-field problems.
@@ -91,8 +72,6 @@ class DatasetProducer final : public SnapshotProducer {
     if (next_ >= data_->num_snapshots()) return std::nullopt;
     return data_->snapshot(next_++);
   }
-
-  void reset() override { next_ = 0; }
 
  private:
   const field::Dataset* data_;

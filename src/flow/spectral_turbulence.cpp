@@ -361,8 +361,6 @@ std::optional<field::Snapshot> SpectralTurbulenceProducer::next() {
   return impl_->realize_step(impl_->produced++);
 }
 
-void SpectralTurbulenceProducer::reset() { impl_->produced = 0; }
-
 field::Dataset generate_spectral_turbulence(
     const SpectralTurbulenceParams& p) {
   SpectralTurbulenceProducer producer(p);

@@ -76,9 +76,6 @@ class SpectralTurbulenceProducer final : public SnapshotProducer {
 
   [[nodiscard]] std::size_t num_snapshots() const override;
   [[nodiscard]] std::optional<field::Snapshot> next() override;
-  /// All RNG draws happen at construction; a step is a pure function of
-  /// its index, so rewinding the step counter replays identical bits.
-  void reset() override;
 
  private:
   struct Impl;
@@ -107,7 +104,6 @@ class StratifiedProducer final : public SnapshotProducer {
     return base_.num_snapshots();
   }
   [[nodiscard]] std::optional<field::Snapshot> next() override;
-  void reset() override { base_.reset(); }  // enrichment is stateless
 
  private:
   SpectralTurbulenceProducer base_;
@@ -133,7 +129,6 @@ class IsotropicProducer final : public SnapshotProducer {
     return base_.num_snapshots();
   }
   [[nodiscard]] std::optional<field::Snapshot> next() override;
-  void reset() override { base_.reset(); }  // enrichment is stateless
 
  private:
   SpectralTurbulenceProducer base_;

@@ -37,13 +37,14 @@ float quantize(float x, Precision precision) noexcept {
   return x;
 }
 
-Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2,
-           double eps)
-    : params_(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
+namespace {
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+}  // namespace
+
+Adam::Adam(std::vector<Param*> params, double lr)
+    : params_(std::move(params)), lr_(lr) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Param* p : params_) {
@@ -54,12 +55,12 @@ Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2,
 
 void Adam::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const auto b1 = static_cast<float>(beta1_);
-  const auto b2 = static_cast<float>(beta2_);
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
+  const auto b1 = static_cast<float>(kBeta1);
+  const auto b2 = static_cast<float>(kBeta2);
   const auto alpha = static_cast<float>(lr_ * std::sqrt(bc2) / bc1);
-  const auto eps = static_cast<float>(eps_);
+  const auto eps = static_cast<float>(kEps);
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto val = params_[i]->value.data();
     const auto grad = params_[i]->grad.data();

@@ -20,12 +20,11 @@ enum class Precision { kFp32, kFp16, kBf16 };
 /// Round a float to the nearest value representable at `precision`.
 [[nodiscard]] float quantize(float x, Precision precision) noexcept;
 
-/// Adam with bias correction; after each step the weights are rounded to
-/// the set precision.
+/// Adam with bias correction and the usual betas (0.9, 0.999) and eps
+/// (1e-8); after each step the weights are rounded to the set precision.
 class Adam {
  public:
-  Adam(std::vector<Param*> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8);
+  Adam(std::vector<Param*> params, double lr);
   void step();
   void zero_grad() {
     for (Param* p : params_) p->grad.zero();
@@ -39,7 +38,6 @@ class Adam {
   std::vector<Param*> params_;
   double lr_;
   Precision precision_ = Precision::kFp32;
-  double beta1_, beta2_, eps_;
   std::size_t t_ = 0;
   std::vector<Tensor> m_, v_;
 };
@@ -53,8 +51,6 @@ class ReduceLROnPlateau {
   /// Call once per epoch with the monitored loss; returns true if the LR
   /// was reduced this call.
   bool step(double loss);
-
-  [[nodiscard]] double best() const noexcept { return best_; }
 
  private:
   Adam& opt_;

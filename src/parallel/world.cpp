@@ -13,12 +13,6 @@
 
 namespace sickle {
 
-double CommModel::allreduce(std::size_t nranks, std::size_t bytes) const {
-  if (nranks <= 1) return 0.0;
-  const double rounds = std::log2(static_cast<double>(nranks));
-  return rounds * (latency_s + static_cast<double>(bytes) * seconds_per_byte);
-}
-
 double CommModel::gather(std::size_t nranks, std::size_t total_bytes) const {
   if (nranks <= 1) return 0.0;
   const double rounds = std::log2(static_cast<double>(nranks));
@@ -30,11 +24,6 @@ double CommModel::broadcast(std::size_t nranks, std::size_t bytes) const {
   if (nranks <= 1) return 0.0;
   const double rounds = std::log2(static_cast<double>(nranks));
   return rounds * (latency_s + static_cast<double>(bytes) * seconds_per_byte);
-}
-
-double CommModel::barrier(std::size_t nranks) const {
-  if (nranks <= 1) return 0.0;
-  return 2.0 * std::log2(static_cast<double>(nranks)) * latency_s;
 }
 
 namespace detail {
@@ -65,7 +54,6 @@ struct WorldState {
     std::size_t count = 0;
   };
   std::vector<Slot> slots;
-  std::vector<double> reduce_buf;  // scratch for allreduce
 
   double modeled_comm_seconds = 0.0;  // guarded by mu
 
@@ -105,63 +93,6 @@ struct WorldState {
 };
 
 }  // namespace detail
-
-void Comm::barrier() {
-  if (!state_->wait_all()) return;
-  if (rank_ == 0) state_->add_comm_cost(state_->model.barrier(size_));
-  state_->wait_all();
-}
-
-template <typename T, typename Op>
-void Comm::allreduce_impl(std::vector<T>& values, Op op) {
-  auto& st = *state_;
-  st.slots[rank_].ptr = values.data();
-  st.slots[rank_].count = values.size();
-  if (!st.wait_all()) return;
-  if (rank_ == 0) {
-    // Root combines all rank buffers into reduce_buf.
-    const std::size_t n = values.size();
-    st.reduce_buf.assign(n, 0.0);
-    for (std::size_t r = 0; r < size_; ++r) {
-      SICKLE_CHECK_MSG(st.slots[r].count == n,
-                       "allreduce length mismatch across ranks");
-      const T* p = static_cast<const T*>(st.slots[r].ptr);
-      for (std::size_t i = 0; i < n; ++i) {
-        st.reduce_buf[i] = (r == 0) ? static_cast<double>(p[i])
-                                    : op(st.reduce_buf[i],
-                                         static_cast<double>(p[i]));
-      }
-    }
-    st.add_comm_cost(st.model.allreduce(size_, n * sizeof(T)));
-  }
-  if (!st.wait_all()) return;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<T>(st.reduce_buf[i]);
-  }
-  st.wait_all();
-}
-
-void Comm::allreduce_sum(std::vector<double>& values) {
-  allreduce_impl(values, [](double a, double b) { return a + b; });
-}
-
-double Comm::allreduce_sum(double value) {
-  std::vector<double> v{value};
-  allreduce_sum(v);
-  return v[0];
-}
-
-double Comm::allreduce_max(double value) {
-  std::vector<double> v{value};
-  allreduce_impl(v, [](double a, double b) { return a > b ? a : b; });
-  return v[0];
-}
-
-std::size_t Comm::allreduce_sum(std::size_t value) {
-  std::vector<double> v{static_cast<double>(value)};
-  allreduce_sum(v);
-  return static_cast<std::size_t>(v[0] + 0.5);
-}
 
 template <typename T>
 std::vector<T> Comm::allgather_impl(const std::vector<T>& local) {

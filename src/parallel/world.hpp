@@ -4,7 +4,7 @@
 // no MPI, so we reproduce the same programming model in-process: World
 // launches one OS thread per rank, each executing the same function body
 // with its own Comm handle; Comm provides the collective subset SICKLE
-// uses (barrier, allreduce, gather, broadcast).
+// uses (allgather, broadcast).
 //
 // Two kinds of timing come out of a run:
 //   * per-rank CPU time (CLOCK_THREAD_CPUTIME_ID) — honest local work cost,
@@ -35,14 +35,10 @@ struct CommModel {
   double latency_s = 2e-6;        ///< per-message software+wire latency
   double seconds_per_byte = 4e-11;  ///< 1 / 25 GB/s
 
-  /// Tree allreduce: log2(n) rounds, payload each round.
-  [[nodiscard]] double allreduce(std::size_t nranks, std::size_t bytes) const;
   /// Root gather of `total_bytes` spread across ranks.
   [[nodiscard]] double gather(std::size_t nranks, std::size_t total_bytes) const;
   /// Broadcast of `bytes` to all ranks (binomial tree).
   [[nodiscard]] double broadcast(std::size_t nranks, std::size_t bytes) const;
-  /// Pure synchronization.
-  [[nodiscard]] double barrier(std::size_t nranks) const;
 };
 
 namespace detail {
@@ -59,15 +55,6 @@ class Comm {
   [[nodiscard]] std::size_t rank() const noexcept { return rank_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool is_root() const noexcept { return rank_ == 0; }
-
-  void barrier();
-
-  /// In-place sum-allreduce over a per-rank vector (all ranks end with the
-  /// element-wise sum).
-  void allreduce_sum(std::vector<double>& values);
-  double allreduce_sum(double value);
-  double allreduce_max(double value);
-  std::size_t allreduce_sum(std::size_t value);
 
   /// Concatenate every rank's vector on ALL ranks (allgatherv), ordered by
   /// rank. SICKLE's sampler uses this to assemble global sample sets.
@@ -93,8 +80,6 @@ class Comm {
 
   template <typename T>
   std::vector<T> allgather_impl(const std::vector<T>& local);
-  template <typename T, typename Op>
-  void allreduce_impl(std::vector<T>& values, Op op);
 
   detail::WorldState* state_;
   std::size_t rank_;

@@ -12,21 +12,30 @@
 
 namespace sickle {
 
-std::vector<ValidationIssue> CaseConfig::validate() const {
-  std::vector<ValidationIssue> issues;
-  const auto add = [&issues](std::string field, std::string message,
-                             std::string hint = "") {
-    issues.push_back({std::move(field), std::move(message), std::move(hint)});
-  };
+void check_sampling_methods(const sampling::PipelineConfig& pl,
+                            std::vector<ValidationIssue>& issues) {
   // Checks `value` against its owner's list; the hint spells the list.
-  const auto check_one_of = [&add](const auto& names, const std::string& value,
-                                   std::string field, std::string message) {
+  const auto check_one_of = [&issues](const auto& names,
+                                      const std::string& value,
+                                      std::string field, std::string message) {
     std::string hint;
     for (const auto& name : names) {
       if (name == value) return;
       hint += (hint.empty() ? "" : " | ") + std::string(name);
     }
-    add(std::move(field), message + value, std::move(hint));
+    issues.push_back({std::move(field), message + value, std::move(hint)});
+  };
+  check_one_of(sampling::kHypercubeMethods, pl.hypercube_method,
+               "subsample.hypercubes", "unknown hypercube method: ");
+  check_one_of(sampling::SamplerRegistry::instance().names(), pl.point_method,
+               "subsample.method", "unknown point sampler: ");
+}
+
+std::vector<ValidationIssue> CaseConfig::validate() const {
+  std::vector<ValidationIssue> issues;
+  const auto add = [&issues](std::string field, std::string message,
+                             std::string hint = "") {
+    issues.push_back({std::move(field), std::move(message), std::move(hint)});
   };
 
   if (backend != "memory" && backend != "skl2" && backend != "series") {
@@ -42,11 +51,35 @@ std::vector<ValidationIssue> CaseConfig::validate() const {
     add("train.arch", "unknown architecture: " + arch,
         "LSTM | MLP_Transformer | CNN_Transformer | Foundation");
   }
-  check_one_of(sampling::kHypercubeMethods, pipeline.hypercube_method,
-               "subsample.hypercubes", "unknown hypercube method: ");
-  check_one_of(sampling::SamplerRegistry::instance().names(),
-               pipeline.point_method, "subsample.method",
-               "unknown point sampler: ");
+  // Every arch but LSTM (sickle_train's drag surrogate, which fits sensor
+  // windows) trains on isotropic sampled cubes of an edge its model can
+  // take: the transformers' decoder upsamples 4x, and Foundation splits
+  // the cube into patches.
+  if (arch != "LSTM") {
+    const field::CubeSpec& cube = pipeline.cube;
+    const std::string e = std::to_string(cube.ex);
+    if (cube.ey != cube.ex) {
+      add("subsample.nysl", "training cubes must be isotropic: nysl " +
+                                std::to_string(cube.ey) + " != nxsl " + e);
+    }
+    if (cube.ez != cube.ex) {
+      add("subsample.nzsl", "training cubes must be isotropic: nzsl " +
+                                std::to_string(cube.ez) + " != nxsl " + e);
+    }
+    if (arch == "Foundation") {
+      const std::size_t patch = stage::foundation_patch(cube.ex);
+      if (cube.ex % patch != 0) {
+        add("subsample.nxsl", "cube edge " + e +
+                                  " is not a multiple of Foundation's patch "
+                                  "edge " + std::to_string(patch));
+      }
+    } else if (cube.ex < 4 || cube.ex % 4 != 0) {
+      add("subsample.nxsl", "cube edge " + e +
+                                " is not a positive multiple of 4, as the "
+                                "4x-upsampling decoder needs");
+    }
+  }
+  check_sampling_methods(pipeline, issues);
   if (window == 0) add("train.window", "window must be >= 1");
   if (model_dim == 0) add("train.dim", "model dim must be >= 1");
   if (model_heads == 0) add("train.heads", "model heads must be >= 1");
@@ -86,7 +119,7 @@ CaseReport run_case(const DatasetBundle& bundle, CaseConfig cfg) {
 }
 
 CaseReport run_case(ProducerBundle& bundle, CaseConfig cfg) {
-  return stage::run_staged(bundle, std::move(cfg), nullptr);
+  return stage::run_staged(std::move(bundle), std::move(cfg), nullptr);
 }
 
 ml::TensorDataset build_drag_dataset(const DatasetBundle& bundle,

@@ -80,13 +80,23 @@ struct CaseConfig {
   TemporalSelection temporal;  ///< optional snapshot-subset stage
 
   /// ALL problems with this config at once — enum fields (backend, ingest,
-  /// arch, codec), zero/negative sizes, and fraction ranges — so a config
-  /// with three typos is fixed in one round trip instead of three.
+  /// arch, codec, sampling methods), zero/negative sizes, fraction ranges,
+  /// and cube edges the training model cannot take — so a config with
+  /// three typos is fixed in one round trip instead of three. LSTM passes:
+  /// it is the drag surrogate sickle_train fits from this config, which
+  /// CaseSession::submit rejects because a case cannot train it.
   /// Empty means valid. CaseSession::submit throws ConfigError with this
   /// list; config_driver merges it into its own parse-level issues.
   /// run_case itself keeps its legacy first-throw SICKLE_CHECKs.
   [[nodiscard]] std::vector<ValidationIssue> validate() const;
 };
+
+/// Append an issue for each of `pl`'s sampling methods that no sampler
+/// provides: `subsample.hypercubes` against sampling::kHypercubeMethods,
+/// `subsample.method` against the SamplerRegistry, each hint spelling the
+/// valid names. CaseConfig::validate and the config parser both call it.
+void check_sampling_methods(const sampling::PipelineConfig& pl,
+                            std::vector<ValidationIssue>& issues);
 
 struct CaseReport {
   std::size_t sampled_points = 0;
@@ -148,7 +158,9 @@ struct CaseReport {
 /// drop and no full Dataset ever exists; with "materialize" (or the
 /// memory backend) the producer is drained into a DatasetBundle first.
 /// Sample sets and training tensors are bit-identical across all backend
-/// x ingest combinations for lossless codecs. The producer is consumed.
+/// x ingest combinations for lossless codecs. The producer is single-use:
+/// run_case moves it out of `bundle` and destroys it before returning or
+/// throwing, whatever the outcome.
 [[nodiscard]] CaseReport run_case(ProducerBundle& bundle, CaseConfig cfg);
 
 /// Build the supervised TensorDataset for a given architecture from the

@@ -63,6 +63,7 @@ sampling::PipelineConfig pipeline_into(const Config& cfg,
   } else {
     pl.threads = static_cast<std::size_t>(threads);
   }
+  check_sampling_methods(pl, sink);
   return pl;
 }
 

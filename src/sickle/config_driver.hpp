@@ -39,10 +39,12 @@ namespace sickle {
 /// Build the sampling pipeline from the `shared` + `subsample` sections.
 /// Missing keys fall back to the same defaults the paper's CLI uses; the
 /// cube edges and the sizes (num_hypercubes, num_samples, num_clusters,
-/// pdf_bins) must be positive. `subsample.threads` maps onto
-/// PipelineConfig::threads (1 = serial, 0 = all hardware threads,
-/// N = dedicated pool; samples are bit-identical for every value). Throws
-/// one ConfigError naming every bad field.
+/// pdf_bins) must be positive, and `hypercubes` and `method` must name a
+/// known selector and sampler (check_sampling_methods).
+/// `subsample.threads` maps onto PipelineConfig::threads (1 = serial,
+/// 0 = all hardware threads, N = dedicated pool; samples are
+/// bit-identical for every value). Throws one ConfigError naming every
+/// bad field.
 [[nodiscard]] sampling::PipelineConfig pipeline_from_config(
     const Config& cfg);
 

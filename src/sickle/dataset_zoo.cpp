@@ -114,6 +114,7 @@ DatasetBundle materialize_bundle(ProducerBundle& bundle) {
   DatasetBundle b;
   b.data = flow::materialize(*bundle.producer, bundle.name);
   b.scalar_target = bundle.producer->scalar_target();
+  bundle.producer.reset();  // drained, and single-use
   b.input_vars = bundle.input_vars;
   b.output_vars = bundle.output_vars;
   b.cluster_var = bundle.cluster_var;

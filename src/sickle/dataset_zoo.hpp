@@ -58,7 +58,7 @@ struct ProducerBundle {
 /// Drain a ProducerBundle into the equivalent DatasetBundle — the single
 /// materialization point shared by make_dataset and run_case's
 /// ingest: materialize path, so the two can never diverge field by field.
-/// The producer is consumed.
+/// The producer is drained and destroyed.
 [[nodiscard]] DatasetBundle materialize_bundle(ProducerBundle& bundle);
 
 /// All known labels, in Table 1 order.

@@ -1,9 +1,11 @@
 #include "sickle/session.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "sickle/stage.hpp"
@@ -41,17 +43,15 @@ CaseErrorCode classify(CaseState state) noexcept {
 
 namespace detail {
 
-/// One submitted case: the bundle + config it will run, its observable
-/// lifecycle (state/progress/result guarded by mu), and the cancel flag
-/// the orchestrator polls through the stage::Observer interface.
+/// One submitted case's observable lifecycle (state/progress/result
+/// guarded by mu) and the cancel flag the orchestrator polls through the
+/// stage::Observer interface. It holds only what status() and wait()
+/// report: the case's inputs wait in the session queue (QueuedCase) and
+/// move from there into the run.
 class CaseTask final : public stage::Observer {
  public:
-  CaseTask(std::uint64_t id, ProducerBundle&& bundle, CaseConfig cfg,
-           std::weak_ptr<SessionState> session)
-      : id_(id),
-        bundle_(std::move(bundle)),
-        cfg_(std::move(cfg)),
-        session_(std::move(session)) {}
+  CaseTask(std::uint64_t id, std::weak_ptr<SessionState> session)
+      : id_(id), session_(std::move(session)) {}
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
   [[nodiscard]] std::shared_ptr<SessionState> session() const {
@@ -75,13 +75,12 @@ class CaseTask final : public stage::Observer {
   }
 
   /// Run the case on the calling (runner) thread and record the outcome.
-  void execute() {
-    if (cancel_.load(std::memory_order_relaxed)) {
-      finish(CaseState::kCancelled);
-      return;
-    }
+  /// The run takes `bundle` and `cfg`, so the producer is destroyed before
+  /// the outcome is published, whatever it is.
+  void execute(ProducerBundle bundle, CaseConfig cfg) {
     try {
-      CaseReport report = stage::run_staged(bundle_, cfg_, this);
+      CaseReport report =
+          stage::run_staged(std::move(bundle), std::move(cfg), this);
       {
         std::lock_guard<std::mutex> lk(mu_);
         report_ = std::move(report);
@@ -129,11 +128,6 @@ class CaseTask final : public stage::Observer {
   /// Terminal-cancel a task that never started running.
   void mark_cancelled() { finish(CaseState::kCancelled); }
 
-  [[nodiscard]] bool terminal_state() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return terminal(state_);
-  }
-
  private:
   static bool terminal(CaseState s) noexcept {
     return s == CaseState::kDone || s == CaseState::kFailed ||
@@ -159,8 +153,6 @@ class CaseTask final : public stage::Observer {
   }
 
   const std::uint64_t id_;
-  ProducerBundle bundle_;
-  CaseConfig cfg_;
   std::weak_ptr<SessionState> session_;
   std::atomic<bool> cancel_{false};
   mutable std::mutex mu_;
@@ -173,13 +165,30 @@ class CaseTask final : public stage::Observer {
   CaseReport report_;
 };
 
+/// A case waiting for a runner: its task plus the inputs its run takes.
+/// The inputs leave the queue only into the run, or are destroyed by
+/// cancel_queued.
+struct QueuedCase {
+  std::shared_ptr<CaseTask> task;
+  ProducerBundle bundle;
+  CaseConfig cfg;
+};
+
+/// Cancel a case that never reached a runner. Its inputs are destroyed
+/// before it turns kCancelled, so a waiter finds them released.
+void cancel_queued(QueuedCase entry) {
+  const std::shared_ptr<CaseTask> task = std::move(entry.task);
+  entry = {};
+  task->mark_cancelled();
+}
+
 /// Shared between the session facade, its runner threads, and (via
 /// CaseHandle cancel) task owners. Runners hold the shared_ptr, so a
 /// session destroyed mid-drain leaves no dangling state.
 struct SessionState {
   mutable std::mutex mu;
   std::condition_variable cv;
-  std::deque<std::shared_ptr<CaseTask>> queue;
+  std::deque<QueuedCase> queue;
   /// Tasks currently executing on a runner — so teardown can flag their
   /// cancel for the next orchestrator checkpoint.
   std::vector<std::shared_ptr<CaseTask>> active;
@@ -212,19 +221,19 @@ bool CaseHandle::cancel() const {
   // Still queued? Pull it out of the FIFO right now so the queue slot
   // frees immediately instead of waiting for a runner to pop-and-drop it.
   if (auto st = task_->session()) {
-    bool dequeued = false;
+    std::optional<detail::QueuedCase> dequeued;
     {
       std::lock_guard<std::mutex> lk(st->mu);
-      for (auto it = st->queue.begin(); it != st->queue.end(); ++it) {
-        if (it->get() == task_.get()) {
-          st->queue.erase(it);
-          dequeued = true;
-          break;
-        }
+      const auto it = std::find_if(
+          st->queue.begin(), st->queue.end(),
+          [&](const detail::QueuedCase& q) { return q.task == task_; });
+      if (it != st->queue.end()) {
+        dequeued = std::move(*it);
+        st->queue.erase(it);
       }
     }
     if (dequeued) {
-      task_->mark_cancelled();
+      detail::cancel_queued(std::move(*dequeued));
       st->cv.notify_all();
       return true;
     }
@@ -243,28 +252,23 @@ CaseSession::CaseSession(SessionOptions opts)
   for (std::size_t i = 0; i < opts_.max_concurrent_cases; ++i) {
     runners_.emplace_back([st = state_] {
       for (;;) {
-        std::shared_ptr<detail::CaseTask> task;
+        detail::QueuedCase next;
         {
           std::unique_lock<std::mutex> lk(st->mu);
           st->cv.wait(lk,
                       [&] { return st->stopping || !st->queue.empty(); });
           if (st->queue.empty()) return;  // stopping and drained
-          task = std::move(st->queue.front());
+          next = std::move(st->queue.front());
           st->queue.pop_front();
           ++st->running;
-          st->active.push_back(task);
+          st->active.push_back(next.task);
         }
         st->cv.notify_all();  // a queue slot freed up
-        task->execute();
+        next.task->execute(std::move(next.bundle), std::move(next.cfg));
         {
           std::lock_guard<std::mutex> lk(st->mu);
           --st->running;
-          for (auto it = st->active.begin(); it != st->active.end(); ++it) {
-            if (it->get() == task.get()) {
-              st->active.erase(it);
-              break;
-            }
-          }
+          std::erase(st->active, next.task);
         }
         st->cv.notify_all();
       }
@@ -273,7 +277,7 @@ CaseSession::CaseSession(SessionOptions opts)
 }
 
 CaseSession::~CaseSession() {
-  std::deque<std::shared_ptr<detail::CaseTask>> orphaned;
+  std::deque<detail::QueuedCase> orphaned;
   {
     std::lock_guard<std::mutex> lk(state_->mu);
     state_->stopping = true;
@@ -282,10 +286,7 @@ CaseSession::~CaseSession() {
   }
   // Queued cases are cancelled outright; running ones get the cancel flag
   // and are interrupted at their next checkpoint.
-  for (const auto& task : orphaned) {
-    task->request_cancel();
-    task->mark_cancelled();
-  }
+  for (auto& entry : orphaned) detail::cancel_queued(std::move(entry));
   state_->cv.notify_all();
   for (auto& runner : runners_) runner.join();
 }
@@ -294,6 +295,12 @@ CaseHandle CaseSession::submit(ProducerBundle&& bundle, CaseConfig cfg) {
   // Reject BEFORE touching the bundle: a throwing submit leaves the
   // caller's producer exactly as it was.
   auto issues = cfg.validate();
+  if (cfg.arch == "LSTM") {
+    issues.push_back({"train.arch",
+                      "a case cannot train LSTM, the OF2D drag surrogate "
+                      "only sickle_train fits",
+                      "MLP_Transformer | CNN_Transformer | Foundation"});
+  }
   if (!issues.empty()) throw ConfigError(std::move(issues));
 
   if (opts_.shared_block_cache && cfg.backend == "series") {
@@ -308,9 +315,8 @@ CaseHandle CaseSession::submit(ProducerBundle&& bundle, CaseConfig cfg) {
     if (state_->queue.size() >= opts_.queue_capacity) {
       throw QueueFullError(opts_.queue_capacity);
     }
-    task = std::make_shared<detail::CaseTask>(
-        next_id.fetch_add(1), std::move(bundle), std::move(cfg), state_);
-    state_->queue.push_back(task);
+    task = std::make_shared<detail::CaseTask>(next_id.fetch_add(1), state_);
+    state_->queue.push_back({task, std::move(bundle), std::move(cfg)});
   }
   state_->cv.notify_all();
   return CaseHandle(task);

@@ -14,7 +14,11 @@
 /// Concurrency model: the session owns `max_concurrent_cases` runner
 /// threads draining a bounded FIFO queue (admission control: submit
 /// throws QueueFullError once `queue_capacity` cases are waiting, leaving
-/// the caller's bundle untouched). Cases run the orchestrator exactly as
+/// the caller's bundle untouched). A queued case holds its producer and
+/// config; the runner moves them into the run, which destroys them when
+/// it returns, and cancelling a queued case destroys them at once. So a
+/// finished case keeps only its status and report, however long its
+/// handles live. Cases run the orchestrator exactly as
 /// run_case does; with threads > 1 in the pipeline config they share the
 /// process ThreadPool, and "series"-backend readers share one
 /// process-global BlockCache (keys salted per container file) so N
@@ -73,8 +77,8 @@ struct CaseStatus {
 };
 
 /// Shareable reference to a submitted case. Copies refer to the same
-/// case; the case's result stays retrievable as long as any handle (or
-/// the session) lives. All methods are thread-safe.
+/// case; the case's result stays retrievable as long as any handle
+/// lives. All methods are thread-safe.
 class CaseHandle {
  public:
   CaseHandle() = default;
@@ -117,10 +121,12 @@ class CaseSession {
   CaseSession(const CaseSession&) = delete;
   CaseSession& operator=(const CaseSession&) = delete;
 
-  /// Validate `cfg` (throws ConfigError carrying EVERY issue) and enqueue
-  /// the case (throws QueueFullError at capacity). Both rejections happen
-  /// BEFORE the bundle is consumed, so the caller keeps a usable producer
-  /// on failure. On success the bundle is owned by the case.
+  /// Validate `cfg` (throws ConfigError carrying EVERY issue, including
+  /// arch LSTM, which a case cannot train) and enqueue the case (throws
+  /// QueueFullError at capacity). Both rejections happen BEFORE the
+  /// bundle is taken, so the caller keeps a usable producer on failure.
+  /// On success the case takes the bundle; its single-use producer is
+  /// destroyed when the run ends or the queued case is cancelled.
   CaseHandle submit(ProducerBundle&& bundle, CaseConfig cfg);
 
   /// Cases waiting in the FIFO queue right now (excludes running).

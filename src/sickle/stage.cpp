@@ -759,7 +759,7 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
     ml::FoundationModelConfig fc;
     fc.in_channels = pl.input_vars.size();
     fc.edge = edge;
-    fc.patch = std::max<std::size_t>(2, edge / 4);
+    fc.patch = foundation_patch(edge);
     fc.dim = cfg.model_dim;
     fc.heads = cfg.model_heads;
     fc.layers = cfg.model_layers;
@@ -791,31 +791,17 @@ CaseReport run_staged(const DatasetBundle& bundle, CaseConfig cfg,
   return run_loop(&replay, nullptr, cfg, obs);
 }
 
-CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
-                      Observer* obs) {
+CaseReport run_staged(ProducerBundle bundle, CaseConfig cfg, Observer* obs) {
+  // A case cancelled before it starts produces nothing.
+  checkpoint(obs);
   resolve_roles(cfg, bundle);
-  try {
-    // The memory backend borrows views of a full Dataset, so it always
-    // materializes; so does explicit ingest: materialize — both delegate
-    // to the DatasetBundle path for bit-exact legacy behavior.
-    if (cfg.backend == "memory" || cfg.ingest == "materialize") {
-      return run_staged(materialize_bundle(bundle), std::move(cfg), obs);
-    }
-    return run_loop(bundle.producer.get(), nullptr, cfg, obs);
-  } catch (...) {
-    // A failed or cancelled run must not leave a half-consumed producer:
-    // rewind it when the generator supports the reset() contract so the
-    // bundle can be resubmitted. Generators that cannot rewind
-    // (flow::CloneError) stay consumed — documented, not silent.
-    if (bundle.producer != nullptr) {
-      try {
-        bundle.producer->reset();
-      } catch (const flow::CloneError&) {
-        // Single-pass generator: nothing to restore.
-      }
-    }
-    throw;
+  // The memory backend borrows views of a full Dataset, so it always
+  // materializes; so does explicit ingest: materialize — both delegate
+  // to the DatasetBundle path for bit-exact legacy behavior.
+  if (cfg.backend == "memory" || cfg.ingest == "materialize") {
+    return run_staged(materialize_bundle(bundle), std::move(cfg), obs);
   }
+  return run_loop(bundle.producer.get(), nullptr, cfg, obs);
 }
 
 }  // namespace stage

@@ -11,6 +11,10 @@
 /// (and its sample hashes, losses, and exception types) bit-identical to
 /// the pre-session orchestrator.
 ///
+/// A run owns its inputs: the producer overload takes its bundle by value,
+/// and the single-use producer is gone when the run returns or throws, so
+/// whoever keeps a finished case keeps only its outcome.
+///
 /// This header is internal-but-documented: stable enough for tests and
 /// in-tree tooling, not part of the public story README tells. External
 /// callers should use run_case or CaseSession.
@@ -30,8 +34,7 @@ namespace sickle::stage {
 /// `cancel_requested` is POLLED, at stage boundaries and once per
 /// snapshot inside the ingest and sampling loops — cancellation latency
 /// is one snapshot's work, not one case. When it returns true the
-/// orchestrator throws CancelledError out of the run (after attempting
-/// producer reset, see run_staged).
+/// orchestrator throws CancelledError out of the run.
 class Observer {
  public:
   virtual ~Observer() = default;
@@ -51,6 +54,13 @@ class Observer {
 /// The orchestrator calls this at every stage boundary and per snapshot.
 void checkpoint(const Observer* obs);
 
+/// Foundation's patch edge for training cubes of edge `edge`, which must
+/// be a multiple of it.
+[[nodiscard]] constexpr std::size_t foundation_patch(
+    std::size_t edge) noexcept {
+  return edge / 4 > 2 ? edge / 4 : 2;
+}
+
 /// --- Stage D: model construction + training. Fills report.train and
 /// metrics["case.training_seconds"].
 void training(const ml::TensorDataset& data, const CaseConfig& cfg,
@@ -64,13 +74,13 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
                                     CaseConfig cfg, Observer* obs);
 
 /// Run the full staged case over a producer (streaming or materialized
-/// ingest per cfg.ingest). On ANY failure or cancellation the producer is
-/// reset() when its generator supports rewinding (flow::CloneError is
-/// swallowed), so a rejected or cancelled submission does not leave a
-/// half-consumed producer behind; on success the producer is consumed.
-/// A cancelled case removes its spill directory; a failed one keeps it
-/// and logs its path.
-[[nodiscard]] CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
+/// ingest per cfg.ingest). The run owns the bundle: its producer is
+/// single-use and is destroyed when the run returns or throws, whatever
+/// the outcome. A case whose observer requests cancellation before the
+/// run starts throws CancelledError without producing a snapshot. A
+/// cancelled case removes its spill directory; a failed one keeps it and
+/// logs its path.
+[[nodiscard]] CaseReport run_staged(ProducerBundle bundle, CaseConfig cfg,
                                     Observer* obs);
 
 }  // namespace sickle::stage

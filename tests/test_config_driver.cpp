@@ -280,8 +280,11 @@ TEST(ConfigDriver, ValidateCollectsEveryIssueAtOnce) {
   cc.train.test_fraction = 1.5;
   cc.pipeline.point_method = "maxnet";
   cc.pipeline.hypercube_method = "maxnet";
+  // Cubes no model trains on: an edge of 6 does not decode (nxsl), and
+  // nysl 16 is anisotropic.
+  cc.pipeline.cube = {6, 16, 6};
   const auto issues = cc.validate();
-  EXPECT_GE(issues.size(), 9u);
+  EXPECT_GE(issues.size(), 11u);
   std::vector<std::string> fields;
   for (const auto& issue : issues) {
     fields.push_back(issue.field);
@@ -290,9 +293,46 @@ TEST(ConfigDriver, ValidateCollectsEveryIssueAtOnce) {
   for (const char* field :
        {"store.backend", "store.ingest", "train.arch", "train.window",
         "store.codec", "train.lr", "train.test_frac", "subsample.method",
-        "subsample.hypercubes"}) {
+        "subsample.hypercubes", "subsample.nxsl", "subsample.nysl"}) {
     EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
         << field;
+  }
+
+  // Every cube model checks its own edge rule: Foundation splits the cube
+  // into patches of edge max(2, E/4), so 6 is fine there and 13 is not.
+  CaseConfig foundation;
+  foundation.arch = "Foundation";
+  foundation.pipeline.cube = {6, 6, 6};
+  EXPECT_TRUE(foundation.validate().empty());
+  foundation.pipeline.cube = {13, 13, 13};
+  ASSERT_EQ(foundation.validate().size(), 1u);
+  EXPECT_EQ(foundation.validate()[0].field, "subsample.nxsl");
+
+  // LSTM fits sensor windows, not cubes (sickle_train's drag path), so its
+  // cube edges are never checked.
+  CaseConfig drag;
+  drag.arch = "LSTM";
+  drag.pipeline.cube = {6, 16, 6};
+  EXPECT_TRUE(drag.validate().empty());
+}
+
+TEST(ConfigDriver, PipelineFromConfigRejectsUnknownMethods) {
+  // sickle_subsample parses with pipeline_from_config before it generates
+  // anything, so a method typo must fail there, under the field names
+  // validate() uses.
+  const auto cfg = Config::parse(R"(
+subsample:
+  hypercubes: maxnet
+  method: maxnet
+)");
+  try {
+    (void)pipeline_from_config(cfg);
+    FAIL() << "pipeline_from_config accepted unknown sampling methods";
+  } catch (const ConfigError& e) {
+    std::vector<std::string> fields;
+    for (const auto& issue : e.issues()) fields.push_back(issue.field);
+    EXPECT_EQ(fields, (std::vector<std::string>{"subsample.hypercubes",
+                                                "subsample.method"}));
   }
 }
 

@@ -342,6 +342,7 @@ TEST(Producer, IsotropicMatchesBatchGeneratorBitExact) {
   IsotropicProducer producer(p);
   const auto streamed = materialize(producer, "GESTS");
   expect_datasets_identical(streamed, generate_isotropic(p));
+  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted
 }
 
 TEST(Producer, CylinderMatchesBatchGeneratorBitExact) {
@@ -372,6 +373,7 @@ TEST(Producer, CombustionMatchesBatchGeneratorBitExact) {
   EXPECT_EQ(producer.num_snapshots(), 1u);
   const auto streamed = materialize(producer, "TC2D");
   expect_datasets_identical(streamed, generate_combustion(p));
+  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted
 }
 
 TEST(Producer, DatasetProducerReplaysInOrder) {
@@ -384,92 +386,7 @@ TEST(Producer, DatasetProducerReplaysInOrder) {
   DatasetProducer producer(ds);
   const auto replayed = materialize(producer, "replay");
   expect_datasets_identical(replayed, ds);
-}
-
-/// The reset() contract (producer.hpp): after reset(), the producer
-/// yields the exact same snapshot sequence again — what lets the session
-/// layer return a rejected or cancelled submission's producer unharmed.
-template <typename Producer>
-void expect_reset_replays(Producer& producer) {
-  const auto first = materialize(producer, "pass1");
-  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted
-  producer.reset();
-  const auto second = materialize(producer, "pass2");
-  expect_datasets_identical(first, second);
-}
-
-TEST(Producer, ResetReplaysBitIdentically) {
-  {
-    StratifiedParams p;
-    p.nx = 16;
-    p.ny = 16;
-    p.nz = 8;
-    p.snapshots = 3;
-    p.seed = 9;
-    StratifiedProducer producer(p);
-    expect_reset_replays(producer);
-  }
-  {
-    IsotropicParams p;
-    p.n = 16;
-    p.snapshots = 2;
-    p.seed = 9;
-    IsotropicProducer producer(p);
-    expect_reset_replays(producer);
-  }
-  {
-    CombustionParams p;
-    p.nx = 32;
-    p.ny = 32;
-    p.seed = 9;
-    CombustionProducer producer(p);
-    expect_reset_replays(producer);
-  }
-  {
-    StratifiedParams p;
-    p.nx = 8;
-    p.ny = 8;
-    p.nz = 8;
-    p.snapshots = 2;
-    const auto ds = generate_stratified(p);
-    DatasetProducer producer(ds);
-    expect_reset_replays(producer);
-  }
-}
-
-TEST(Producer, CylinderResetReplaysDragAndTimesToo) {
-  CylinderWakeParams p;
-  p.nx = 40;
-  p.ny = 30;
-  p.snapshots = 4;
-  p.seed = 5;
-  CylinderWakeProducer producer(p);
-  const auto first = materialize(producer, "pass1");
-  const auto drag1 = producer.scalar_target();
-  producer.reset();
-  EXPECT_TRUE(producer.scalar_target().empty());  // accumulators rewound
-  const auto second = materialize(producer, "pass2");
-  expect_datasets_identical(first, second);
-  const auto drag2 = producer.scalar_target();
-  ASSERT_EQ(drag1.size(), drag2.size());
-  for (std::size_t t = 0; t < drag1.size(); ++t) {
-    EXPECT_EQ(drag1[t], drag2[t]) << t;
-  }
-}
-
-TEST(Producer, BaseResetThrowsDocumentedCloneError) {
-  // A producer that keeps the base-class default advertises — via the
-  // typed throw — that it cannot rewind.
-  class OneShot final : public SnapshotProducer {
-   public:
-    [[nodiscard]] std::size_t num_snapshots() const override { return 0; }
-    [[nodiscard]] std::optional<field::Snapshot> next() override {
-      return std::nullopt;
-    }
-  };
-  OneShot producer;
-  EXPECT_THROW(producer.reset(), CloneError);
-  EXPECT_THROW(producer.reset(), RuntimeError);  // IS-A, for legacy catches
+  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted: single-use
 }
 
 }  // namespace

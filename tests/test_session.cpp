@@ -1,11 +1,13 @@
 // CaseSession: concurrent bit-identity vs run_case, admission control,
 // queue-slot-freeing cancellation, typed errors, shared-cache stats.
 // Runs under TSan in CI (the session's runner threads + shared BlockCache,
-// including each closing reader's drain-then-erase of its blocks, are
-// exactly the code this job exists to race-check).
+// including each closing reader's drain-then-erase of its blocks and each
+// run's release of its producer when it ends, are exactly the code this
+// job exists to race-check).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <filesystem>
 #include <memory>
@@ -56,26 +58,39 @@ TinyCase tiny_case(std::uint64_t seed, const std::string& backend = "series",
   return t;
 }
 
-/// Wraps an inner producer; the FIRST next() call blocks until release().
-/// Lets tests pin a case inside stage A while they poke at the queue.
-class GateProducer final : public flow::SnapshotProducer {
- public:
-  explicit GateProducer(std::unique_ptr<flow::SnapshotProducer> inner)
-      : inner_(std::move(inner)) {}
+/// A gate the test opens by hand. Its lock, condition and flags are shared
+/// by the test and the GateProducer: the run destroys its producer on the
+/// runner thread as soon as it ends, while the test thread may still be
+/// inside release()'s notify_all.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  bool waiting = false;
 
   void release() {
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      open_ = true;
+      std::lock_guard<std::mutex> lk(mu);
+      open = true;
     }
-    cv_.notify_all();
+    cv.notify_all();
   }
 
   /// Blocks until the case under test has actually reached next().
   void wait_until_blocked() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return waiting_; });
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return waiting; });
   }
+};
+
+/// Wraps an inner producer; the FIRST next() call blocks until the gate
+/// opens. Lets tests pin a case inside stage A while they poke at the
+/// queue.
+class GateProducer final : public flow::SnapshotProducer {
+ public:
+  GateProducer(std::unique_ptr<flow::SnapshotProducer> inner,
+               std::shared_ptr<Gate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
 
   [[nodiscard]] std::size_t num_snapshots() const override {
     return inner_->num_snapshots();
@@ -83,23 +98,54 @@ class GateProducer final : public flow::SnapshotProducer {
 
   [[nodiscard]] std::optional<field::Snapshot> next() override {
     {
-      std::unique_lock<std::mutex> lk(mu_);
-      waiting_ = true;
-      cv_.notify_all();
-      cv_.wait(lk, [&] { return open_; });
+      std::unique_lock<std::mutex> lk(gate_->mu);
+      gate_->waiting = true;
+      gate_->cv.notify_all();
+      gate_->cv.wait(lk, [&] { return gate_->open; });
     }
     return inner_->next();
   }
 
-  void reset() override { inner_->reset(); }
+ private:
+  std::unique_ptr<flow::SnapshotProducer> inner_;
+  std::shared_ptr<Gate> gate_;
+};
+
+/// Gate `t`'s producer; returns the gate.
+std::shared_ptr<Gate> gate_case(TinyCase& t) {
+  auto gate = std::make_shared<Gate>();
+  t.bundle.producer =
+      std::make_unique<GateProducer>(std::move(t.bundle.producer), gate);
+  return gate;
+}
+
+/// Forwards to an inner producer and sets a shared flag when destroyed.
+class WatchedProducer final : public flow::SnapshotProducer {
+ public:
+  WatchedProducer(std::unique_ptr<flow::SnapshotProducer> inner,
+                  std::shared_ptr<std::atomic<bool>> released)
+      : inner_(std::move(inner)), released_(std::move(released)) {}
+  ~WatchedProducer() override { released_->store(true); }
+
+  [[nodiscard]] std::size_t num_snapshots() const override {
+    return inner_->num_snapshots();
+  }
+  [[nodiscard]] std::optional<field::Snapshot> next() override {
+    return inner_->next();
+  }
 
  private:
   std::unique_ptr<flow::SnapshotProducer> inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-  bool waiting_ = false;
+  std::shared_ptr<std::atomic<bool>> released_;
 };
+
+/// Watch `t`'s producer; returns the flag its destruction sets.
+std::shared_ptr<std::atomic<bool>> watch_case(TinyCase& t) {
+  auto released = std::make_shared<std::atomic<bool>>(false);
+  t.bundle.producer = std::make_unique<WatchedProducer>(
+      std::move(t.bundle.producer), released);
+  return released;
+}
 
 /// next() always throws — drives a case into kFailed during stage A.
 class ExplodingProducer final : public flow::SnapshotProducer {
@@ -108,7 +154,6 @@ class ExplodingProducer final : public flow::SnapshotProducer {
   [[nodiscard]] std::optional<field::Snapshot> next() override {
     throw RuntimeError("synthetic producer failure");
   }
-  void reset() override {}
 };
 
 TEST(Session, ConcurrentCasesBitIdenticalToRunCase) {
@@ -160,14 +205,15 @@ TEST(Session, CancelQueuedFreesItsQueueSlot) {
 
   // Case A occupies the single runner, gated inside stage A.
   TinyCase a = tiny_case(0);
-  auto* gate = new GateProducer(std::move(a.bundle.producer));
-  a.bundle.producer.reset(gate);
+  const auto a_released = watch_case(a);
+  const auto gate = gate_case(a);
   CaseHandle ha = session.submit(std::move(a.bundle), std::move(a.cfg));
   gate->wait_until_blocked();
   EXPECT_EQ(session.running(), 1u);
 
   // Case B fills the one queue slot; C must bounce.
   TinyCase b = tiny_case(1);
+  const auto b_released = watch_case(b);
   CaseHandle hb = session.submit(std::move(b.bundle), std::move(b.cfg));
   TinyCase c = tiny_case(2);
   EXPECT_THROW(session.submit(std::move(c.bundle), std::move(c.cfg)),
@@ -177,9 +223,11 @@ TEST(Session, CancelQueuedFreesItsQueueSlot) {
   ASSERT_NE(c.bundle.producer, nullptr);
 
   // Cancelling queued B frees the slot IMMEDIATELY (no runner involved:
-  // the runner is still stuck inside A).
+  // the runner is still stuck inside A), and destroys the producer its
+  // queue entry owned.
   EXPECT_TRUE(hb.cancel());
   EXPECT_EQ(hb.status().state, CaseState::kCancelled);
+  EXPECT_TRUE(b_released->load());
   EXPECT_THROW((void)hb.wait(), CancelledError);
   EXPECT_EQ(session.queued(), 0u);
   CaseHandle hd;
@@ -193,6 +241,7 @@ TEST(Session, CancelQueuedFreesItsQueueSlot) {
   gate->release();
   EXPECT_THROW((void)ha.wait(), CancelledError);
   EXPECT_EQ(ha.status().state, CaseState::kCancelled);
+  EXPECT_TRUE(a_released->load());  // the cancelled run destroyed it
 
   // D got the freed capacity and runs to completion.
   EXPECT_NO_THROW((void)hd.wait());
@@ -208,8 +257,7 @@ TEST(Session, CancelledCaseRemovesItsSpill) {
     CaseSession session({.max_concurrent_cases = 1});
     TinyCase a = tiny_case(0);  // series backend, streaming ingest
     a.cfg.spill_dir = spill.string();
-    auto* gate = new GateProducer(std::move(a.bundle.producer));
-    a.bundle.producer.reset(gate);
+    const auto gate = gate_case(a);
     CaseHandle h = session.submit(std::move(a.bundle), std::move(a.cfg));
     // Stage A has created the spill directory and the unsealed SKL3
     // container by the time the producer is asked for a snapshot.
@@ -224,6 +272,20 @@ TEST(Session, CancelledCaseRemovesItsSpill) {
   std::filesystem::remove_all(spill);
 }
 
+/// Fields named by the ConfigError that submitting `t` throws.
+std::vector<std::string> rejected_fields(CaseSession& session, TinyCase& t) {
+  std::vector<std::string> fields;
+  try {
+    session.submit(std::move(t.bundle), std::move(t.cfg));
+    ADD_FAILURE() << "submit accepted an invalid config";
+  } catch (const ConfigError& e) {
+    for (const auto& issue : e.issues()) fields.push_back(issue.field);
+  }
+  // Rejection happened before the bundle was taken.
+  EXPECT_NE(t.bundle.producer, nullptr);
+  return fields;
+}
+
 TEST(Session, SubmitRejectsBadConfigWithEveryIssueAtOnce) {
   CaseSession session;
   TinyCase t = tiny_case(0);
@@ -232,21 +294,24 @@ TEST(Session, SubmitRejectsBadConfigWithEveryIssueAtOnce) {
   t.cfg.window = 0;                 // train.window
   t.cfg.pipeline.point_method = "maxnet";      // subsample.method
   t.cfg.pipeline.hypercube_method = "maxnet";  // subsample.hypercubes
-  try {
-    session.submit(std::move(t.bundle), std::move(t.cfg));
-    FAIL() << "submit accepted an invalid config";
-  } catch (const ConfigError& e) {
-    EXPECT_GE(e.issues().size(), 5u);
-    std::vector<std::string> fields;
-    for (const auto& issue : e.issues()) fields.push_back(issue.field);
-    for (const char* field : {"store.backend", "train.arch", "train.window",
-                              "subsample.method", "subsample.hypercubes"}) {
-      EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
-          << field;
-    }
+  // Cubes no model trains on: an edge of 6 does not decode (nxsl), and
+  // nysl 16 is anisotropic.
+  t.cfg.pipeline.cube = {6, 16, 6};
+  const auto fields = rejected_fields(session, t);
+  EXPECT_GE(fields.size(), 7u);
+  for (const char* field :
+       {"store.backend", "train.arch", "train.window", "subsample.method",
+        "subsample.hypercubes", "subsample.nxsl", "subsample.nysl"}) {
+    EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
+        << field;
   }
-  // Rejection happened before the bundle was consumed.
-  EXPECT_NE(t.bundle.producer, nullptr);
+
+  // LSTM is the drag surrogate only sickle_train fits; a case cannot
+  // train it.
+  TinyCase lstm = tiny_case(0);
+  lstm.cfg.arch = "LSTM";
+  EXPECT_EQ(rejected_fields(session, lstm),
+            std::vector<std::string>{"train.arch"});
 }
 
 TEST(Session, FailingProducerSurfacesTypedIngestError) {
@@ -311,13 +376,25 @@ TEST(Session, FinishedSeriesCasesLeaveTheSharedCache) {
   EXPECT_EQ(after.resident_bytes, before.resident_bytes);
 }
 
+TEST(Session, FinishedCaseReleasesItsProducer) {
+  // A finished case keeps only its status and report: the run destroys
+  // its single-use producer before wait() returns, though the handle
+  // lives on.
+  CaseSession session;
+  TinyCase t = tiny_case(0);
+  const auto released = watch_case(t);
+  const CaseHandle h = session.submit(std::move(t.bundle), std::move(t.cfg));
+  (void)h.wait();
+  EXPECT_TRUE(released->load());
+  EXPECT_EQ(h.status().state, CaseState::kDone);
+}
+
 TEST(Session, DestructorCancelsQueuedCases) {
   CaseHandle orphan;
   {
     CaseSession session({.max_concurrent_cases = 1, .queue_capacity = 4});
     TinyCase a = tiny_case(0);
-    auto* gate = new GateProducer(std::move(a.bundle.producer));
-    a.bundle.producer.reset(gate);
+    const auto gate = gate_case(a);
     (void)session.submit(std::move(a.bundle), std::move(a.cfg));
     gate->wait_until_blocked();
     TinyCase b = tiny_case(1);

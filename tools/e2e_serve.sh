@@ -6,8 +6,10 @@
 #      numerics fork),
 #   2. the metrics verb reports all submissions and the shared cache,
 #   3. a submit naming an unknown point sampler (`method: maxnet`) gets a
-#      typed `config` rejection with an issue on subsample.method, before
-#      any snapshot is generated,
+#      typed `config` rejection with an issue on subsample.method, and one
+#      naming `arch: lstm` (the drag surrogate, which a case cannot train)
+#      one with an issue on train.arch, both before any snapshot is
+#      generated,
 #   4. a 2 MiB request with no newline gets a typed `protocol` rejection
 #      (the daemon's request-line limit is 1 MiB) and the next connection
 #      is served normally,
@@ -141,25 +143,34 @@ if [[ "$submitted" -ne "$NUM_CASES" ]]; then
 fi
 echo "serve.cases_submitted = $submitted OK"
 
+# Submit `cfg` and require a typed `config` rejection naming `field`.
+# serve_client.py exits 1 on a rejection, which is the expected outcome.
+expect_config_issue() {
+  local what=$1 cfg=$2 field=$3 resp
+  if resp=$(python3 "$CLIENT" --port "$port" submit --config "$cfg"); then
+    echo "error: the daemon accepted $what: $resp" >&2
+    exit 1
+  fi
+  echo "$resp" | python3 -c '
+import json, sys
+what, field = sys.argv[1:3]
+resp = json.load(sys.stdin)
+fields = [issue["field"] for issue in resp.get("issues", [])]
+if resp.get("ok") is not False or resp.get("code") != "config" or field not in fields:
+    sys.exit(f"error: {what} got {resp}, expected a config issue on {field}")
+' "$what" "$field"
+  echo "$what rejected at submit ($field) OK"
+}
+
 echo "=== misspelled sampling method"
 sed 's/^  method: maxent$/  method: maxnet/' "$workdir/case_0.yaml" \
   > "$workdir/typo.yaml"
-# serve_client.py exits 1 on a rejection, which is the expected outcome.
-if typo=$(python3 "$CLIENT" --port "$port" submit \
-          --config "$workdir/typo.yaml"); then
-  echo "error: the daemon accepted method: maxnet: $typo" >&2
-  exit 1
-fi
-echo "$typo" | python3 -c '
-import json, sys
-resp = json.load(sys.stdin)
-fields = [issue["field"] for issue in resp.get("issues", [])]
-if (resp.get("ok") is not False or resp.get("code") != "config"
-        or "subsample.method" not in fields):
-    sys.exit(f"error: method: maxnet got {resp}, expected a config issue "
-             "on subsample.method")
-'
-echo "method: maxnet rejected at submit (subsample.method) OK"
+expect_config_issue "method: maxnet" "$workdir/typo.yaml" subsample.method
+
+echo "=== an architecture a case cannot train"
+sed 's/^  arch: MLP_transformer$/  arch: lstm/' "$workdir/case_0.yaml" \
+  > "$workdir/lstm.yaml"
+expect_config_issue "arch: lstm" "$workdir/lstm.yaml" train.arch
 
 echo "=== oversized request line"
 # The flood runs on a thread so the rejection is read while the daemon
@@ -217,5 +228,5 @@ grep -q "shut down cleanly" "$workdir/serve.log" || {
 
 echo
 echo "e2e-serve OK: $NUM_CASES concurrent cases bit-identical, metrics"
-echo "consistent, unknown method and oversized line rejected, clean SIGTERM"
-echo "shutdown"
+echo "consistent, unknown method, arch: lstm and oversized line rejected,"
+echo "clean SIGTERM shutdown"

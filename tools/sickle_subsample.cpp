@@ -2,10 +2,11 @@
 //
 //   sickle_subsample case.yaml [--ranks N] [--output samples.skl]
 //
-// Loads the case config, generates the configured dataset, runs the
-// two-phase sampling pipeline (optionally SPMD over N simulated ranks),
-// writes the sparse subset, and prints the energy lines the paper's
-// post-processing greps for ("CPU Energy", "Elapsed Time").
+// Loads and checks the case config, generates the configured dataset's
+// first snapshot, runs the two-phase sampling pipeline on it (optionally
+// SPMD over N simulated ranks), writes the sparse subset, and prints the
+// energy lines the paper's post-processing greps for ("CPU Energy",
+// "Elapsed Time").
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -40,22 +41,24 @@ int main(int argc, char** argv) {
     std::printf("dataset: %s\n", label.c_str());
     const obs::ObsOptions oo = obs_options_from_config(cfg);
     obs::apply(oo);
-    DatasetBundle bundle = make_dataset(
+    // Parsed first, so a typo fails before any snapshot is generated.
+    auto pl = pipeline_from_config(cfg);
+    ProducerBundle bundle = make_dataset_producer(
         label, static_cast<std::uint64_t>(cfg.get_int("shared", "seed", 42)),
         dataset_scale_from_config(cfg));
-
-    auto pl = pipeline_from_config(cfg);
     if (pl.input_vars.empty()) pl.input_vars = bundle.input_vars;
     if (pl.output_vars.empty()) pl.output_vars = bundle.output_vars;
     if (pl.cluster_var.empty()) pl.cluster_var = bundle.cluster_var;
+    // Only snapshot 0 is sampled, so only snapshot 0 is generated.
+    const field::Snapshot snapshot = *bundle.producer->next();
 
     sampling::PipelineResult result;
     if (ranks <= 1) {
-      result = run_pipeline(bundle.data.snapshot(0), pl);
+      result = run_pipeline(snapshot, pl);
     } else {
       World world(ranks);
       world.run([&](Comm& comm) {
-        auto local = run_pipeline(bundle.data.snapshot(0), pl, comm);
+        auto local = run_pipeline(snapshot, pl, comm);
         if (comm.is_root()) result = std::move(local);
       });
     }
