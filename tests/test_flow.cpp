@@ -2,13 +2,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <numbers>
+#include <string>
 
 #include "common/mathx.hpp"
+#include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "flow/combustion.hpp"
 #include "flow/cylinder.hpp"
 #include "flow/spectral_turbulence.hpp"
+#include "sickle/dataset_zoo.hpp"
 #include "stats/descriptive.hpp"
+#include "store/chunk_layout.hpp"
 
 namespace sickle::flow {
 namespace {
@@ -387,6 +395,194 @@ TEST(Producer, DatasetProducerReplaysInOrder) {
   const auto replayed = materialize(producer, "replay");
   expect_datasets_identical(replayed, ds);
   EXPECT_EQ(producer.next(), std::nullopt);  // exhausted: single-use
+}
+
+// ------------------------------------------------------- generator golden
+
+/// FNV-1a over the raw bytes of a range, continuing from `seed` so that
+/// several ranges chain into one digest.
+template <typename T>
+std::uint64_t digest(std::span<const T> v,
+                     std::uint64_t seed = store::kFnvOffsetBasis) {
+  return store::fnv1a64(
+      std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(v.data()), v.size_bytes()),
+      seed);
+}
+
+/// Every libm function the spectral generators call: Box-Muller's log,
+/// sqrt and cos, the spectrum's pow and exp, realize's exp, cos and sin
+/// (with sweep phases up to a few hundred radians), and the FFT
+/// twiddles' cos and sin.
+std::uint64_t generator_libm_probe() {
+  std::vector<double> out;
+  for (int i = 1; i <= 4000; ++i) {
+    const double u = static_cast<double>(i) / 4001.0;
+    out.push_back(std::log(u));
+    out.push_back(std::sqrt(-2.0 * std::log(u)));
+    out.push_back(std::cos(2.0 * std::numbers::pi * u));
+    out.push_back(std::sin(2.0 * std::numbers::pi * u));
+    out.push_back(std::cos(400.0 * (u - 0.5)));
+    out.push_back(std::sin(400.0 * (u - 0.5)));
+    out.push_back(std::exp(-20.0 * u));
+    out.push_back(std::pow(1.0 + 100.0 * u, 17.0 / 6.0));
+  }
+  for (std::size_t len = 2; len <= (std::size_t{1} << 16); len <<= 1) {
+    for (const double sign : {-2.0, 2.0}) {
+      const double ang = sign * std::numbers::pi / static_cast<double>(len);
+      out.push_back(std::cos(ang));
+      out.push_back(std::sin(ang));
+    }
+  }
+  return digest(std::span<const double>(out));
+}
+
+/// True when this platform's libm matches the one the goldens were
+/// captured with; otherwise the caller reports and skips.
+bool generator_libm_matches() {
+  const std::uint64_t probe = generator_libm_probe();
+  if (probe == 0xdb06003b269de341ull) return true;
+  std::printf("libm differs on this platform (%016llx); skipped\n",
+              static_cast<unsigned long long>(probe));
+  return false;
+}
+
+/// Digest of each variable over the first `limit` snapshots a producer
+/// yields, chained in production order and keyed by variable name.
+std::map<std::string, std::uint64_t> field_digests(SnapshotProducer& producer,
+                                                   std::size_t limit) {
+  std::map<std::string, std::uint64_t> out;
+  for (std::size_t t = 0; t < limit; ++t) {
+    const auto snap = producer.next();
+    if (!snap) break;
+    for (const auto& name : snap->names()) {
+      const auto it = out.try_emplace(name, store::kFnvOffsetBasis).first;
+      it->second = digest(snap->get(name).data(), it->second);
+    }
+  }
+  return out;
+}
+
+/// Snapshot generation may get faster, never different: every field of
+/// the generated datasets the ledger and the serve path draw is pinned as
+/// an FNV-1a digest of its bits, captured before the FFT, pressure and
+/// stencil kernels were rewritten. The shapes cover equal and unequal
+/// extents, with and without intermittency, and the ledger's 64x64x32
+/// grid. The generators go through libm, so its results are pinned first;
+/// on a platform whose libm rounds differently the test is reported and
+/// skipped rather than failed.
+TEST(GeneratorGolden, DatasetsArePinned) {
+  if (!generator_libm_matches()) GTEST_SKIP();
+  struct Golden {
+    const char* label;
+    double scale;
+    std::size_t snapshots;  ///< how many the digests cover
+    std::map<std::string, std::uint64_t> fields;
+  };
+  const std::vector<Golden> goldens = {
+      {"SST-P1F4", 0.25, 8,
+       {{"eps", 0xcd093be0219853daull},
+        {"p", 0x8ab03db4d587a769ull},
+        {"pv", 0xc7480920c37a7387ull},
+        {"rho", 0x9f4d38c4e741c0f8ull},
+        {"u", 0x750ee395018bb58dull},
+        {"v", 0x9cdf445101cd7de8ull},
+        {"w", 0x11e7eb404972150bull}}},
+      {"SST-P1F100", 0.25, 4,
+       {{"eps", 0x7f40133a4597d6c0ull},
+        {"p", 0x3556d7c51672b8b1ull},
+        {"pv", 0xd1a3c471e0129d18ull},
+        {"rho", 0x216e9ea685a9178dull},
+        {"u", 0x39aea7dd12b0f0a8ull},
+        {"v", 0x0959a56f230d0e4full},
+        {"w", 0xbc3bc9f6b413a4f2ull}}},
+      {"GESTS-2048", 0.25, 1,
+       {{"enstrophy", 0x03e5008d615b9bb3ull},
+        {"eps", 0x4e29fd73a10b1394ull},
+        {"p", 0xc8b6ba2d0b497160ull},
+        {"u", 0x45b66b56f3f7f5fcull},
+        {"v", 0xbd6454d0fcd9ad80ull},
+        {"w", 0x3d2febd87b06f733ull}}},
+      {"SST-P1F4", 1.0, 1,
+       {{"eps", 0xc60d47d7780e3060ull},
+        {"p", 0xd91d01d78cc51306ull},
+        {"pv", 0x7e34e05d6cc9e5aaull},
+        {"rho", 0x6d0332a7a95eeb47ull},
+        {"u", 0xb9daab9888939c2dull},
+        {"v", 0x0fbbac37889ae0a3ull},
+        {"w", 0x9cc0b40535ceba99ull}}},
+  };
+  for (const auto& g : goldens) {
+    ProducerBundle bundle = make_dataset_producer(g.label, 1, g.scale);
+    const auto got = field_digests(*bundle.producer, g.snapshots);
+    EXPECT_EQ(got.size(), g.fields.size()) << g.label << " @ " << g.scale;
+    for (const auto& [name, value] : got) {
+      const auto it = g.fields.find(name);
+      const std::uint64_t want = it == g.fields.end() ? 0 : it->second;
+      EXPECT_EQ(value, want) << g.label << " @ " << g.scale << " field "
+                             << name << ": 0x" << std::hex << value;
+    }
+  }
+}
+
+/// The transforms under the generators, on shapes the generators do not
+/// reach: extents of 1 and 2, fewer lines than one batch, and the 1-D
+/// transform at n = 1, 2 and 1024. Each digest chains the forward and the
+/// inverse transform of a real input and of a complex input.
+TEST(GeneratorGolden, TransformsArePinned) {
+  if (!generator_libm_matches()) GTEST_SKIP();
+  struct Golden {
+    std::size_t nx, ny, nz;
+    std::uint64_t digest;
+  };
+  auto pinned = [](std::size_t nx, std::size_t ny, std::size_t nz,
+                   bool one_d) {
+    const std::size_t n = nx * ny * nz;
+    Rng rng(n + 10 * ny + 100 * nx);
+    std::vector<fft::cplx> real(n), complex(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      real[i] = fft::cplx(rng.normal(), 0.0);
+      complex[i] = fft::cplx(rng.normal(), rng.normal());
+    }
+    std::uint64_t h = store::kFnvOffsetBasis;
+    for (const auto* input : {&real, &complex}) {
+      for (const bool inverse : {false, true}) {
+        auto data = *input;
+        if (one_d) {
+          fft::transform(std::span<fft::cplx>(data), inverse);
+        } else {
+          fft::transform_3d(std::span<fft::cplx>(data), nx, ny, nz, inverse);
+        }
+        h = digest(std::span<const fft::cplx>(data), h);
+      }
+    }
+    return h;
+  };
+  const std::vector<Golden> shapes = {
+      {1, 1, 1, 0x9c53fa10e9b5da0full},
+      {1, 1, 8, 0x54748688165d463dull},
+      {2, 4, 1, 0x08ba84e543c0b272ull},
+      {2, 2, 2, 0x0cd53481bb2cfa4aull},
+      {8, 4, 16, 0x35bdd9ae3f92b6a9ull},
+      {1, 16, 1, 0x73ee42101e48721bull},
+      {4, 1, 32, 0x09246eb828ba61eeull},
+      {16, 2, 4, 0x53f9c78cbbdad226ull},
+  };
+  for (const auto& s : shapes) {
+    const std::uint64_t got = pinned(s.nx, s.ny, s.nz, false);
+    EXPECT_EQ(got, s.digest) << s.nx << "x" << s.ny << "x" << s.nz
+                             << ": 0x" << std::hex << got;
+  }
+  const std::vector<Golden> lines = {
+      {1, 1, 1, 0x9c53fa10e9b5da0full},
+      {2, 1, 1, 0xa274290a668694d7ull},
+      {1024, 1, 1, 0xc367f2357e98d9f3ull},
+  };
+  for (const auto& s : lines) {
+    const std::uint64_t got = pinned(s.nx, 1, 1, true);
+    EXPECT_EQ(got, s.digest) << "1-D n=" << s.nx << ": 0x" << std::hex
+                             << got;
+  }
 }
 
 }  // namespace
