@@ -1,6 +1,8 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -10,14 +12,154 @@ namespace sickle::fft {
 
 namespace {
 
-/// Bit-reversal permutation for a power-of-two length.
-void bit_reverse(std::span<cplx> a) {
-  const std::size_t n = a.size();
+/// Lines one 3-D batch transforms together.
+constexpr std::size_t kLanes = 8;
+
+/// The tables of one radix-2 transform: where bit reversal sends each
+/// element, and every stage's twiddles.
+struct Plan {
+  std::size_t n = 0;
+  bool inverse = false;
+  std::vector<std::size_t> rev;  ///< element i lands at rev[i]
+  /// Twiddles w^j of the stage whose butterflies span `half` elements
+  /// start at index half - 1 (1 + 2 + ... + half/2 entries precede them).
+  std::vector<double> wr, wi;
+};
+
+Plan make_plan(std::size_t n, bool inverse) {
+  Plan p;
+  p.n = n;
+  p.inverse = inverse;
+  p.rev.assign(n, 0);
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
+    p.rev[i] = j;
+  }
+  // The same w *= wlen recurrence the butterflies always used, so every
+  // twiddle carries the same rounding.
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const cplx wlen(std::cos(ang), std::sin(ang));
+    cplx w(1.0, 0.0);
+    for (std::size_t j = 0; j < len / 2; ++j) {
+      p.wr.push_back(w.real());
+      p.wi.push_back(w.imag());
+      w *= wlen;
+    }
+  }
+  return p;
+}
+
+/// One thread's plans and split real/imaginary scratch. Both only grow,
+/// so a transform allocates nothing once its lengths have been seen, and
+/// no two threads share either.
+struct Workspace {
+  std::deque<Plan> plans;  ///< a deque: references survive later plans
+  std::vector<double> re, im;
+
+  const Plan& plan(std::size_t n, bool inverse) {
+    for (const Plan& p : plans) {
+      if (p.n == n && p.inverse == inverse) return p;
+    }
+    return plans.emplace_back(make_plan(n, inverse));
+  }
+};
+
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+/// Every butterfly of `plan` across W lines held side by side: element i
+/// of line l sits at re/im[i * W + l], already in bit-reversed order.
+template <std::size_t W>
+void butterflies(double* re, double* im, const Plan& plan) {
+  const std::size_t n = plan.n;
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const double* wr = plan.wr.data() + (half - 1);
+    const double* wi = plan.wi.data() + (half - 1);
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      for (std::size_t j = 0; j < half; ++j) {
+        double* __restrict ar = re + (i + j) * W;
+        double* __restrict ai = im + (i + j) * W;
+        double* __restrict br = ar + half * W;
+        double* __restrict bi = ai + half * W;
+        // Every multiply stays, w = 1 included: skipping one can flip the
+        // sign of a zero.
+        const double c = wr[j];
+        const double d = wi[j];
+#pragma omp simd
+        for (std::size_t l = 0; l < W; ++l) {
+          // v = b * w as std::complex computes it for finite operands.
+          const double vr = br[l] * c - bi[l] * d;
+          const double vi = br[l] * d + bi[l] * c;
+          const double ur = ar[l];
+          const double ui = ai[l];
+          ar[l] = ur + vr;
+          ai[l] = ui + vi;
+          br[l] = ur - vr;
+          bi[l] = ui - vi;
+        }
+      }
+    }
+  }
+}
+
+/// Transforms `lines` (at most W) lines of length plan.n in place: element
+/// i of line l is data[l * lane_dist + i * stride]. Lanes past `lines`
+/// run on zeros and are dropped.
+template <std::size_t W>
+void transform_batch(cplx* data, std::size_t lines, std::size_t lane_dist,
+                     std::size_t stride, const Plan& plan, Workspace& ws) {
+  const std::size_t n = plan.n;
+  double* re = ws.re.data();
+  double* im = ws.im.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const cplx* src = data + i * stride;
+    double* dr = re + plan.rev[i] * W;
+    double* di = im + plan.rev[i] * W;
+    for (std::size_t l = 0; l < lines; ++l) {
+      dr[l] = src[l * lane_dist].real();
+      di[l] = src[l * lane_dist].imag();
+    }
+    for (std::size_t l = lines; l < W; ++l) dr[l] = di[l] = 0.0;
+  }
+  butterflies<W>(re, im, plan);
+  // The inverse scales each axis by 1/n, as x *= 1/n on a complex does.
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cplx* dst = data + i * stride;
+    const double* sr = re + i * W;
+    const double* si = im + i * W;
+    for (std::size_t l = 0; l < lines; ++l) {
+      dst[l * lane_dist] = plan.inverse ? cplx(sr[l] * inv_n, si[l] * inv_n)
+                                        : cplx(sr[l], si[l]);
+    }
+  }
+}
+
+/// Transforms `count` lines of length n: line c's element i is
+/// data[c * lane_dist + i * stride]. Adjacent lines go kLanes at a time.
+void transform_lines(cplx* data, std::size_t n, std::size_t stride,
+                     std::size_t count, std::size_t lane_dist, bool inverse,
+                     Workspace& ws) {
+  if (n <= 1) return;
+  const Plan& plan = ws.plan(n, inverse);
+  for (std::size_t c = 0; c < count; c += kLanes) {
+    transform_batch<kLanes>(data + c * lane_dist,
+                            std::min(kLanes, count - c), lane_dist, stride,
+                            plan, ws);
+  }
+}
+
+/// Grows the scratch to hold kLanes lines of length n.
+void reserve_scratch(Workspace& ws, std::size_t n) {
+  if (ws.re.size() < n * kLanes) {
+    ws.re.resize(n * kLanes);
+    ws.im.resize(n * kLanes);
   }
 }
 
@@ -27,67 +169,26 @@ void transform(std::span<cplx> data, bool inverse) {
   const std::size_t n = data.size();
   SICKLE_CHECK_MSG(is_pow2(n), "FFT length must be a power of two");
   if (n <= 1) return;
-  bit_reverse(data);
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang =
-        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const cplx wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      cplx w(1.0, 0.0);
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const cplx u = data[i + j];
-        const cplx v = data[i + j + len / 2] * w;
-        data[i + j] = u + v;
-        data[i + j + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (auto& x : data) x *= inv_n;
-  }
+  Workspace& ws = workspace();
+  reserve_scratch(ws, n);
+  transform_batch<1>(data.data(), 1, 0, 1, ws.plan(n, inverse), ws);
 }
-
-namespace {
-
-/// Strided transform used to build the 3D FFT: transforms `count` lines
-/// of length n with stride `stride`, starting at offsets
-/// 0..count-1 * `dist`.
-void transform_lines(cplx* data, std::size_t n, std::size_t stride,
-                     std::size_t count, std::size_t dist, bool inverse) {
-  std::vector<cplx> line(n);
-  for (std::size_t c = 0; c < count; ++c) {
-    cplx* base = data + c * dist;
-    if (stride == 1) {
-      transform(std::span<cplx>(base, n), inverse);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) line[i] = base[i * stride];
-      transform(std::span<cplx>(line), inverse);
-      for (std::size_t i = 0; i < n; ++i) base[i * stride] = line[i];
-    }
-  }
-}
-
-}  // namespace
 
 void transform_3d(std::span<cplx> data, std::size_t nx, std::size_t ny,
                   std::size_t nz, bool inverse) {
   SICKLE_CHECK(data.size() == nx * ny * nz);
-  // z lines: contiguous, one per (ix, iy).
-  transform_lines(data.data(), nz, 1, nx * ny, nz, inverse);
-  // y lines: stride nz, one per (ix, iz).
+  SICKLE_CHECK_MSG(is_pow2(nx) && is_pow2(ny) && is_pow2(nz),
+                   "FFT length must be a power of two");
+  Workspace& ws = workspace();
+  reserve_scratch(ws, std::max({nx, ny, nz}));
+  // z lines: contiguous, one per (ix, iy); a batch is 8 consecutive rows.
+  transform_lines(data.data(), nz, 1, nx * ny, nz, inverse, ws);
+  // y lines: stride nz, one per (ix, iz); a batch is 8 adjacent iz.
   for (std::size_t ix = 0; ix < nx; ++ix) {
-    for (std::size_t iz = 0; iz < nz; ++iz) {
-      transform_lines(data.data() + ix * ny * nz + iz, ny, nz, 1, 0, inverse);
-    }
+    transform_lines(data.data() + ix * ny * nz, ny, nz, nz, 1, inverse, ws);
   }
-  // x lines: stride ny*nz, one per (iy, iz).
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    for (std::size_t iz = 0; iz < nz; ++iz) {
-      transform_lines(data.data() + iy * nz + iz, nx, ny * nz, 1, 0, inverse);
-    }
-  }
+  // x lines: stride ny*nz, one per (iy, iz); a batch is 8 adjacent columns.
+  transform_lines(data.data(), nx, ny * nz, ny * nz, 1, inverse, ws);
 }
 
 std::vector<double> poisson_solve_3d(std::span<const double> rhs,
@@ -118,49 +219,41 @@ std::vector<double> poisson_solve_3d(std::span<const double> rhs,
   return out;
 }
 
-std::vector<double> spectral_derivative_3d(std::span<const double> field,
-                                           std::size_t nx, std::size_t ny,
-                                           std::size_t nz, int axis) {
+std::array<std::vector<double>, 3> spectral_gradient_3d(
+    std::span<const double> field, std::size_t nx, std::size_t ny,
+    std::size_t nz) {
   SICKLE_CHECK(field.size() == nx * ny * nz);
-  SICKLE_CHECK(axis >= 0 && axis <= 2);
   std::vector<cplx> hat(field.size());
   for (std::size_t i = 0; i < field.size(); ++i) hat[i] = cplx(field[i], 0.0);
   transform_3d(std::span<cplx>(hat), nx, ny, nz, false);
 
+  std::array<std::vector<double>, 3> out;
+  std::vector<cplx> d(hat.size());
   const cplx I(0.0, 1.0);
-  for (std::size_t ix = 0; ix < nx; ++ix) {
-    const double kx = wavenumber(ix, nx);
-    for (std::size_t iy = 0; iy < ny; ++iy) {
-      const double ky = wavenumber(iy, ny);
-      for (std::size_t iz = 0; iz < nz; ++iz) {
-        const double kz = wavenumber(iz, nz);
-        const double k = (axis == 0) ? kx : (axis == 1) ? ky : kz;
-        const std::size_t idx = (ix * ny + iy) * nz + iz;
-        hat[idx] *= I * k;
-      }
-    }
-  }
-  // The Nyquist mode of an odd operator (i*k) must be zeroed for a real
-  // result; wavenumber() maps it to -n/2 which is fine for magnitude but
-  // the derivative of a real signal at Nyquist is ambiguous. Zero it.
-  auto zero_nyquist = [&](int ax) {
-    const std::size_t n = (ax == 0) ? nx : (ax == 1) ? ny : nz;
-    if (n < 2) return;
-    const std::size_t half = n / 2;
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      for (std::size_t iy = 0; iy < ny; ++iy) {
-        for (std::size_t iz = 0; iz < nz; ++iz) {
-          const std::size_t i_ax = (ax == 0) ? ix : (ax == 1) ? iy : iz;
-          if (i_ax == half) hat[(ix * ny + iy) * nz + iz] = cplx(0.0, 0.0);
+  for (int axis = 0; axis < 3; ++axis) {
+    // The Nyquist mode of an odd operator (i*k) must be zeroed for a real
+    // result: wavenumber() maps it to -n/2, but the derivative of a real
+    // signal at Nyquist is ambiguous.
+    // The grid as (outer, n, inner) around the axis: bin i of line (o, r)
+    // sits at (o * n + i) * inner + r.
+    const std::size_t n = (axis == 0) ? nx : (axis == 1) ? ny : nz;
+    const std::size_t inner = (axis == 0) ? ny * nz : (axis == 1) ? nz : 1;
+    const std::size_t outer = (axis == 0) ? 1 : (axis == 1) ? nx : nx * ny;
+    const std::size_t nyquist = (n < 2) ? n : n / 2;
+    for (std::size_t o = 0; o < outer; ++o) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const cplx ik = I * wavenumber(i, n);
+        cplx* dst = d.data() + (o * n + i) * inner;
+        const cplx* src = hat.data() + (o * n + i) * inner;
+        for (std::size_t r = 0; r < inner; ++r) {
+          dst[r] = (i == nyquist) ? cplx(0.0, 0.0) : src[r] * ik;
         }
       }
     }
-  };
-  zero_nyquist(axis);
-
-  transform_3d(std::span<cplx>(hat), nx, ny, nz, true);
-  std::vector<double> out(field.size());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = hat[i].real();
+    transform_3d(std::span<cplx>(d), nx, ny, nz, true);
+    out[axis].resize(field.size());
+    for (std::size_t i = 0; i < d.size(); ++i) out[axis][i] = d[i].real();
+  }
   return out;
 }
 

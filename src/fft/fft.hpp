@@ -7,7 +7,26 @@
 // all SICKLE grids are power-of-two sized by construction.
 //
 // Conventions: forward transform has no normalization; inverse divides by N
-// (so inverse(forward(x)) == x).
+// (so inverse(forward(x)) == x). transform_3d divides by each axis's
+// length in turn.
+//
+// Kernel: transform_3d moves 8 adjacent lines at a time into split real
+// and imaginary scratch (element i of line l at [i * 8 + l], gathered in
+// bit-reversed order) and runs every butterfly across all 8, on each of
+// the three axes; the 1-D transform runs the same butterflies on one
+// line. The bit-reversal permutation and each stage's twiddles are a plan
+// built once per (length, direction). Plans and scratch live in one
+// thread_local workspace that only grows, so a transform allocates nothing
+// once its lengths have been seen, and concurrent callers share no state.
+//
+// Arithmetic contract: results are bit-identical to the textbook in-place
+// loop over std::complex<double>. Each butterfly does the same operations
+// on the same operands: v = b * w written out as (ac - bd, ad + bc), which
+// is what std::complex computes for finite operands; u + v and u - v; and
+// the inverse's x *= 1/n. Twiddles come from the same w *= wlen
+// recurrence, and the multiply by w = 1 is kept, since skipping it can
+// flip the sign of a zero. This holds only while sickle_fft builds without
+// -ffast-math, -march or FMA contraction.
 #pragma once
 
 #include <array>
@@ -49,10 +68,11 @@ void transform_3d(std::span<cplx> data, std::size_t nx, std::size_t ny,
                                                    std::size_t ny,
                                                    std::size_t nz);
 
-/// Spectral derivative of a real periodic field along the given axis
-/// (0 = x slowest, 2 = z fastest); domain extent 2*pi per axis.
-[[nodiscard]] std::vector<double> spectral_derivative_3d(
+/// Spectral gradient of a real periodic field: {d/dx, d/dy, d/dz} (x
+/// slowest, z fastest), domain extent 2*pi per axis. One forward transform
+/// serves all three inverse ones.
+[[nodiscard]] std::array<std::vector<double>, 3> spectral_gradient_3d(
     std::span<const double> field, std::size_t nx, std::size_t ny,
-    std::size_t nz, int axis);
+    std::size_t nz);
 
 }  // namespace sickle::fft

@@ -1,5 +1,7 @@
 #include "field/derived.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/mathx.hpp"
 
@@ -8,19 +10,39 @@ namespace sickle::field {
 std::vector<double> central_derivative(const Field& f, int axis) {
   SICKLE_CHECK(axis >= 0 && axis <= 2);
   const GridShape& s = f.shape();
+  const std::span<const double> src = f.data();
   std::vector<double> out(s.size(), 0.0);
-  const std::ptrdiff_t dx = (axis == 0) ? 1 : 0;
-  const std::ptrdiff_t dy = (axis == 1) ? 1 : 0;
-  const std::ptrdiff_t dz = (axis == 2) ? 1 : 0;
-  for (std::size_t ix = 0; ix < s.nx; ++ix) {
-    for (std::size_t iy = 0; iy < s.ny; ++iy) {
-      for (std::size_t iz = 0; iz < s.nz; ++iz) {
-        const auto x = static_cast<std::ptrdiff_t>(ix);
-        const auto y = static_cast<std::ptrdiff_t>(iy);
-        const auto z = static_cast<std::ptrdiff_t>(iz);
-        out[s.index(ix, iy, iz)] =
-            0.5 * (f.at_periodic(x + dx, y + dy, z + dz) -
-                   f.at_periodic(x - dx, y - dy, z - dz));
+  if (out.empty()) return out;
+  // The grid as (outer, n, inner) around the derivative axis: point i of
+  // line (o, r) sits at (o * n + i) * inner + r.
+  const std::size_t n = (axis == 0) ? s.nx : (axis == 1) ? s.ny : s.nz;
+  const std::size_t inner = (axis == 0)   ? s.ny * s.nz
+                            : (axis == 1) ? s.nz
+                                          : 1;
+  const std::size_t outer = (axis == 0)   ? 1
+                            : (axis == 1) ? s.nx
+                                          : s.nx * s.ny;
+  for (std::size_t o = 0; o < outer; ++o) {
+    const double* line = src.data() + o * n * inner;
+    double* dst = out.data() + o * n * inner;
+    if (inner == 1) {
+      // One contiguous line (z, or y on a 2-D grid); its two ends wrap.
+      const std::size_t last = n - 1;
+      dst[0] = 0.5 * (line[std::min<std::size_t>(1, last)] - line[last]);
+      for (std::size_t i = 1; i < last; ++i) {
+        dst[i] = 0.5 * (line[i + 1] - line[i - 1]);
+      }
+      if (last > 0) dst[last] = 0.5 * (line[0] - line[last - 1]);
+      continue;
+    }
+    // Otherwise whole rows of `inner` contiguous points; the first and
+    // last rows wrap.
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* plus = line + ((i + 1 == n) ? 0 : i + 1) * inner;
+      const double* minus = line + ((i == 0) ? n - 1 : i - 1) * inner;
+      double* row = dst + i * inner;
+      for (std::size_t r = 0; r < inner; ++r) {
+        row[r] = 0.5 * (plus[r] - minus[r]);
       }
     }
   }

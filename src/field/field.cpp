@@ -2,21 +2,6 @@
 
 namespace sickle::field {
 
-namespace {
-std::size_t wrap(std::ptrdiff_t i, std::size_t n) noexcept {
-  const auto sn = static_cast<std::ptrdiff_t>(n);
-  std::ptrdiff_t m = i % sn;
-  if (m < 0) m += sn;
-  return static_cast<std::size_t>(m);
-}
-}  // namespace
-
-double Field::at_periodic(std::ptrdiff_t ix, std::ptrdiff_t iy,
-                          std::ptrdiff_t iz) const noexcept {
-  return data_[shape_.index(wrap(ix, shape_.nx), wrap(iy, shape_.ny),
-                            wrap(iz, shape_.nz))];
-}
-
 Field& Snapshot::add(std::string name) {
   SICKLE_CHECK_MSG(!has(name), "duplicate field name: " + name);
   index_[name] = fields_.size();

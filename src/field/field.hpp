@@ -56,10 +56,6 @@ class Field {
     return data_[shape_.index(ix, iy, iz)];
   }
 
-  /// Periodic accessor (indices wrapped): used by finite-difference stencils.
-  [[nodiscard]] double at_periodic(std::ptrdiff_t ix, std::ptrdiff_t iy,
-                                   std::ptrdiff_t iz) const noexcept;
-
  private:
   std::string name_;
   GridShape shape_;

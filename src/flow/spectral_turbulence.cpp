@@ -1,5 +1,6 @@
 #include "flow/spectral_turbulence.hpp"
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -148,12 +149,17 @@ SpectralState build_base_state(const SpectralTurbulenceParams& p, Rng& rng) {
   return st;
 }
 
-/// Inverse-transform one component at time t (phase sweep + viscous decay).
-std::vector<double> realize(const SpectralState& st,
-                            const std::vector<cplx>& base, double t,
-                            double viscosity) {
+/// Each mode's viscous decay and sweep phase at one time, shared by every
+/// component realized at that time.
+struct ModeFactors {
+  std::vector<double> decay;
+  std::vector<cplx> phase;
+};
+
+ModeFactors mode_factors(const SpectralState& st, double t,
+                         double viscosity) {
   const std::size_t n = st.size();
-  std::vector<cplx> hat(n);
+  ModeFactors f{std::vector<double>(n), std::vector<cplx>(n)};
   for (std::size_t ix = 0; ix < st.nx; ++ix) {
     const double kx = fft::wavenumber(ix, st.nx);
     for (std::size_t iy = 0; iy < st.ny; ++iy) {
@@ -164,11 +170,23 @@ std::vector<double> realize(const SpectralState& st,
         const double k2 = kx * kx + ky * ky + kz * kz;
         const double omega =
             kx * st.sweep[0] + ky * st.sweep[1] + kz * st.sweep[2];
-        const double decay = std::exp(-viscosity * k2 * t);
+        f.decay[idx] = std::exp(-viscosity * k2 * t);
         const double ph = -omega * t;
-        hat[idx] = base[idx] * decay * cplx(std::cos(ph), std::sin(ph));
+        f.phase[idx] = cplx(std::cos(ph), std::sin(ph));
       }
     }
+  }
+  return f;
+}
+
+/// Inverse-transform one component at the time `f` was built for.
+std::vector<double> realize(const SpectralState& st,
+                            const std::vector<cplx>& base,
+                            const ModeFactors& f) {
+  const std::size_t n = st.size();
+  std::vector<cplx> hat(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    hat[i] = base[i] * f.decay[i] * f.phase[i];
   }
   fft::transform_3d(std::span<cplx>(hat), st.nx, st.ny, st.nz, true);
   std::vector<double> out(n);
@@ -224,14 +242,11 @@ std::vector<double> intermittency_envelope(std::size_t nx, std::size_t ny,
 std::vector<double> pressure_poisson(const field::Snapshot& snap) {
   const auto& s = snap.shape();
   const char* names[3] = {"u", "v", "w"};
-  // grad[i][j] = du_i/dx_j
-  std::vector<std::vector<double>> grad[3];
+  // grad[i][j] = du_i/dx_j: one forward transform per component.
+  std::array<std::vector<double>, 3> grad[3];
   for (int i = 0; i < 3; ++i) {
-    grad[i].resize(3);
-    for (int j = 0; j < 3; ++j) {
-      grad[i][j] = fft::spectral_derivative_3d(snap.get(names[i]).data(),
-                                               s.nx, s.ny, s.nz, j);
-    }
+    grad[i] = fft::spectral_gradient_3d(snap.get(names[i]).data(), s.nx,
+                                        s.ny, s.nz);
   }
   std::vector<double> rhs(s.size(), 0.0);
   for (int i = 0; i < 3; ++i) {
@@ -276,9 +291,14 @@ struct SpectralTurbulenceProducer::Impl {
     const double t = static_cast<double>(ts) * p.dt;
     field::Snapshot snap(shape, t);
 
-    auto u = realize(st, st.u_hat, t, p.viscosity);
-    auto v = realize(st, st.v_hat, t, p.viscosity);
-    auto w = realize(st, st.w_hat, t, p.viscosity);
+    std::vector<double> u, v, w, rho;
+    {
+      const ModeFactors f = mode_factors(st, t, p.viscosity);
+      u = realize(st, st.u_hat, f);
+      v = realize(st, st.v_hat, f);
+      w = realize(st, st.w_hat, f);
+      if (p.with_density) rho = realize(st, st.rho_hat, f);
+    }
     // One common scale for all components (separate per-component scaling
     // would break solenoidality): target the mean horizontal RMS.
     {
@@ -308,7 +328,6 @@ struct SpectralTurbulenceProducer::Impl {
     snap.add("w", std::move(w));
 
     if (p.with_density) {
-      auto rho = realize(st, st.rho_hat, t, p.viscosity);
       normalize_rms(rho, 0.1);
       if (!envelope.empty()) {
         for (std::size_t i = 0; i < rho.size(); ++i) rho[i] *= envelope[i];

@@ -1,8 +1,12 @@
 // Unit tests: FFT, Poisson solve, spectral derivatives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -106,10 +110,15 @@ TEST(Fft, SpectralDerivativeOfSine) {
       }
     }
   }
-  const auto df = spectral_derivative_3d(f, n, n, n, 0);
+  const auto grad = spectral_gradient_3d(f, n, n, n);
   for (std::size_t ix = 0; ix < n; ++ix) {
     const double x = 2.0 * kPi * static_cast<double>(ix) / n;
-    EXPECT_NEAR(df[(ix * n) * n], 2.0 * std::cos(2.0 * x), 1e-8);
+    EXPECT_NEAR(grad[0][(ix * n) * n], 2.0 * std::cos(2.0 * x), 1e-8);
+  }
+  // f does not vary along y or z.
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_NEAR(grad[1][i], 0.0, 1e-8);
+    EXPECT_NEAR(grad[2][i], 0.0, 1e-8);
   }
 }
 
@@ -148,6 +157,62 @@ TEST(Fft, PoissonGaugesOutMean) {
   const std::vector<double> rhs(n * n * n, 3.0);
   const auto solved = poisson_solve_3d(rhs, n, n, n);
   for (const double v : solved) EXPECT_NEAR(v, 0.0, 1e-10);
+}
+
+/// Transforms keep their plans and scratch per thread, so concurrent
+/// callers share no state: 4 threads running mixed lengths (8-64) in both
+/// directions, each in its own order, must return the serial bits.
+TEST(Fft, ConcurrentTransformsMatchSerial) {
+  struct Job {
+    std::size_t nx, ny, nz;  ///< ny == nz == 0: the 1-D transform of nx
+    bool inverse;
+    std::vector<cplx> input, want;
+  };
+  const std::size_t shapes[][3] = {{8, 16, 32}, {64, 8, 8}, {16, 64, 8},
+                                   {32, 32, 16}, {8, 8, 64}, {8, 0, 0},
+                                   {16, 0, 0},  {32, 0, 0}, {64, 0, 0}};
+  auto run = [](const Job& job, std::vector<cplx>& data) {
+    if (job.ny == 0) {
+      transform(std::span<cplx>(data), job.inverse);
+    } else {
+      transform_3d(std::span<cplx>(data), job.nx, job.ny, job.nz,
+                   job.inverse);
+    }
+  };
+  Rng rng(31);
+  std::vector<Job> jobs;
+  for (const auto& s : shapes) {
+    for (const bool inverse : {false, true}) {
+      Job job{s[0], s[1], s[2], inverse, {}, {}};
+      job.input.resize(s[0] * std::max<std::size_t>(1, s[1] * s[2]));
+      for (auto& x : job.input) x = cplx(rng.normal(), rng.normal());
+      job.want = job.input;
+      run(job, job.want);
+      jobs.push_back(std::move(job));
+    }
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t rep = 0; rep < 3; ++rep) {
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+          const Job& job = jobs[(k + 5 * t) % jobs.size()];
+          std::vector<cplx> data = job.input;
+          run(job, data);
+          if (std::memcmp(data.data(), job.want.data(),
+                          data.size() * sizeof(cplx)) != 0) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

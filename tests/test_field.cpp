@@ -25,14 +25,6 @@ TEST(GridShape, IndexingIsZFastest) {
   EXPECT_EQ(s.index(1, 0, 0), 6u);
 }
 
-TEST(Field, PeriodicAccessWraps) {
-  Field f("x", {4, 4, 1});
-  f.at(0, 0) = 7.0;
-  EXPECT_DOUBLE_EQ(f.at_periodic(-4, 0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(f.at_periodic(4, 4, 0), 7.0);
-  EXPECT_DOUBLE_EQ(f.at_periodic(-1, 0, 0), f.at(3, 0));
-}
-
 TEST(Snapshot, AddAndRetrieveFields) {
   Snapshot snap({2, 2, 1}, 1.5);
   snap.add("u").at(1, 1) = 3.0;
@@ -157,6 +149,40 @@ TEST(Derived, CentralDerivativeOfSine) {
   for (std::size_t ix = 0; ix < n; ++ix) {
     EXPECT_NEAR(df[snap.shape().index(ix, 0, 0)],
                 k * std::cos(k * static_cast<double>(ix)), 1e-3);
+  }
+}
+
+/// The contiguous stencil must equal the textbook periodic one exactly on
+/// every axis, including extents of 1 and 2, where both neighbours wrap
+/// to the same point.
+TEST(Derived, CentralDerivativeMatchesWrappedStencil) {
+  const std::vector<GridShape> shapes = {
+      {5, 3, 1}, {4, 2, 3}, {1, 1, 6}, {2, 2, 2}};
+  Rng rng(12);
+  for (const GridShape& s : shapes) {
+    Field f("f", s);
+    for (double& x : f.data()) x = rng.normal();
+    const std::size_t extent[3] = {s.nx, s.ny, s.nz};
+    for (int axis = 0; axis < 3; ++axis) {
+      const auto got = central_derivative(f, axis);
+      ASSERT_EQ(got.size(), s.size());
+      for (std::size_t ix = 0; ix < s.nx; ++ix) {
+        for (std::size_t iy = 0; iy < s.ny; ++iy) {
+          for (std::size_t iz = 0; iz < s.nz; ++iz) {
+            const std::size_t n = extent[axis];
+            std::size_t plus[3] = {ix, iy, iz};
+            std::size_t minus[3] = {ix, iy, iz};
+            plus[axis] = (plus[axis] + 1) % n;
+            minus[axis] = (minus[axis] + n - 1) % n;
+            const double want = 0.5 * (f.at(plus[0], plus[1], plus[2]) -
+                                       f.at(minus[0], minus[1], minus[2]));
+            EXPECT_EQ(got[s.index(ix, iy, iz)], want)
+                << s.nx << "x" << s.ny << "x" << s.nz << " axis " << axis
+                << " at (" << ix << "," << iy << "," << iz << ")";
+          }
+        }
+      }
+    }
   }
 }
 

@@ -179,11 +179,11 @@ TEST(SpectralTurbulence, VelocityIsDivergenceFree) {
   const auto ds = generate_spectral_turbulence(p);
   const auto& snap = ds.snapshot(0);
   const auto dudx =
-      fft::spectral_derivative_3d(snap.get("u").data(), 16, 16, 16, 0);
+      fft::spectral_gradient_3d(snap.get("u").data(), 16, 16, 16)[0];
   const auto dvdy =
-      fft::spectral_derivative_3d(snap.get("v").data(), 16, 16, 16, 1);
+      fft::spectral_gradient_3d(snap.get("v").data(), 16, 16, 16)[1];
   const auto dwdz =
-      fft::spectral_derivative_3d(snap.get("w").data(), 16, 16, 16, 2);
+      fft::spectral_gradient_3d(snap.get("w").data(), 16, 16, 16)[2];
   double div_rms = 0.0, vel_rms = 0.0;
   const auto u = snap.get("u").data();
   for (std::size_t i = 0; i < dudx.size(); ++i) {
