@@ -2,13 +2,18 @@
 //
 //   sickle_subsample case.yaml [--ranks N] [--output samples.skl]
 //
+// N is a decimal integer from 1 to 512; anything else prints the usage
+// and exits 2.
+//
 // Loads and checks the case config, generates the configured dataset's
 // first snapshot, runs the two-phase sampling pipeline on it (optionally
 // SPMD over N simulated ranks), writes the sparse subset, and prints the
 // energy lines the paper's post-processing greps for ("CPU Energy",
 // "Elapsed Time").
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "io/snapshot_io.hpp"
@@ -17,20 +22,46 @@
 #include "sickle/config_driver.hpp"
 #include "sickle/dataset_zoo.hpp"
 
+namespace {
+
+/// Each simulated rank is a thread; bench_fig7_scalability simulates at
+/// most this many.
+constexpr std::size_t kMaxRanks = 512;
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s case.yaml [--ranks N] [--output samples.skl]\n"
+               "  N: a decimal integer from 1 to %zu\n",
+               argv0, kMaxRanks);
+  return 2;
+}
+
+/// A --ranks value: a decimal integer from 1 to kMaxRanks, nothing else.
+std::optional<std::size_t> parse_ranks(const char* text) {
+  const char* end = text + std::strlen(text);
+  std::size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < 1 || value > kMaxRanks) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sickle;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s case.yaml [--ranks N] [--output samples.skl]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 2) return usage(argv[0]);
   std::size_t ranks = 1;
   std::string output = "samples.skl";
-  for (int i = 2; i + 1 < argc + 1; ++i) {
-    if (i + 1 < argc && std::strcmp(argv[i], "--ranks") == 0) {
-      ranks = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (i + 1 < argc && std::strcmp(argv[i], "--output") == 0) {
+  // Checked before any config is loaded or any rank thread starts.
+  for (int i = 2; i < argc; ++i) {
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--ranks") == 0) {
+      const auto parsed = has_value ? parse_ranks(argv[++i]) : std::nullopt;
+      if (!parsed) return usage(argv[0]);
+      ranks = *parsed;
+    } else if (has_value && std::strcmp(argv[i], "--output") == 0) {
       output = argv[++i];
     }
   }
