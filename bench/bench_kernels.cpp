@@ -39,13 +39,20 @@ namespace {
 
 using namespace sickle;
 
+// The FFT rows alternate forward and inverse transforms so the buffer
+// stays finite. Forward transforms alone grow it by up to n per call: a
+// 32^3 buffer overflowed to inf/NaN after 137 of them, and the rest of a
+// run then timed non-finite arithmetic (std::complex's multiply falls
+// back to a libgcc call on NaN results).
 void BM_Fft1D(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   std::vector<fft::cplx> data(n);
   for (auto& x : data) x = fft::cplx(rng.normal(), 0.0);
+  bool inverse = false;
   for (auto _ : state) {
-    fft::forward(std::span<fft::cplx>(data));
+    fft::transform(std::span<fft::cplx>(data), inverse);
+    inverse = !inverse;
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
@@ -57,8 +64,10 @@ void BM_Fft3D(benchmark::State& state) {
   Rng rng(2);
   std::vector<fft::cplx> data(n * n * n);
   for (auto& x : data) x = fft::cplx(rng.normal(), 0.0);
+  bool inverse = false;
   for (auto _ : state) {
-    fft::transform_3d(std::span<fft::cplx>(data), n, n, n, false);
+    fft::transform_3d(std::span<fft::cplx>(data), n, n, n, inverse);
+    inverse = !inverse;
     benchmark::DoNotOptimize(data.data());
   }
 }

@@ -91,6 +91,8 @@ void butterflies(double* re, double* im, const Plan& plan) {
         // sign of a zero.
         const double c = wr[j];
         const double d = wi[j];
+        // The lanes are independent lines: vectorizing across them runs
+        // the same operations on each.
 #pragma omp simd
         for (std::size_t l = 0; l < W; ++l) {
           // v = b * w as std::complex computes it for finite operands.

@@ -1,7 +1,5 @@
 #include "field/derived.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/mathx.hpp"
 
@@ -12,7 +10,6 @@ std::vector<double> central_derivative(const Field& f, int axis) {
   const GridShape& s = f.shape();
   const std::span<const double> src = f.data();
   std::vector<double> out(s.size(), 0.0);
-  if (out.empty()) return out;
   // The grid as (outer, n, inner) around the derivative axis: point i of
   // line (o, r) sits at (o * n + i) * inner + r.
   const std::size_t n = (axis == 0) ? s.nx : (axis == 1) ? s.ny : s.nz;
@@ -25,18 +22,8 @@ std::vector<double> central_derivative(const Field& f, int axis) {
   for (std::size_t o = 0; o < outer; ++o) {
     const double* line = src.data() + o * n * inner;
     double* dst = out.data() + o * n * inner;
-    if (inner == 1) {
-      // One contiguous line (z, or y on a 2-D grid); its two ends wrap.
-      const std::size_t last = n - 1;
-      dst[0] = 0.5 * (line[std::min<std::size_t>(1, last)] - line[last]);
-      for (std::size_t i = 1; i < last; ++i) {
-        dst[i] = 0.5 * (line[i + 1] - line[i - 1]);
-      }
-      if (last > 0) dst[last] = 0.5 * (line[0] - line[last - 1]);
-      continue;
-    }
-    // Otherwise whole rows of `inner` contiguous points; the first and
-    // last rows wrap.
+    // Rows of `inner` contiguous points (one point along z); the first
+    // and last rows wrap.
     for (std::size_t i = 0; i < n; ++i) {
       const double* plus = line + ((i + 1 == n) ? 0 : i + 1) * inner;
       const double* minus = line + ((i == 0) ? n - 1 : i - 1) * inner;

@@ -2,8 +2,8 @@
 //
 //   sickle_subsample case.yaml [--ranks N] [--output samples.skl]
 //
-// N is a decimal integer from 1 to 512; anything else prints the usage
-// and exits 2.
+// N is a decimal integer from 1 to 512. Any other N, an unknown option or
+// a missing value prints the usage and exits 2.
 //
 // Loads and checks the case config, generates the configured dataset's
 // first snapshot, runs the two-phase sampling pipeline on it (optionally
@@ -57,12 +57,14 @@ int main(int argc, char** argv) {
   // Checked before any config is loaded or any rank thread starts.
   for (int i = 2; i < argc; ++i) {
     const bool has_value = i + 1 < argc;
-    if (std::strcmp(argv[i], "--ranks") == 0) {
-      const auto parsed = has_value ? parse_ranks(argv[++i]) : std::nullopt;
+    if (has_value && std::strcmp(argv[i], "--ranks") == 0) {
+      const auto parsed = parse_ranks(argv[++i]);
       if (!parsed) return usage(argv[0]);
       ranks = *parsed;
     } else if (has_value && std::strcmp(argv[i], "--output") == 0) {
       output = argv[++i];
+    } else {
+      return usage(argv[0]);
     }
   }
 
