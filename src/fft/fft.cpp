@@ -230,17 +230,20 @@ std::array<std::vector<double>, 3> spectral_gradient_3d(
   transform_3d(std::span<cplx>(hat), nx, ny, nz, false);
 
   std::array<std::vector<double>, 3> out;
-  std::vector<cplx> d(hat.size());
   const cplx I(0.0, 1.0);
   for (int axis = 0; axis < 3; ++axis) {
-    // The Nyquist mode of an odd operator (i*k) must be zeroed for a real
-    // result: wavenumber() maps it to -n/2, but the derivative of a real
-    // signal at Nyquist is ambiguous.
+    // One buffer per axis, not one kept across the axes: the kept buffer
+    // left glibc holding ~11 MB more at the ledger's curate-series peak
+    // (152-154 instead of 142 MiB in most runs).
+    std::vector<cplx> d(hat.size());
     // The grid as (outer, n, inner) around the axis: bin i of line (o, r)
     // sits at (o * n + i) * inner + r.
     const std::size_t n = (axis == 0) ? nx : (axis == 1) ? ny : nz;
     const std::size_t inner = (axis == 0) ? ny * nz : (axis == 1) ? nz : 1;
     const std::size_t outer = (axis == 0) ? 1 : (axis == 1) ? nx : nx * ny;
+    // The Nyquist mode of an odd operator (i*k) must be zeroed for a real
+    // result: wavenumber() maps it to -n/2, but the derivative of a real
+    // signal at Nyquist is ambiguous. An extent of 1 has no Nyquist bin.
     const std::size_t nyquist = (n < 2) ? n : n / 2;
     for (std::size_t o = 0; o < outer; ++o) {
       for (std::size_t i = 0; i < n; ++i) {
