@@ -1,8 +1,15 @@
 #include "ml/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace sickle::ml {
+
+namespace {
+// Query rows whose dscore rows attention backward keeps at once.
+constexpr std::size_t kQueryBlock = 8;
+}  // namespace
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t dim,
                                                std::size_t heads, Rng& rng)
@@ -40,21 +47,35 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
   concat_ = Tensor({batch_, steps_, dim_});
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
+  // One head's keys transposed to [head_dim, T], so each score row is
+  // computed across keys.
+  std::vector<float> kt(head_dim_ * steps_);
   for (std::size_t b = 0; b < batch_; ++b) {
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t off = h * head_dim_;
+      const float* k_head = k_.raw() + b * steps_ * dim_ + off;
+      for (std::size_t s = 0; s < steps_; ++s) {
+        for (std::size_t j = 0; j < head_dim_; ++j) {
+          kt[j * steps_ + s] = k_head[s * dim_ + j];
+        }
+      }
       float* p_head =
           probs_.raw() + ((b * heads_ + h) * steps_) * steps_;
-      // scores[t, s] = scale * q[b,t,off:off+hd] . k[b,s,off:off+hd]
       for (std::size_t t = 0; t < steps_; ++t) {
         const float* qrow = q_.raw() + (b * steps_ + t) * dim_ + off;
         float* prow = p_head + t * steps_;
+        // scores[t, s] = scale * q[b,t,off:off+hd] . k[b,s,off:off+hd],
+        // each summed over j in order from 0.0f.
+        std::fill(prow, prow + steps_, 0.0f);
+        for (std::size_t j = 0; j < head_dim_; ++j) {
+          const float qj = qrow[j];
+          const float* ktrow = kt.data() + j * steps_;
+#pragma omp simd
+          for (std::size_t s = 0; s < steps_; ++s) prow[s] += qj * ktrow[s];
+        }
         float max_score = -1e30f;
         for (std::size_t s = 0; s < steps_; ++s) {
-          const float* krow = k_.raw() + (b * steps_ + s) * dim_ + off;
-          float acc = 0.0f;
-          for (std::size_t j = 0; j < head_dim_; ++j) acc += qrow[j] * krow[j];
-          prow[s] = acc * scale;
+          prow[s] *= scale;
           max_score = std::max(max_score, prow[s]);
         }
         // softmax row
@@ -71,6 +92,7 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
         for (std::size_t s = 0; s < steps_; ++s) {
           const float* vrow = v_.raw() + (b * steps_ + s) * dim_ + off;
           const float w = prow[s];
+#pragma omp simd
           for (std::size_t j = 0; j < head_dim_; ++j) crow[j] += w * vrow[j];
         }
       }
@@ -97,39 +119,76 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_output) {
   Tensor dk({batch_, steps_, dim_});
   Tensor dv({batch_, steps_, dim_});
 
+  // Per head: V transposed and the dV, dK sums, all [head_dim, T], so dp,
+  // dV and dK run across keys; dp for one query row; dscore for one block
+  // of query rows, whose dQ rows then take each key in order.
+  const std::size_t hd = head_dim_;
+  const std::size_t block = std::min(kQueryBlock, steps_);
+  std::vector<float> vt(hd * steps_), dvt(hd * steps_), dkt(hd * steps_);
+  std::vector<float> dp(steps_), dscore(block * steps_);
   for (std::size_t b = 0; b < batch_; ++b) {
     for (std::size_t h = 0; h < heads_; ++h) {
-      const std::size_t off = h * head_dim_;
+      const std::size_t off = h * hd;
+      const std::size_t head = b * steps_ * dim_ + off;
+      for (std::size_t s = 0; s < steps_; ++s) {
+        for (std::size_t j = 0; j < hd; ++j) {
+          vt[j * steps_ + s] = v_[head + s * dim_ + j];
+        }
+      }
+      std::fill(dvt.begin(), dvt.end(), 0.0f);
+      std::fill(dkt.begin(), dkt.end(), 0.0f);
       const float* p_head =
           probs_.raw() + ((b * heads_ + h) * steps_) * steps_;
-      for (std::size_t t = 0; t < steps_; ++t) {
-        const float* dctx = d_concat.raw() + (b * steps_ + t) * dim_ + off;
-        const float* prow = p_head + t * steps_;
-        // dV[s] += p[t,s] * dctx ;  dp[t,s] = dctx . v[s]
-        // softmax backward: dscore = p * (dp - sum_s p dp)
-        float dot = 0.0f;
-        std::vector<float> dp(steps_);
-        for (std::size_t s = 0; s < steps_; ++s) {
-          const float* vrow = v_.raw() + (b * steps_ + s) * dim_ + off;
-          float acc = 0.0f;
-          for (std::size_t j = 0; j < head_dim_; ++j) acc += dctx[j] * vrow[j];
-          dp[s] = acc;
-          dot += prow[s] * acc;
-          float* dvrow = dv.raw() + (b * steps_ + s) * dim_ + off;
-          for (std::size_t j = 0; j < head_dim_; ++j) {
-            dvrow[j] += prow[s] * dctx[j];
+      for (std::size_t t0 = 0; t0 < steps_; t0 += block) {
+        const std::size_t rows_in_block = std::min(block, steps_ - t0);
+        for (std::size_t r = 0; r < rows_in_block; ++r) {
+          const std::size_t t = t0 + r;
+          const float* dctx = d_concat.raw() + head + t * dim_;
+          const float* qrow = q_.raw() + head + t * dim_;
+          const float* prow = p_head + t * steps_;
+          // dp[t,s] = dctx . v[s];  dV[s] += p[t,s] * dctx
+          std::fill(dp.begin(), dp.end(), 0.0f);
+          for (std::size_t j = 0; j < hd; ++j) {
+            const float dj = dctx[j];
+            const float* vtrow = vt.data() + j * steps_;
+            float* dvtrow = dvt.data() + j * steps_;
+#pragma omp simd
+            for (std::size_t s = 0; s < steps_; ++s) {
+              dp[s] += dj * vtrow[s];
+              dvtrow[s] += prow[s] * dj;
+            }
+          }
+          // softmax backward: dscore = p * (dp - sum_s p dp)
+          float dot = 0.0f;
+          for (std::size_t s = 0; s < steps_; ++s) dot += prow[s] * dp[s];
+          float* ds = dscore.data() + r * steps_;
+#pragma omp simd
+          for (std::size_t s = 0; s < steps_; ++s) {
+            ds[s] = prow[s] * (dp[s] - dot) * scale;
+          }
+          // dK[s] += dscore[t,s] * q[t]
+          for (std::size_t j = 0; j < hd; ++j) {
+            const float qj = qrow[j];
+            float* dktrow = dkt.data() + j * steps_;
+#pragma omp simd
+            for (std::size_t s = 0; s < steps_; ++s) dktrow[s] += ds[s] * qj;
           }
         }
-        const float* qrow = q_.raw() + (b * steps_ + t) * dim_ + off;
-        float* dqrow = dq.raw() + (b * steps_ + t) * dim_ + off;
+        // dQ[t] += dscore[t,s] * k[s], keys in order.
         for (std::size_t s = 0; s < steps_; ++s) {
-          const float dscore = prow[s] * (dp[s] - dot) * scale;
-          const float* krow = k_.raw() + (b * steps_ + s) * dim_ + off;
-          float* dkrow = dk.raw() + (b * steps_ + s) * dim_ + off;
-          for (std::size_t j = 0; j < head_dim_; ++j) {
-            dqrow[j] += dscore * krow[j];
-            dkrow[j] += dscore * qrow[j];
+          const float* krow = k_.raw() + head + s * dim_;
+          for (std::size_t r = 0; r < rows_in_block; ++r) {
+            const float d = dscore[r * steps_ + s];
+            float* dqrow = dq.raw() + head + (t0 + r) * dim_;
+#pragma omp simd
+            for (std::size_t j = 0; j < hd; ++j) dqrow[j] += d * krow[j];
           }
+        }
+      }
+      for (std::size_t s = 0; s < steps_; ++s) {
+        for (std::size_t j = 0; j < hd; ++j) {
+          dv[head + s * dim_ + j] = dvt[j * steps_ + s];
+          dk[head + s * dim_ + j] = dkt[j * steps_ + s];
         }
       }
     }

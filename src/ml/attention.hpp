@@ -15,6 +15,14 @@
 namespace sickle::ml {
 
 /// Input/output [B, T, D]; D must be divisible by heads.
+///
+/// Arithmetic contract: every score, probability and gradient gets the
+/// same IEEE operations, in the same order, as one output at a time.
+/// Scores, dp, dV and dK run across keys (SIMD lanes over per-head
+/// transposed K, V, dV and dK scratch), each lane summing over the head
+/// dimension or the query rows in order; dQ takes each key in order. The
+/// softmax (max, expf and its serial denominator) and sum_s p*dp stay
+/// scalar.
 class MultiHeadSelfAttention final : public Module {
  public:
   MultiHeadSelfAttention(std::size_t dim, std::size_t heads, Rng& rng);

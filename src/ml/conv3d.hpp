@@ -2,8 +2,17 @@
 //
 // The CNN-Transformer encoder uses Conv3D over structured hypercubes; both
 // decoder variants use ConvTranspose3D to reconstruct dense fields.
-// Implementations are direct (loop-nest) convolutions — cube edges are
-// <= 32, so im2col buffers would cost more than they save here.
+//
+// Both are direct convolutions: each kernel-tap range is clipped once per
+// axis, and no input is zero-padded (an im2col with zeros would add +-0
+// products, which can turn -0 into +0). The SIMD lanes run across
+// independent outputs over channel-last scratch copies: Conv3D forward
+// across output channels, both backwards across input channels (Conv3D's
+// weight and input gradients across (kx, input channel) runs), and
+// ConvTranspose3D forward across (kx, output channel) runs. Every output
+// still gets the same IEEE operations, in the same order, as the scalar
+// loop nest, zero-skips included; weight gradients are copied into the
+// scratch and back, so they keep accumulating in order across calls.
 #pragma once
 
 #include "ml/module.hpp"

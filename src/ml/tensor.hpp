@@ -65,6 +65,13 @@ void matmul(std::span<const float> a, std::span<const float> b,
             bool accumulate = false);
 
 /// C = A(mxk) * B^T where B is (n x k).
+///
+/// Arithmetic contract: each output is summed over p in order from 0.0f,
+/// then added to C, so every C[i, j] gets the same IEEE operations as the
+/// one-output loop. Full 4-row x 8-column tiles run their 8 columns as
+/// SIMD lanes over a transposed copy of B, kept in per-thread scratch
+/// that only grows. Rows and columns outside the tiles run the one-output
+/// loop, so a single row (batch-1 serving) never transposes B.
 void matmul_bt(std::span<const float> a, std::span<const float> b,
                std::span<float> c, std::size_t m, std::size_t k,
                std::size_t n, bool accumulate = false);
