@@ -82,7 +82,14 @@ std::vector<ValidationIssue> CaseConfig::validate() const {
   check_sampling_methods(pipeline, issues);
   if (window == 0) add("train.window", "window must be >= 1");
   if (model_dim == 0) add("train.dim", "model dim must be >= 1");
-  if (model_heads == 0) add("train.heads", "model heads must be >= 1");
+  if (model_heads == 0) {
+    add("train.heads", "model heads must be >= 1");
+  } else if (arch != "LSTM" && model_dim % model_heads != 0) {
+    // Attention splits the model dim evenly across its heads.
+    add("train.heads", "model dim " + std::to_string(model_dim) +
+                           " does not divide into " +
+                           std::to_string(model_heads) + " heads");
+  }
   if (store.chunk.nx == 0 || store.chunk.ny == 0 || store.chunk.nz == 0) {
     add("store.chunk", "store chunk edges must be positive");
   }

@@ -316,6 +316,57 @@ TEST(ConfigDriver, ValidateCollectsEveryIssueAtOnce) {
   EXPECT_TRUE(drag.validate().empty());
 }
 
+TEST(ConfigDriver, ValidateRejectsHeadsThatDoNotDivideDim) {
+  // Attention splits the model dim across its heads, so a dim of 30 with
+  // 4 heads is rejected before any snapshot is generated; LSTM has no
+  // attention and keeps accepting it.
+  for (const char* arch : {"MLP_Transformer", "CNN_Transformer",
+                           "Foundation", "LSTM"}) {
+    CaseConfig cc;
+    cc.arch = arch;
+    cc.pipeline.cube = {8, 8, 8};
+    cc.model_dim = 30;
+    cc.model_heads = 4;
+    const auto issues = cc.validate();
+    if (cc.arch == "LSTM") {
+      EXPECT_TRUE(issues.empty()) << arch;
+      continue;
+    }
+    ASSERT_EQ(issues.size(), 1u) << arch;
+    EXPECT_EQ(issues[0].field, "train.heads") << arch;
+    EXPECT_NE(issues[0].message.find("30"), std::string::npos)
+        << issues[0].message;
+    EXPECT_NE(issues[0].message.find("4 heads"), std::string::npos)
+        << issues[0].message;
+    cc.model_heads = 5;
+    EXPECT_TRUE(cc.validate().empty()) << arch;
+  }
+
+  // The parser merges the issue into its one ConfigError.
+  const auto cfg = Config::parse(R"(
+shared:
+  dataset: SST-P1F4
+  input_vars: [u, v, w, rho]
+  output_vars: [p]
+  cluster_var: pv
+subsample:
+  nxsl: 8
+  nysl: 8
+  nzsl: 8
+train:
+  arch: CNN_transformer
+  dim: 30
+  heads: 4
+)");
+  try {
+    (void)case_from_config(cfg);
+    FAIL() << "dim 30 with 4 heads was accepted";
+  } catch (const ConfigError& e) {
+    ASSERT_EQ(e.issues().size(), 1u) << e.what();
+    EXPECT_EQ(e.issues()[0].field, "train.heads");
+  }
+}
+
 TEST(ConfigDriver, PipelineFromConfigRejectsUnknownMethods) {
   // sickle_subsample parses with pipeline_from_config before it generates
   // anything, so a method typo must fail there, under the field names

@@ -8,8 +8,8 @@
 #   3. a submit naming an unknown point sampler (`method: maxnet`) gets a
 #      typed `config` rejection with an issue on subsample.method, and one
 #      naming `arch: lstm` (the drag surrogate, which a case cannot train)
-#      one with an issue on train.arch, both before any snapshot is
-#      generated,
+#      one with an issue on train.arch, and `heads: 3` with the case's
+#      `dim: 8` one on train.heads, all before any snapshot is generated,
 #   4. a 2 MiB request with no newline gets a typed `protocol` rejection
 #      (the daemon's request-line limit is 1 MiB) and the next connection
 #      is served normally,
@@ -172,6 +172,14 @@ sed 's/^  arch: MLP_transformer$/  arch: lstm/' "$workdir/case_0.yaml" \
   > "$workdir/lstm.yaml"
 expect_config_issue "arch: lstm" "$workdir/lstm.yaml" train.arch
 
+echo "=== a head count that does not divide the model dim"
+sed 's/^  heads: 2$/  heads: 3/' "$workdir/case_0.yaml" > "$workdir/heads.yaml"
+grep -q '^  heads: 3$' "$workdir/heads.yaml" || {
+  echo "error: the case has no 'heads: 2' line to change" >&2
+  exit 1
+}
+expect_config_issue "heads: 3 with dim: 8" "$workdir/heads.yaml" train.heads
+
 echo "=== oversized request line"
 # The flood runs on a thread so the rejection is read while the daemon
 # still has the connection open; the send fails once it hangs up.
@@ -228,5 +236,5 @@ grep -q "shut down cleanly" "$workdir/serve.log" || {
 
 echo
 echo "e2e-serve OK: $NUM_CASES concurrent cases bit-identical, metrics"
-echo "consistent, unknown method, arch: lstm and oversized line rejected,"
-echo "clean SIGTERM shutdown"
+echo "consistent, unknown method, arch: lstm, heads: 3 and oversized line"
+echo "rejected, clean SIGTERM shutdown"
