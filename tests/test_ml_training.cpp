@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <thread>
+#include <vector>
 
 #include "ml/layers_basic.hpp"
 #include "ml/models.hpp"
@@ -259,6 +261,22 @@ GoldenFit golden_fit(Module& model, const std::vector<std::size_t>& in_shape,
           r.energy.flops(), r.energy.projected_kilojoules()};
 }
 
+/// The CNN_Transformer golden with fine tokens, the train-dense model.
+GoldenFit fit_cnn_transformer_fine() {
+  Rng rng(13);
+  CnnTransformerConfig mc;
+  mc.in_channels = 2;
+  mc.edge = 4;
+  mc.dim = 8;
+  mc.heads = 2;
+  mc.layers = 2;
+  mc.ffn = 16;
+  mc.out_edge = 4;
+  mc.fine_tokens = true;
+  CnnTransformer model(mc, rng);
+  return golden_fit(model, {2, 2, 4, 4, 4}, {1, 4, 4, 4});
+}
+
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Training may get faster, never different: for each surrogate a tiny
@@ -313,21 +331,7 @@ TEST(ModelGolden, FitsArePinned) {
        {0x3fce8d86bebfc665ull, 0x3fcef7abee9a8d66ull, 0x3fcddbdb73668abbull},
        0x3fd12c3dfe2be6d1ull, 12117,
        0x41418f8000000000ull, 0x3e9a0cd88bf7639aull},
-      {"CNN_Transformer/fine",
-       [] {
-         Rng rng(13);
-         CnnTransformerConfig mc;
-         mc.in_channels = 2;
-         mc.edge = 4;
-         mc.dim = 8;
-         mc.heads = 2;
-         mc.layers = 2;
-         mc.ffn = 16;
-         mc.out_edge = 4;
-         mc.fine_tokens = true;
-         CnnTransformer model(mc, rng);
-         return golden_fit(model, {2, 2, 4, 4, 4}, {1, 4, 4, 4});
-       },
+      {"CNN_Transformer/fine", fit_cnn_transformer_fine,
        {0x3fcf74da7b1b23fdull, 0x3fce90eb481f02b0ull, 0x3fcf0e0c0b2813e6ull},
        0x3fd22a9d2050c524ull, 12221,
        0x4166a9a000000000ull, 0x3eb71ef4fbae3cd9ull},
@@ -378,6 +382,29 @@ TEST(ModelGolden, FitsArePinned) {
     EXPECT_EQ(bits(got.flops), g.flops) << g.arch << " FLOPs";
     EXPECT_EQ(bits(got.projected_kj), g.projected_kj)
         << g.arch << " projected kJ";
+  }
+}
+
+/// sickle-serve's runners train at once, so the kernels' per-thread
+/// scratch must share nothing: four threads fitting the same model at the
+/// same time each get the serial bits.
+TEST(ModelGolden, ConcurrentFitsMatchSerialBits) {
+  const GoldenFit serial = fit_cnn_transformer_fine();
+  constexpr std::size_t kThreads = 4;
+  std::vector<GoldenFit> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&got, i] { got[i] = fit_cnn_transformer_fine(); });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(got[i].epoch_losses.size(), serial.epoch_losses.size());
+    for (std::size_t e = 0; e < serial.epoch_losses.size(); ++e) {
+      EXPECT_EQ(bits(got[i].epoch_losses[e]), bits(serial.epoch_losses[e]))
+          << "thread " << i << " epoch " << e;
+    }
+    EXPECT_EQ(bits(got[i].test_loss), bits(serial.test_loss))
+        << "thread " << i << " test loss";
   }
 }
 
