@@ -20,6 +20,8 @@
 #include "fft/fft.hpp"
 #include "field/field_source.hpp"
 #include "flow/spectral_turbulence.hpp"
+#include "ml/attention.hpp"
+#include "ml/conv3d.hpp"
 #include "ml/tensor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -429,6 +431,96 @@ void BM_Matmul(benchmark::State& state) {
                           n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128);
+
+// The training kernels at the shapes the ledger runs. Every input comes
+// from run-time random data, and every result goes to DoNotOptimize.
+
+/// `/1` is the LSTM batch-1 input projection (k 270, n 64), the
+/// single-row path; `/1024` is attention's 1024 x 32 x 32 projection.
+void BM_MatmulBt(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = m == 1 ? 270 : 32;
+  const std::size_t n = m == 1 ? 64 : 32;
+  Rng rng(8);
+  ml::Tensor a = ml::Tensor::randn({m, k}, rng);
+  ml::Tensor b = ml::Tensor::randn({n, k}, rng);
+  ml::Tensor c({m, n});
+  for (auto _ : state) {
+    ml::matmul_bt(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.raw());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * m *
+                          k * n);
+}
+BENCHMARK(BM_MatmulBt)->Arg(1)->Arg(1024);
+
+/// Times a layer's forward, or its backward for one cached forward.
+template <bool kBackward, typename Layer>
+void run_layer(benchmark::State& state, Layer& layer, const ml::Tensor& x,
+               Rng& rng) {
+  ml::Tensor y = layer.forward(x);
+  const ml::Tensor g = ml::Tensor::randn(y.shape(), rng);
+  for (auto _ : state) {
+    if constexpr (kBackward) {
+      y = layer.backward(g);
+    } else {
+      y = layer.forward(x);
+    }
+    benchmark::DoNotOptimize(y.raw());
+  }
+}
+
+/// train-dense's attention: batch 16, 64 tokens, dim 32, 4 heads.
+template <bool kBackward>
+void BM_Attention(benchmark::State& state) {
+  Rng rng(9);
+  ml::MultiHeadSelfAttention attn(32, 4, rng);
+  const ml::Tensor x = ml::Tensor::randn({16, 64, 32}, rng);
+  run_layer<kBackward>(state, attn, x, rng);
+}
+void BM_AttentionForward(benchmark::State& state) {
+  BM_Attention<false>(state);
+}
+void BM_AttentionBackward(benchmark::State& state) {
+  BM_Attention<true>(state);
+}
+BENCHMARK(BM_AttentionForward);
+BENCHMARK(BM_AttentionBackward);
+
+/// train-dense's first convolution: batch 16, 4 -> 8 channels, k3 s2 p1
+/// over 8^3.
+template <bool kBackward>
+void BM_Conv3D(benchmark::State& state) {
+  Rng rng(10);
+  ml::Conv3D conv(4, 8, 3, 2, 1, rng);
+  const ml::Tensor x = ml::Tensor::randn({16, 4, 8, 8, 8}, rng);
+  run_layer<kBackward>(state, conv, x, rng);
+}
+void BM_Conv3DForward(benchmark::State& state) { BM_Conv3D<false>(state); }
+void BM_Conv3DBackward(benchmark::State& state) { BM_Conv3D<true>(state); }
+BENCHMARK(BM_Conv3DForward);
+BENCHMARK(BM_Conv3DBackward);
+
+/// The decoder's upsampling at batch 16 and edge 8: `/1` is up1 (8 -> 4
+/// channels, 2^3 -> 4^3), `/2` is up2 (4 -> 1 channel, 4^3 -> 8^3).
+template <bool kBackward>
+void BM_ConvTranspose3D(benchmark::State& state) {
+  const bool up1 = state.range(0) == 1;
+  const std::size_t cin = up1 ? 8 : 4;
+  const std::size_t edge = up1 ? 2 : 4;
+  Rng rng(11);
+  ml::ConvTranspose3D up(cin, up1 ? 4 : 1, 4, 2, 1, rng);
+  const ml::Tensor x = ml::Tensor::randn({16, cin, edge, edge, edge}, rng);
+  run_layer<kBackward>(state, up, x, rng);
+}
+void BM_ConvTranspose3DForward(benchmark::State& state) {
+  BM_ConvTranspose3D<false>(state);
+}
+void BM_ConvTranspose3DBackward(benchmark::State& state) {
+  BM_ConvTranspose3D<true>(state);
+}
+BENCHMARK(BM_ConvTranspose3DForward)->Arg(1)->Arg(2);
+BENCHMARK(BM_ConvTranspose3DBackward)->Arg(1)->Arg(2);
 
 /// The ROADMAP multi-core item: on runners with more than one CPU, record
 /// a threads=1 vs threads=N wall-clock row for the full two-phase
