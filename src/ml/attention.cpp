@@ -7,8 +7,30 @@
 namespace sickle::ml {
 
 namespace {
+
 // Query rows whose dscore rows attention backward keeps at once.
 constexpr std::size_t kQueryBlock = 8;
+
+/// One head's [T, head_dim] slice of a [*, T, dim] row block, starting at
+/// `head`, to [head_dim, T] scratch and back.
+void head_to_scratch(const float* head, std::size_t steps, std::size_t dim,
+                     std::size_t hd, float* scratch) {
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (std::size_t j = 0; j < hd; ++j) {
+      scratch[j * steps + s] = head[s * dim + j];
+    }
+  }
+}
+
+void scratch_to_head(const float* scratch, std::size_t steps,
+                     std::size_t dim, std::size_t hd, float* head) {
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (std::size_t j = 0; j < hd; ++j) {
+      head[s * dim + j] = scratch[j * steps + s];
+    }
+  }
+}
+
 }  // namespace
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t dim,
@@ -53,12 +75,8 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
   for (std::size_t b = 0; b < batch_; ++b) {
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t off = h * head_dim_;
-      const float* k_head = k_.raw() + b * steps_ * dim_ + off;
-      for (std::size_t s = 0; s < steps_; ++s) {
-        for (std::size_t j = 0; j < head_dim_; ++j) {
-          kt[j * steps_ + s] = k_head[s * dim_ + j];
-        }
-      }
+      head_to_scratch(k_.raw() + b * steps_ * dim_ + off, steps_, dim_,
+                      head_dim_, kt.data());
       float* p_head =
           probs_.raw() + ((b * heads_ + h) * steps_) * steps_;
       for (std::size_t t = 0; t < steps_; ++t) {
@@ -130,11 +148,7 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_output) {
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t off = h * hd;
       const std::size_t head = b * steps_ * dim_ + off;
-      for (std::size_t s = 0; s < steps_; ++s) {
-        for (std::size_t j = 0; j < hd; ++j) {
-          vt[j * steps_ + s] = v_[head + s * dim_ + j];
-        }
-      }
+      head_to_scratch(v_.raw() + head, steps_, dim_, hd, vt.data());
       std::fill(dvt.begin(), dvt.end(), 0.0f);
       std::fill(dkt.begin(), dkt.end(), 0.0f);
       const float* p_head =
@@ -185,12 +199,8 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_output) {
           }
         }
       }
-      for (std::size_t s = 0; s < steps_; ++s) {
-        for (std::size_t j = 0; j < hd; ++j) {
-          dv[head + s * dim_ + j] = dvt[j * steps_ + s];
-          dk[head + s * dim_ + j] = dkt[j * steps_ + s];
-        }
-      }
+      scratch_to_head(dvt.data(), steps_, dim_, hd, dv.raw() + head);
+      scratch_to_head(dkt.data(), steps_, dim_, hd, dk.raw() + head);
     }
   }
 
