@@ -448,6 +448,7 @@ void BM_MatmulBt(benchmark::State& state) {
   for (auto _ : state) {
     ml::matmul_bt(a.data(), b.data(), c.data(), m, k, n);
     benchmark::DoNotOptimize(c.raw());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * m *
                           k * n);
@@ -467,6 +468,7 @@ void run_layer(benchmark::State& state, Layer& layer, const ml::Tensor& x,
       y = layer.forward(x);
     }
     benchmark::DoNotOptimize(y.raw());
+    benchmark::ClobberMemory();
   }
 }
 
