@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -831,10 +832,10 @@ TEST(Kernels, AttentionMatchesScalarLoops) {
     MultiHeadSelfAttention attn(s.dim, s.heads, rng);
     seed_params(attn, rng);
     ref::Mhsa want(attn, s.dim, s.heads);
+    std::ostringstream what;
+    what << "B" << s.batch << " T" << s.steps << " D" << s.dim;
     expect_layer_matches(attn, want, {s.batch, s.steps, s.dim}, rng,
-                         "B" + std::to_string(s.batch) + " T" +
-                             std::to_string(s.steps) + " D" +
-                             std::to_string(s.dim));
+                         what.str());
   }
 }
 
@@ -844,12 +845,11 @@ struct ConvCase {
 };
 
 std::string describe(const ConvCase& c) {
-  std::string s = "cin " + std::to_string(c.g.cin) + " cout " +
-                  std::to_string(c.g.cout) + " k" + std::to_string(c.g.k) +
-                  " s" + std::to_string(c.g.s) + " p" + std::to_string(c.g.p) +
-                  " in";
-  for (const std::size_t d : c.in_shape) s += " " + std::to_string(d);
-  return s;
+  std::ostringstream os;
+  os << "cin " << c.g.cin << " cout " << c.g.cout << " k" << c.g.k << " s"
+     << c.g.s << " p" << c.g.p << " in";
+  for (const std::size_t d : c.in_shape) os << ' ' << d;
+  return os.str();
 }
 
 TEST(Kernels, Conv3DMatchesScalarLoops) {
