@@ -437,14 +437,34 @@ std::uint64_t generator_libm_probe() {
   return digest(std::span<const double>(out));
 }
 
-/// True when this platform's libm matches the one the goldens were
-/// captured with; otherwise the caller reports and skips.
-bool generator_libm_matches() {
-  const std::uint64_t probe = generator_libm_probe();
-  if (probe == 0xdb06003b269de341ull) return true;
-  std::printf("libm differs on this platform (%016llx); skipped\n",
+/// The libm calls of the 2-D generators that the probe above does not
+/// reach: TC2D's tanh front (arguments within about +-50) and wrinkle
+/// sines (up to ~80 radians), and OF2D's Lamb-Oseen and shielding exp
+/// (arguments down to about -1500).
+std::uint64_t planar_libm_probe() {
+  std::vector<double> out;
+  for (int i = 0; i <= 4000; ++i) {
+    const double u = static_cast<double>(i) / 4000.0;
+    out.push_back(std::tanh(100.0 * (u - 0.5)));
+    out.push_back(std::tanh(4.0 * (u - 0.5)));
+    out.push_back(std::sin(80.0 * u));
+    out.push_back(std::exp(-1500.0 * u));
+  }
+  return digest(std::span<const double>(out));
+}
+
+/// True when `probe` matches the digest this platform's libm gave when the
+/// goldens were captured; otherwise reports and returns false.
+bool libm_matches(const char* what, std::uint64_t probe, std::uint64_t want) {
+  if (probe == want) return true;
+  std::printf("%s libm differs on this platform (%016llx); skipped\n", what,
               static_cast<unsigned long long>(probe));
   return false;
+}
+
+bool generator_libm_matches() {
+  return libm_matches("spectral", generator_libm_probe(),
+                      0xdb06003b269de341ull);
 }
 
 /// Digest of each variable over the first `limit` snapshots a producer
@@ -468,16 +488,22 @@ std::map<std::string, std::uint64_t> field_digests(SnapshotProducer& producer,
 /// an FNV-1a digest of its bits, captured before the FFT, pressure and
 /// stencil kernels were rewritten. The shapes cover equal and unequal
 /// extents, with and without intermittency, and the ledger's 64x64x32
-/// grid. The generators go through libm, so its results are pinned first;
-/// on a platform whose libm rounds differently the test is reported and
-/// skipped rather than failed.
+/// grid. TC2D and OF2D, the 2-D generators, are pinned as well, OF2D with
+/// its drag series. The generators go through libm, so its results are
+/// pinned first; on a platform whose libm rounds differently the test (or,
+/// for the 2-D rows' extra calls, those rows) is reported and skipped
+/// rather than failed.
 TEST(GeneratorGolden, DatasetsArePinned) {
   if (!generator_libm_matches()) GTEST_SKIP();
+  const bool planar_ok =
+      libm_matches("planar", planar_libm_probe(), 0x05ecaf7dfa81554dull);
   struct Golden {
     const char* label;
     double scale;
     std::size_t snapshots;  ///< how many the digests cover
+    /// Field digests, plus "scalar_target" for a producer with a target.
     std::map<std::string, std::uint64_t> fields;
+    bool planar = false;  ///< guarded by planar_libm_probe as well
   };
   const std::vector<Golden> goldens = {
       {"SST-P1F4", 0.25, 8,
@@ -511,10 +537,25 @@ TEST(GeneratorGolden, DatasetsArePinned) {
         {"u", 0xb9daab9888939c2dull},
         {"v", 0x0fbbac37889ae0a3ull},
         {"w", 0x9cc0b40535ceba99ull}}},
+      {"TC2D", 0.25, 1,
+       {{"C", 0xc854dc3c48a3fb12ull}, {"Cvar", 0x19df9f4a8cb74708ull}},
+       true},
+      {"OF2D", 1.0, 100,
+       {{"p", 0x41b24a851e822adeull},
+        {"scalar_target", 0xbcf121a04372ee30ull},
+        {"u", 0x796b045e9aa18c9dull},
+        {"v", 0x0745a08e47edfb9bull},
+        {"wz", 0xb0422569cd45450aull}},
+       true},
   };
   for (const auto& g : goldens) {
+    if (g.planar && !planar_ok) continue;
     ProducerBundle bundle = make_dataset_producer(g.label, 1, g.scale);
-    const auto got = field_digests(*bundle.producer, g.snapshots);
+    auto got = field_digests(*bundle.producer, g.snapshots);
+    const auto target = bundle.producer->scalar_target();
+    if (!target.empty()) {
+      got["scalar_target"] = digest(std::span<const double>(target));
+    }
     EXPECT_EQ(got.size(), g.fields.size()) << g.label << " @ " << g.scale;
     for (const auto& [name, value] : got) {
       const auto it = g.fields.find(name);
