@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "sickle/dataset_zoo.hpp"
 #include "sickle/errors.hpp"
 
 namespace sickle {
@@ -151,8 +152,9 @@ std::string dataset_label_from_config(const Config& cfg) {
 
 double dataset_scale_from_config(const Config& cfg) {
   const double scale = cfg.get_double("shared", "scale", 1.0);
-  if (!(scale > 0.0)) {
-    throw ConfigError({{"shared.scale", "shared scale must be > 0", ""}});
+  if (!(scale > 0.0 && scale <= kMaxDatasetScale)) {
+    throw ConfigError(
+        {{"shared.scale", "shared scale must be in (0, 8192]", ""}});
   }
   return scale;
 }

@@ -32,8 +32,8 @@ namespace sickle {
 [[nodiscard]] std::string dataset_label_from_config(const Config& cfg);
 
 /// Grid-scale multiplier for the generator zoo: `shared.scale` (default
-/// 1.0, must be > 0) — lets CI smoke configs shrink a case without a
-/// separate code path.
+/// 1.0, must be in (0, kMaxDatasetScale]) — lets CI smoke configs shrink a
+/// case without a separate code path.
 [[nodiscard]] double dataset_scale_from_config(const Config& cfg);
 
 /// Build the sampling pipeline from the `shared` + `subsample` sections.

@@ -8,6 +8,7 @@
 #include "flow/combustion.hpp"
 #include "flow/cylinder.hpp"
 #include "flow/spectral_turbulence.hpp"
+#include "sickle/errors.hpp"
 
 namespace sickle {
 
@@ -27,6 +28,11 @@ std::vector<std::string> dataset_labels() {
 
 ProducerBundle make_dataset_producer(const std::string& label,
                                      std::uint64_t seed, double scale) {
+  // Every extent below is derived from `scale`; NaN fails both tests.
+  if (!(scale > 0.0 && scale <= kMaxDatasetScale)) {
+    throw ConfigError(
+        {{"shared.scale", "shared scale must be in (0, 8192]", ""}});
+  }
   ProducerBundle b;
   if (label == "TC2D") {
     flow::CombustionParams p;

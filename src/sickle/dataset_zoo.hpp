@@ -29,7 +29,7 @@ struct DatasetBundle {
 };
 
 /// A dataset's variable roles plus a snapshot-at-a-time producer — the
-/// streaming-ingest twin of DatasetBundle. run_case can consume this
+/// streaming-ingest form of DatasetBundle. run_case can consume this
 /// without a full Dataset ever existing (backend skl2/series with
 /// ingest: streaming); make_dataset materializes it for in-RAM work.
 struct ProducerBundle {
@@ -41,8 +41,14 @@ struct ProducerBundle {
   std::string paper_size;  ///< the size the paper reports for this dataset
 };
 
+/// Largest grid scale the zoo accepts. It takes the largest base extent
+/// (128: SST-P1F100, GESTS-8192) to 2^20, so no grid extent or point count
+/// can overflow. It bounds the arithmetic only, not the memory a case needs.
+inline constexpr double kMaxDatasetScale = 8192.0;
+
 /// Labels: "TC2D", "OF2D", "SST-P1F4", "SST-P1F100", "GESTS-2048",
-/// "GESTS-8192". Throws RuntimeError for unknown labels. Materializes
+/// "GESTS-8192". Throws RuntimeError for unknown labels, and ConfigError
+/// on `shared.scale` unless 0 < scale <= kMaxDatasetScale. Materializes
 /// make_dataset_producer, so streamed and materialized snapshots are
 /// bit-identical by construction.
 [[nodiscard]] DatasetBundle make_dataset(const std::string& label,

@@ -222,12 +222,34 @@ store:
   EXPECT_THROW(case_from_config(Config::parse(
                    "store:\n  ingest: teleport\n")),
                RuntimeError);
-  EXPECT_THROW((void)dataset_scale_from_config(Config::parse(
-                   "shared:\n  scale: 0\n")),
-               RuntimeError);
-  EXPECT_THROW((void)dataset_scale_from_config(Config::parse(
-                   "shared:\n  scale: -2\n")),
-               RuntimeError);
+  // Past 8192 a grid extent passes 2^20: the point count wraps, or the
+  // power-of-two rounding never ends. Each bad scale is one typed issue on
+  // shared.scale, from the parser and from the zoo, before any producer
+  // (which allocates its grid) is built.
+  auto issue_field = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const ConfigError& e) {
+      return e.issues().size() == 1 ? e.issues()[0].field : e.what();
+    }
+    return "accepted";
+  };
+  for (const char* bad : {"0", "-2", "1e5", "2e17", "1e300", "inf", "nan"}) {
+    const auto bad_cfg =
+        Config::parse(std::string("shared:\n  scale: ") + bad + "\n");
+    EXPECT_EQ(issue_field([&] { (void)dataset_scale_from_config(bad_cfg); }),
+              "shared.scale")
+        << bad;
+    const double scale = bad_cfg.get_double("shared", "scale");
+    EXPECT_EQ(issue_field([&] {
+                (void)make_dataset_producer("SST-P1F100", 1, scale);
+              }),
+              "shared.scale")
+        << bad;
+  }
+  EXPECT_DOUBLE_EQ(dataset_scale_from_config(Config::parse(
+                       "shared:\n  scale: 8192\n")),
+                   kMaxDatasetScale);
 }
 
 TEST(ConfigDriver, BadPrecisionThrows) {

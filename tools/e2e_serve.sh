@@ -5,11 +5,13 @@
 #      prints for the same config (the daemon is a transport, not a
 #      numerics fork),
 #   2. the metrics verb reports all submissions and the shared cache,
-#   3. a submit naming an unknown point sampler (`method: maxnet`) gets a
-#      typed `config` rejection with an issue on subsample.method, and one
+#   3. a submit with `scale: 1e5` or `scale: 2e17` (grid extents past
+#      2^20) gets a typed `config` rejection with an issue on shared.scale
+#      and the daemon serves on; one naming an unknown point sampler
+#      (`method: maxnet`) gets one with an issue on subsample.method, one
 #      naming `arch: lstm` (the drag surrogate, which a case cannot train)
-#      one with an issue on train.arch, and `heads: 3` with the case's
-#      `dim: 8` one on train.heads, all before any snapshot is generated,
+#      one on train.arch, and `heads: 3` with the case's `dim: 8` one on
+#      train.heads, all before any snapshot is generated,
 #   4. a 2 MiB request with no newline gets a typed `protocol` rejection
 #      (the daemon's request-line limit is 1 MiB) and the next connection
 #      is served normally,
@@ -162,6 +164,22 @@ if resp.get("ok") is not False or resp.get("code") != "config" or field not in f
   echo "$what rejected at submit ($field) OK"
 }
 
+echo "=== a grid scale past the zoo's bound"
+# Past scale 8192 a grid extent passes 2^20. Unbounded, 1e5 wraps the
+# point count and the generator writes out of bounds (the daemon dies),
+# and 2e17 never leaves the power-of-two rounding (a connection thread
+# spins). Both must be rejected, and the daemon must serve every check
+# below.
+for scale in 1e5 2e17; do
+  sed "s/^  scale: 0.25\$/  scale: $scale/" "$workdir/case_0.yaml" \
+    > "$workdir/scale.yaml"
+  grep -q "^  scale: $scale\$" "$workdir/scale.yaml" || {
+    echo "error: the case has no 'scale: 0.25' line to change" >&2
+    exit 1
+  }
+  expect_config_issue "scale: $scale" "$workdir/scale.yaml" shared.scale
+done
+
 echo "=== misspelled sampling method"
 sed 's/^  method: maxent$/  method: maxnet/' "$workdir/case_0.yaml" \
   > "$workdir/typo.yaml"
@@ -236,5 +254,5 @@ grep -q "shut down cleanly" "$workdir/serve.log" || {
 
 echo
 echo "e2e-serve OK: $NUM_CASES concurrent cases bit-identical, metrics"
-echo "consistent, unknown method, arch: lstm, heads: 3 and oversized line"
-echo "rejected, clean SIGTERM shutdown"
+echo "consistent, scales 1e5 and 2e17, unknown method, arch: lstm, heads: 3"
+echo "and oversized line rejected, clean SIGTERM shutdown"
