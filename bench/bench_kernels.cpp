@@ -11,7 +11,10 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <regex>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "cluster/kmeans.hpp"
@@ -260,11 +263,11 @@ BENCHMARK(BM_KlStrengthsAlgebraic)->Arg(512)->Arg(4096)->Arg(100000);
 
 // ------------------------------------------------------------ SIMD kernels
 //
-// The three `#pragma omp simd` hot loops, each paired with a scalar
-// reference row so the committed BENCH_kernels.json records what
-// vectorization buys on the runner's ISA (the reference container is
-// SSE4.2/AVX). The shipping paths are the library calls; the *ScalarRef
-// twins re-state the same arithmetic as plain serial loops.
+// The histogram's `#pragma omp simd` loop, paired with a scalar reference
+// row so the committed BENCH_kernels.json records what vectorization buys
+// on the runner's ISA. The shipping path is the library call; the
+// ScalarRef twin re-states the same arithmetic as a plain serial loop.
+// BM_AssignBatch1D times the selector's 1-D labeling, a per-point scan.
 
 void BM_HistogramAccumulate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -312,36 +315,6 @@ void BM_AssignBatch1D(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignBatch1D);
 
-void BM_AssignBatch1DScalarRef(benchmark::State& state) {
-  // The pre-interchange fused loop: per point, scan a local centroid
-  // table. No span construction or per-centroid calls, but the argmin
-  // recurrence is serial per point.
-  const auto& fx = CubeScoringFixture::instance();
-  const auto& values = fx.snap.get("cv").data();
-  std::vector<std::uint32_t> labels(values.size());
-  const std::size_t kk = fx.clusters.k;
-  for (auto _ : state) {
-    const double* c = fx.clusters.centroids.data();
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      const double v = values[i];
-      double best_d = std::numeric_limits<double>::infinity();
-      std::uint32_t best = 0;
-      for (std::size_t j = 0; j < kk; ++j) {
-        const double d = (v - c[j]) * (v - c[j]);
-        if (d < best_d) {
-          best_d = d;
-          best = static_cast<std::uint32_t>(j);
-        }
-      }
-      labels[i] = best;
-    }
-    benchmark::DoNotOptimize(labels.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(values.size()));
-}
-BENCHMARK(BM_AssignBatch1DScalarRef);
-
 std::vector<double> codec_bench_values(std::size_t n) {
   // f32-native smooth data: the case gorilla's window logic targets.
   std::vector<double> v(n);
@@ -360,7 +333,8 @@ const std::vector<double>& full_double_values() {
     flow::SpectralTurbulenceParams p;
     p.nx = p.ny = p.nz = 32;
     p.seed = 3;
-    const auto ds = flow::generate_spectral_turbulence(p);
+    flow::SpectralTurbulenceProducer producer(p);
+    const auto ds = flow::materialize(producer, "spectral");
     const auto u = ds.snapshot(0).get("u").data();
     return std::vector<double>(u.begin(), u.end());
   }();
@@ -686,7 +660,8 @@ void record_block_checksum_lanes(sickle::bench::JsonReport* report) {
   flow::SpectralTurbulenceParams p;
   p.nx = p.ny = p.nz = 64;
   p.seed = 5;
-  const auto ds = flow::generate_spectral_turbulence(p);
+  flow::SpectralTurbulenceProducer producer(p);
+  const auto ds = flow::materialize(producer, "spectral");
   const auto& snap = ds.snapshot(0);
   const store::ChunkLayout layout(snap.shape(), {16, 16, 16});
   const store::GorillaCodec codec;
@@ -988,6 +963,24 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
   sickle::bench::JsonReport* out_;
 };
 
+/// Whether --benchmark_filter selects the record row `name`, matched the
+/// way google-benchmark matches its own rows: an empty filter or "all"
+/// selects every row, a leading '-' negates, and the rest is an extended
+/// regex searched for in the name. A filter that does not compile selects
+/// nothing, as it selects no google-benchmark row.
+bool filter_selects(const std::string& name) {
+  std::string spec = benchmark::GetBenchmarkFilter();
+  if (spec.empty() || spec == "all") return true;
+  const bool negate = spec.front() == '-';
+  if (negate) spec.erase(0, 1);
+  try {
+    return std::regex_search(name, std::regex(spec, std::regex::extended)) !=
+           negate;
+  } catch (const std::regex_error&) {
+    return false;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1012,12 +1005,18 @@ int main(int argc, char** argv) {
   sickle::bench::JsonReport report("bench_kernels");
   JsonCollectingReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  record_pipeline_threads_row(&report);
-  record_selection_single_pass(&report);
-  record_block_checksum_lanes(&report);
-  record_prefetch_streaming_scan(&report);
-  record_nested_parallel_for(&report);
-  record_obs_overhead_row(&report);
+  const std::pair<const char*, void (*)(sickle::bench::JsonReport*)>
+      records[] = {
+          {"pipeline_threads_scaling", record_pipeline_threads_row},
+          {"selection_single_pass", record_selection_single_pass},
+          {"block_checksum_lanes", record_block_checksum_lanes},
+          {"prefetch_streaming_scan", record_prefetch_streaming_scan},
+          {"nested_parallel_for", record_nested_parallel_for},
+          {"obs_overhead_pipeline", record_obs_overhead_row},
+      };
+  for (const auto& [name, record] : records) {
+    if (filter_selects(name)) record(&report);
+  }
   report.write(json_path);
   benchmark::Shutdown();
   return 0;

@@ -96,7 +96,8 @@ int main() {
     flow::SpectralTurbulenceParams tp;
     tp.native_f32 = true;
     tp.seed = 7;
-    const auto turb = flow::generate_spectral_turbulence(tp);
+    flow::SpectralTurbulenceProducer producer(tp);
+    const auto turb = flow::materialize(producer, "spectral");
     const auto& tsnap = turb.snapshot(0);
     std::printf("\nnative-f32 SpectralTurbulence (%zu points x %zu vars), "
                 "lossless codecs:\n",

@@ -39,50 +39,11 @@ void KMeansResult::assign_batch(std::span<const double> values,
                    "assign_batch: values/labels size mismatch");
   if (dims == 1) {
     // Fused 1-D hot path: the selector classifies every grid point through
-    // here. Two implementations, identical label-for-label (same
-    // arithmetic; strict `<` with ascending j preserves the lowest-index
-    // tie-break):
-    //  * SIMD (SSE4.1+/AVX/NEON): interchanged loops — centroids outer,
-    //    points inner — so the argmin runs over contiguous point blocks
-    //    under `#pragma omp simd`. Labels are carried as doubles so every
-    //    lane in the vector loop has one width; needs a single-instruction
-    //    lane select (blendv) to pay off.
-    //  * Scalar fallback (baseline x86-64 and anything older): per-point
-    //    scan over a local centroid table. Pre-SSE4.1 codegen emulates
-    //    each lane select with four logic ops, which measures ~3x slower
-    //    than this branch-predicted scan (see bench_kernels
-    //    BM_AssignBatch1D vs BM_AssignBatch1DScalarRef).
+    // here. A per-point scan over a local centroid table; strict `<` with
+    // ascending j keeps assign()'s lowest-index tie-break.
     const double* c = centroids.data();
     const std::size_t kk = k;
     const std::size_t n = labels.size();
-#if defined(__SSE4_1__) || defined(__AVX__) || defined(__ARM_NEON)
-    constexpr std::size_t kBlock = 256;
-    double best_d[kBlock];
-    double best[kBlock];
-    for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
-      const std::size_t m = std::min(kBlock, n - i0);
-      const double* v = values.data() + i0;
-      for (std::size_t t = 0; t < m; ++t) {
-        best_d[t] = std::numeric_limits<double>::infinity();
-        best[t] = 0.0;
-      }
-      for (std::size_t j = 0; j < kk; ++j) {
-        const double cj = c[j];
-        const auto lbl = static_cast<double>(j);
-#pragma omp simd
-        for (std::size_t t = 0; t < m; ++t) {
-          const double d = (v[t] - cj) * (v[t] - cj);
-          if (d < best_d[t]) {
-            best_d[t] = d;
-            best[t] = lbl;
-          }
-        }
-      }
-      for (std::size_t t = 0; t < m; ++t) {
-        labels[i0 + t] = static_cast<std::uint32_t>(best[t]);
-      }
-    }
-#else
     for (std::size_t i = 0; i < n; ++i) {
       const double v = values[i];
       double best_d = std::numeric_limits<double>::infinity();
@@ -96,7 +57,6 @@ void KMeansResult::assign_batch(std::span<const double> values,
       }
       labels[i] = best;
     }
-#endif
     return;
   }
   for (std::size_t i = 0; i < labels.size(); ++i) {

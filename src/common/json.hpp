@@ -46,9 +46,6 @@ class Json {
   [[nodiscard]] static Json parse(const std::string& text);
 
   [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept {
-    return type_ == Type::kNull;
-  }
   [[nodiscard]] bool is_object() const noexcept {
     return type_ == Type::kObject;
   }

@@ -4,18 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <span>
 
 namespace sickle {
-
-/// x*log(x/y) with the measure-theoretic conventions used by KL divergence:
-/// 0*log(0/y) = 0; x*log(x/0) = +inf for x > 0.
-inline double xlogx_over_y(double x, double y) noexcept {
-  if (x <= 0.0) return 0.0;
-  if (y <= 0.0) return std::numeric_limits<double>::infinity();
-  return x * std::log(x / y);
-}
 
 inline double sqr(double x) noexcept { return x * x; }
 
@@ -60,12 +51,6 @@ inline std::pair<double, double> min_max(std::span<const double> v) noexcept {
 inline std::size_t clamp_index(std::ptrdiff_t i, std::size_t n) noexcept {
   return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
       i, 0, static_cast<std::ptrdiff_t>(n) - 1));
-}
-
-/// True if |a-b| <= atol + rtol*max(|a|,|b|).
-inline bool close(double a, double b, double rtol = 1e-9,
-                  double atol = 1e-12) noexcept {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
 }
 
 /// Integer ceil-division.

@@ -116,23 +116,6 @@ class Rng {
     return out;
   }
 
-  /// Weighted draw: index i with probability weights[i] / sum(weights).
-  /// Weights must be non-negative with a positive sum.
-  std::size_t weighted_index(std::span<const double> weights) {
-    double total = 0.0;
-    for (const double w : weights) {
-      SICKLE_CHECK_MSG(w >= 0.0, "negative sampling weight");
-      total += w;
-    }
-    SICKLE_CHECK_MSG(total > 0.0, "all sampling weights are zero");
-    double r = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      r -= weights[i];
-      if (r < 0.0) return i;
-    }
-    return weights.size() - 1;  // numerical edge: r landed on total
-  }
-
   std::uint64_t seed() const noexcept { return seed_; }
   std::uint64_t counter() const noexcept { return counter_; }
 

@@ -39,14 +39,6 @@ std::vector<std::string> Snapshot::names() const {
   return out;
 }
 
-std::vector<double> Snapshot::values_at(std::span<const std::string> vars,
-                                        std::size_t flat_index) const {
-  std::vector<double> out;
-  out.reserve(vars.size());
-  for (const auto& v : vars) out.push_back(get(v).data()[flat_index]);
-  return out;
-}
-
 void Dataset::push(Snapshot snapshot) {
   if (!snapshots_.empty()) {
     SICKLE_CHECK_MSG(snapshot.shape() == snapshots_.front().shape(),

@@ -86,11 +86,6 @@ class Snapshot {
   }
   [[nodiscard]] std::vector<std::string> names() const;
 
-  /// Gather the values of several variables at a flat grid index — the
-  /// feature vector samplers operate on.
-  [[nodiscard]] std::vector<double> values_at(
-      std::span<const std::string> vars, std::size_t flat_index) const;
-
   /// In-memory footprint of the payload, in bytes (for Table 1 / storage
   /// accounting).
   [[nodiscard]] std::size_t bytes() const noexcept {

@@ -54,9 +54,4 @@ std::optional<field::Snapshot> CombustionProducer::next() {
   return snap;
 }
 
-field::Dataset generate_combustion(const CombustionParams& p) {
-  CombustionProducer producer(p);
-  return materialize(producer, "TC2D");
-}
-
 }  // namespace sickle::flow

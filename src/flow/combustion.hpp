@@ -25,11 +25,8 @@ struct CombustionParams {
   std::uint64_t seed = 7;
 };
 
-/// Generate the single-snapshot TC2D dataset with fields "C" (progress
-/// variable) and "Cvar" (filtered variance of C).
-[[nodiscard]] field::Dataset generate_combustion(const CombustionParams& p);
-
-/// Producer form of the (single-snapshot) TC2D generator.
+/// The single-snapshot TC2D generator: fields "C" (progress variable) and
+/// "Cvar" (filtered variance of C).
 class CombustionProducer final : public SnapshotProducer {
  public:
   explicit CombustionProducer(const CombustionParams& params)

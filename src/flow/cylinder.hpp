@@ -48,7 +48,8 @@ struct CylinderWake {
 
 /// Snapshot-at-a-time wake synthesis. The measurement-noise RNG stream
 /// advances with each produced snapshot, so producing in order yields the
-/// same bits as generate_cylinder_wake (which materializes this producer).
+/// same bits as generate_cylinder_wake, which materializes this producer
+/// and also returns its drag and times.
 /// Per-snapshot drag accumulates in scalar_target() as snapshots are
 /// produced — the sample-single learning target.
 class CylinderWakeProducer final : public SnapshotProducer {

@@ -7,10 +7,10 @@
 /// the slab-at-a-time contract that closes that gap: a producer yields one
 /// field::Snapshot per next() call, so the case orchestrator can run
 /// simulate -> encode -> SeriesWriter::append -> drop and never hold more
-/// than one snapshot, no matter how long the series. Every generator-backed
-/// producer yields snapshots bit-identical to the batch generate_* function
-/// it mirrors (test-asserted), so streaming and materialized ingest produce
-/// identical stores, sample sets, and training tensors.
+/// than one snapshot, no matter how long the series. Materialized ingest
+/// drains the same producer through materialize(), so streaming and
+/// materialized runs produce identical stores, sample sets, and training
+/// tensors.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +51,8 @@ class SnapshotProducer {
 };
 
 /// Drain `producer` into an in-memory Dataset named `name` — the
-/// materialized-ingest path and the compatibility bridge for the batch
-/// generate_* functions.
+/// materialized-ingest path, and the way to hold a whole generated series
+/// in memory.
 [[nodiscard]] field::Dataset materialize(SnapshotProducer& producer,
                                          std::string name);
 

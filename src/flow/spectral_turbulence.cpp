@@ -380,12 +380,6 @@ std::optional<field::Snapshot> SpectralTurbulenceProducer::next() {
   return impl_->realize_step(impl_->produced++);
 }
 
-field::Dataset generate_spectral_turbulence(
-    const SpectralTurbulenceParams& p) {
-  SpectralTurbulenceProducer producer(p);
-  return materialize(producer, "spectral");
-}
-
 namespace {
 
 SpectralTurbulenceParams stratified_spectral_params(
@@ -431,11 +425,6 @@ std::optional<field::Snapshot> StratifiedProducer::next() {
   return snap;
 }
 
-field::Dataset generate_stratified(const StratifiedParams& p) {
-  StratifiedProducer producer(p);
-  return materialize(producer, "SST");
-}
-
 IsotropicProducer::IsotropicProducer(const IsotropicParams& p)
     : base_(isotropic_spectral_params(p)) {}
 
@@ -445,11 +434,6 @@ std::optional<field::Snapshot> IsotropicProducer::next() {
   field::add_enstrophy_3d(*snap);
   field::add_dissipation_3d(*snap);
   return snap;
-}
-
-field::Dataset generate_isotropic(const IsotropicParams& p) {
-  IsotropicProducer producer(p);
-  return materialize(producer, "GESTS");
 }
 
 }  // namespace sickle::flow

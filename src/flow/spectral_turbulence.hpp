@@ -58,17 +58,12 @@ struct SpectralTurbulenceParams {
   std::uint64_t seed = 1;
 };
 
-/// Core generator: returns a Dataset whose snapshots carry u, v, w
-/// (+ rho, + p as configured). Materializes SpectralTurbulenceProducer.
-[[nodiscard]] field::Dataset generate_spectral_turbulence(
-    const SpectralTurbulenceParams& p);
-
-/// Snapshot-at-a-time spectral synthesis: the base solenoidal spectral
-/// state and intermittency envelope are built once at construction (all
-/// RNG draws happen there), then each next() realizes one time step —
-/// phase sweep + viscous decay + inverse FFT — so producing a T-step
-/// series holds O(one snapshot) of field data, never O(T). Yields
-/// snapshots bit-identical to generate_spectral_turbulence.
+/// Core generator: snapshots carry u, v, w (+ rho, + p as configured).
+/// The base solenoidal spectral state and intermittency envelope are built
+/// once at construction (all RNG draws happen there), then each next()
+/// realizes one time step — phase sweep + viscous decay + inverse FFT — so
+/// producing a T-step series holds O(one snapshot) of field data, never
+/// O(T). materialize() collects the whole series.
 class SpectralTurbulenceProducer final : public SnapshotProducer {
  public:
   explicit SpectralTurbulenceProducer(const SpectralTurbulenceParams& p);
@@ -92,10 +87,9 @@ struct StratifiedParams {
   double intermittency = 0.6;
   std::uint64_t seed = 11;
 };
-[[nodiscard]] field::Dataset generate_stratified(const StratifiedParams& p);
 
-/// Streaming twin of generate_stratified: spectral realization plus
-/// per-snapshot pv/eps enrichment, one snapshot at a time.
+/// Spectral realization plus per-snapshot pv/eps enrichment, one snapshot
+/// at a time.
 class StratifiedProducer final : public SnapshotProducer {
  public:
   explicit StratifiedProducer(const StratifiedParams& p);
@@ -117,10 +111,8 @@ struct IsotropicParams {
   double intermittency = 0.25;  ///< mild: isotropic tails are lighter
   std::uint64_t seed = 13;
 };
-[[nodiscard]] field::Dataset generate_isotropic(const IsotropicParams& p);
 
-/// Streaming twin of generate_isotropic: per-snapshot enstrophy/eps
-/// enrichment over the spectral realization.
+/// Per-snapshot enstrophy/eps enrichment over the spectral realization.
 class IsotropicProducer final : public SnapshotProducer {
  public:
   explicit IsotropicProducer(const IsotropicParams& p);

@@ -160,9 +160,6 @@ class Engine {
   [[nodiscard]] const LstmWeights& lstm_weights() const noexcept {
     return lw_;
   }
-  [[nodiscard]] const std::vector<PackedDense>& mlp_layers() const noexcept {
-    return mlp_;
-  }
 
   /// Batch-1 forward. LSTM surrogates take a flattened [steps, in] window
   /// (steps = input.size() / in, validated); MLPs take [in]. `out` must

@@ -67,12 +67,6 @@ namespace sickle::infer {
   return p * std::bit_cast<float>(scale);
 }
 
-/// x[i] = exp(x[i]) over an array, one vectorized pass.
-inline void exp_inplace(float* x, std::size_t n) noexcept {
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) x[i] = exp_lane(x[i]);
-}
-
 /// x[i] = sigmoid(x[i]) = 1 / (1 + exp(-x[i])).
 inline void sigmoid_inplace(float* x, std::size_t n) noexcept {
 #pragma omp simd

@@ -35,7 +35,10 @@ std::size_t save_samples(const SampleFile& samples, const std::string& path);
 
 /// Read a sample set written by save_samples. Throws RuntimeError on a
 /// missing, foreign or truncated file, including one whose header counts
-/// more points than the rest of the file holds.
+/// more points than the rest of the file holds. No program here reads SKS1:
+/// it is the format `sickle_subsample --output` writes for outside readers,
+/// and this is its reference reader, which the round-trip and
+/// crafted-header tests use to pin the layout above.
 [[nodiscard]] SampleFile load_samples(const std::string& path);
 
 /// Size of a file on disk in bytes (0 if missing).

@@ -89,26 +89,6 @@ void tally_scan(const HypercubeSelectorConfig& cfg, std::size_t points) {
 
 }  // namespace
 
-std::vector<double> hypercube_strengths(const field::FieldSource& src,
-                                        const field::CubeTiling& tiling,
-                                        const HypercubeSelectorConfig& cfg) {
-  Rng rng(cfg.seed, /*stream=*/0x4C);
-  const auto clusters = fit_clusters(src, cfg, rng);
-  const auto counts = count_cube_labels(src, tiling, clusters,
-                                        cfg.cluster_var, cfg.pool);
-  const auto pmfs = pmfs_from_counts(std::span<const std::uint32_t>(counts),
-                                     clusters.k, tiling.spec().points());
-  tally_scan(cfg, src.shape().size());
-  return kl_node_strengths(std::span<const double>(pmfs), tiling.count(),
-                           clusters.k, cfg.pool);
-}
-
-std::vector<double> hypercube_strengths(const field::Snapshot& snap,
-                                        const field::CubeTiling& tiling,
-                                        const HypercubeSelectorConfig& cfg) {
-  return hypercube_strengths(field::SnapshotSource(snap), tiling, cfg);
-}
-
 std::vector<std::size_t> select_hypercubes(const field::FieldSource& src,
                                            const field::CubeTiling& tiling,
                                            const HypercubeSelectorConfig& cfg) {

@@ -67,14 +67,4 @@ struct HypercubeSelectorConfig {
     const field::Snapshot& snap, const field::CubeTiling& tiling,
     const HypercubeSelectorConfig& cfg, Comm& comm);
 
-/// Per-cube node strengths (exposed for tests/ablation): strength[i] is the
-/// KL row sum of cube i's cluster-label PMF against all other cubes.
-[[nodiscard]] std::vector<double> hypercube_strengths(
-    const field::Snapshot& snap, const field::CubeTiling& tiling,
-    const HypercubeSelectorConfig& cfg);
-
-[[nodiscard]] std::vector<double> hypercube_strengths(
-    const field::FieldSource& src, const field::CubeTiling& tiling,
-    const HypercubeSelectorConfig& cfg);
-
 }  // namespace sickle::sampling

@@ -36,18 +36,6 @@ Moments compute_moments(std::span<const double> data) {
   return m;
 }
 
-double quantile(std::span<const double> data, double q) {
-  SICKLE_CHECK_MSG(!data.empty(), "quantile of empty data");
-  SICKLE_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile order out of [0,1]");
-  std::vector<double> sorted(data.begin(), data.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto i = static_cast<std::size_t>(std::floor(pos));
-  const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= sorted.size()) return sorted.back();
-  return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
-}
-
 std::vector<double> quantiles(std::span<const double> data,
                               std::span<const double> qs) {
   SICKLE_CHECK_MSG(!data.empty(), "quantiles of empty data");
@@ -71,8 +59,10 @@ double tail_coverage(std::span<const double> reference,
                      std::span<const double> sample, double tail_q) {
   SICKLE_CHECK_MSG(tail_q > 0.0 && tail_q < 0.5, "tail_q must be in (0,0.5)");
   if (sample.empty()) return 0.0;
-  const double lo = quantile(reference, tail_q);
-  const double hi = quantile(reference, 1.0 - tail_q);
+  const double qs[] = {tail_q, 1.0 - tail_q};
+  const auto cut = quantiles(reference, qs);
+  const double lo = cut[0];
+  const double hi = cut[1];
   std::size_t in_tail = 0;
   for (const double x : sample) {
     if (x < lo || x > hi) ++in_tail;

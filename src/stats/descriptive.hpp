@@ -25,10 +25,8 @@ struct Moments {
 
 [[nodiscard]] Moments compute_moments(std::span<const double> data);
 
-/// q-quantile (0 <= q <= 1) with linear interpolation (numpy default).
-[[nodiscard]] double quantile(std::span<const double> data, double q);
-
-/// Several quantiles in one sort.
+/// Quantiles (each 0 <= q <= 1) from one sort, with linear interpolation
+/// (numpy default).
 [[nodiscard]] std::vector<double> quantiles(std::span<const double> data,
                                             std::span<const double> qs);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "common/error.hpp"
 #include "common/mathx.hpp"
@@ -173,28 +172,6 @@ double HistogramND::density_at(std::span<const double> x) const noexcept {
   const double mass = static_cast<double>(counts_[cell_of(x)]) /
                       static_cast<double>(total_);
   return mass / cell_volume_;
-}
-
-Kde1D::Kde1D(std::span<const double> data)
-    : data_(data.begin(), data.end()) {
-  SICKLE_CHECK_MSG(!data_.empty(), "KDE needs data");
-  const double sd = stddev(std::span<const double>(data_));
-  const double n = static_cast<double>(data_.size());
-  // Silverman's rule of thumb; floor avoids a degenerate bandwidth for
-  // (near-)constant data.
-  h_ = std::max(1.06 * sd * std::pow(n, -0.2), 1e-12);
-}
-
-double Kde1D::operator()(double x) const noexcept {
-  const double norm =
-      1.0 / (static_cast<double>(data_.size()) * h_ *
-             std::sqrt(2.0 * std::numbers::pi));
-  double acc = 0.0;
-  for (const double xi : data_) {
-    const double u = (x - xi) / h_;
-    acc += std::exp(-0.5 * u * u);
-  }
-  return acc * norm;
 }
 
 }  // namespace sickle::stats

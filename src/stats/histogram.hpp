@@ -1,5 +1,5 @@
 /// @file histogram.hpp
-/// @brief Binned density estimation (1D, ND, and a KDE cross-check).
+/// @brief Binned density estimation (1D and ND).
 ///
 /// The paper's PDF comparisons (Fig. 5) and the UIPS sampler both rely on
 /// fixed-bin histograms ("PDF comparisons were binned using a fixed bin
@@ -89,19 +89,6 @@ class HistogramND {
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
   double cell_volume_ = 1.0;
-};
-
-/// Gaussian kernel density estimate (Silverman bandwidth) — used to
-/// cross-check binned PDFs in tests; O(n*m) evaluation.
-class Kde1D {
- public:
-  explicit Kde1D(std::span<const double> data);
-  [[nodiscard]] double operator()(double x) const noexcept;
-  [[nodiscard]] double bandwidth() const noexcept { return h_; }
-
- private:
-  std::vector<double> data_;
-  double h_;
 };
 
 }  // namespace sickle::stats

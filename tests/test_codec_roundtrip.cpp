@@ -122,7 +122,8 @@ TEST(CodecRoundTrip, GorillaBeatsDeltaOnNativePrecisionSpectralTurbulence) {
   flow::SpectralTurbulenceParams p;
   p.native_f32 = true;
   p.seed = 7;
-  const auto ds = flow::generate_spectral_turbulence(p);
+  flow::SpectralTurbulenceProducer producer(p);
+  const auto ds = flow::materialize(producer, "spectral");
   const auto& snap = ds.snapshot(0);
 
   const auto gorilla = make_codec("gorilla");
@@ -263,7 +264,8 @@ std::vector<double> golden_turbulence() {
   flow::SpectralTurbulenceParams p;
   p.nx = p.ny = p.nz = 16;
   p.seed = 11;
-  const auto ds = flow::generate_spectral_turbulence(p);
+  flow::SpectralTurbulenceProducer producer(p);
+  const auto ds = flow::materialize(producer, "spectral");
   const auto data = ds.snapshot(0).get("u").data();
   return {data.begin(), data.end()};
 }

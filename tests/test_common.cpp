@@ -111,24 +111,6 @@ TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   EXPECT_THROW(rng.sample_without_replacement(5, 6), CheckError);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(4);
-  const std::vector<double> w{0.0, 1.0, 3.0};
-  std::size_t counts[3] = {0, 0, 0};
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    ++counts[rng.weighted_index(std::span<const double>(w))];
-  }
-  EXPECT_EQ(counts[0], 0u);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.25);
-}
-
-TEST(Rng, WeightedIndexAllZeroThrows) {
-  Rng rng(5);
-  const std::vector<double> w{0.0, 0.0};
-  EXPECT_THROW(rng.weighted_index(std::span<const double>(w)), CheckError);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(6);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
@@ -158,12 +140,6 @@ TEST(Mathx, Pow2Helpers) {
   EXPECT_EQ(next_pow2(33), 64u);
   EXPECT_EQ(next_pow2(64), 64u);
   EXPECT_EQ(ceil_div(7, 3), 3u);
-}
-
-TEST(Mathx, XlogxOverY) {
-  EXPECT_EQ(xlogx_over_y(0.0, 0.5), 0.0);
-  EXPECT_TRUE(std::isinf(xlogx_over_y(0.5, 0.0)));
-  EXPECT_NEAR(xlogx_over_y(0.5, 0.25), 0.5 * std::log(2.0), 1e-12);
 }
 
 /// What Json's string writer puts between the quotes for `s`.

@@ -36,17 +36,6 @@ TEST(Snapshot, AddAndRetrieveFields) {
   EXPECT_THROW(snap.add("u"), CheckError);
 }
 
-TEST(Snapshot, ValuesAtGathersFeatureVector) {
-  Snapshot snap({2, 1, 1});
-  snap.add("a", {1.0, 2.0});
-  snap.add("b", {10.0, 20.0});
-  const std::vector<std::string> vars{"b", "a"};
-  const auto v = snap.values_at(vars, 1);
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_DOUBLE_EQ(v[0], 20.0);
-  EXPECT_DOUBLE_EQ(v[1], 2.0);
-}
-
 TEST(Dataset, EnforcesConsistentShapes) {
   Dataset ds("test");
   ds.push(Snapshot({4, 4, 1}));

@@ -21,6 +21,18 @@
 namespace sickle::flow {
 namespace {
 
+/// Drain a fresh `Producer` built from `params`, checking the contract
+/// every producer keeps: exactly num_snapshots() snapshots, then nullopt.
+template <typename Producer, typename Params>
+field::Dataset generate(const Params& params) {
+  Producer producer(params);
+  const std::size_t expected = producer.num_snapshots();
+  auto ds = materialize(producer, "generated");
+  EXPECT_EQ(ds.num_snapshots(), expected);
+  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted: single-use
+  return ds;
+}
+
 TEST(CylinderWake, ShapesAndFields) {
   CylinderWakeParams p;
   p.nx = 60;
@@ -105,7 +117,7 @@ TEST(Combustion, ProgressVariableBimodalInUnitRange) {
   CombustionParams p;
   p.nx = 128;
   p.ny = 128;
-  const auto ds = generate_combustion(p);
+  const auto ds = generate<CombustionProducer>(p);
   const auto c = ds.snapshot(0).get("C").data();
   std::size_t low = 0, high = 0, mid = 0;
   for (const double x : c) {
@@ -129,7 +141,7 @@ TEST(Combustion, VariancePeaksInsideBrush) {
   CombustionParams p;
   p.nx = 128;
   p.ny = 128;
-  const auto ds = generate_combustion(p);
+  const auto ds = generate<CombustionProducer>(p);
   const auto& snap = ds.snapshot(0);
   const auto c = snap.get("C").data();
   const auto v = snap.get("Cvar").data();
@@ -161,7 +173,7 @@ TEST(SpectralTurbulence, FieldsPresentAndShaped) {
   p.nz = 8;
   p.snapshots = 2;
   p.with_density = true;
-  const auto ds = generate_spectral_turbulence(p);
+  const auto ds = generate<SpectralTurbulenceProducer>(p);
   EXPECT_EQ(ds.num_snapshots(), 2u);
   const auto& snap = ds.snapshot(0);
   for (const char* v : {"u", "v", "w", "rho", "p"}) {
@@ -176,7 +188,7 @@ TEST(SpectralTurbulence, VelocityIsDivergenceFree) {
   p.nx = p.ny = p.nz = 16;
   p.intermittency = 0.0;  // envelope multiplication breaks exact solenoidality
   p.with_pressure = false;
-  const auto ds = generate_spectral_turbulence(p);
+  const auto ds = generate<SpectralTurbulenceProducer>(p);
   const auto& snap = ds.snapshot(0);
   const auto dudx =
       fft::spectral_gradient_3d(snap.get("u").data(), 16, 16, 16)[0];
@@ -199,7 +211,7 @@ TEST(SpectralTurbulence, RmsMatchesTarget) {
   p.rms_velocity = 2.5;
   p.intermittency = 0.0;
   p.with_pressure = false;
-  const auto ds = generate_spectral_turbulence(p);
+  const auto ds = generate<SpectralTurbulenceProducer>(p);
   // The generator fixes the mean horizontal RMS; each component then sits
   // near the target up to component-to-component statistical variation.
   const auto& snap = ds.snapshot(0);
@@ -221,8 +233,8 @@ TEST(SpectralTurbulence, IntermittencyFattensTails) {
   base.intermittency = 0.0;
   auto heavy = base;
   heavy.intermittency = 1.0;
-  const auto gaussian = generate_spectral_turbulence(base);
-  const auto intermittent = generate_spectral_turbulence(heavy);
+  const auto gaussian = generate<SpectralTurbulenceProducer>(base);
+  const auto intermittent = generate<SpectralTurbulenceProducer>(heavy);
   const auto kg = stats::compute_moments(
       gaussian.snapshot(0).get("u").data()).kurtosis;
   const auto ki = stats::compute_moments(
@@ -234,7 +246,7 @@ TEST(Stratified, AnisotropySuppressesVerticalVelocity) {
   StratifiedParams p;
   p.nx = p.ny = 32;
   p.nz = 16;
-  const auto ds = generate_stratified(p);
+  const auto ds = generate<StratifiedProducer>(p);
   const auto& snap = ds.snapshot(0);
   auto rms = [](std::span<const double> v) {
     double acc = 0.0;
@@ -251,7 +263,7 @@ TEST(Stratified, DensityStablyStratified) {
   StratifiedParams p;
   p.nx = p.ny = 16;
   p.nz = 16;
-  const auto ds = generate_stratified(p);
+  const auto ds = generate<StratifiedProducer>(p);
   const auto& rho = ds.snapshot(0).get("rho");
   // Mean density at the top z-layer exceeds the bottom (gradient along z).
   double bottom = 0.0, top = 0.0;
@@ -267,7 +279,7 @@ TEST(Stratified, DensityStablyStratified) {
 TEST(Isotropic, ComponentsStatisticallyIsotropic) {
   IsotropicParams p;
   p.n = 32;
-  const auto ds = generate_isotropic(p);
+  const auto ds = generate<IsotropicProducer>(p);
   const auto& snap = ds.snapshot(0);
   auto rms = [](std::span<const double> v) {
     double acc = 0.0;
@@ -289,7 +301,7 @@ TEST(SpectralTurbulence, SnapshotsDecorrelateOverTime) {
   p.with_pressure = false;
   p.dt = 2.0;
   p.sweep_velocity = 2.0;
-  const auto ds = generate_spectral_turbulence(p);
+  const auto ds = generate<SpectralTurbulenceProducer>(p);
   const auto u0 = ds.snapshot(0).get("u").data();
   const auto u2 = ds.snapshot(2).get("u").data();
   double dot = 0.0, n0 = 0.0, n2 = 0.0;
@@ -325,34 +337,9 @@ void expect_datasets_identical(const field::Dataset& a,
   }
 }
 
-/// The streaming-ingest contract: producers must yield exactly the bits
-/// the batch generators return, or streamed and materialized runs would
-/// sample different points.
-TEST(Producer, StratifiedMatchesBatchGeneratorBitExact) {
-  StratifiedParams p;
-  p.nx = 16;
-  p.ny = 16;
-  p.nz = 8;
-  p.snapshots = 3;
-  p.seed = 21;
-  StratifiedProducer producer(p);
-  EXPECT_EQ(producer.num_snapshots(), 3u);
-  const auto streamed = materialize(producer, "SST");
-  expect_datasets_identical(streamed, generate_stratified(p));
-  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted
-}
-
-TEST(Producer, IsotropicMatchesBatchGeneratorBitExact) {
-  IsotropicParams p;
-  p.n = 16;
-  p.snapshots = 2;
-  p.seed = 9;
-  IsotropicProducer producer(p);
-  const auto streamed = materialize(producer, "GESTS");
-  expect_datasets_identical(streamed, generate_isotropic(p));
-  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted
-}
-
+/// generate_cylinder_wake, the one batch generator (it also returns the
+/// drag and time series), materializes the producer: the two must carry
+/// the same bits, or a drag-surrogate run would train on other data.
 TEST(Producer, CylinderMatchesBatchGeneratorBitExact) {
   CylinderWakeParams p;
   p.nx = 30;
@@ -372,25 +359,13 @@ TEST(Producer, CylinderMatchesBatchGeneratorBitExact) {
   }
 }
 
-TEST(Producer, CombustionMatchesBatchGeneratorBitExact) {
-  CombustionParams p;
-  p.nx = 48;
-  p.ny = 48;
-  p.seed = 3;
-  CombustionProducer producer(p);
-  EXPECT_EQ(producer.num_snapshots(), 1u);
-  const auto streamed = materialize(producer, "TC2D");
-  expect_datasets_identical(streamed, generate_combustion(p));
-  EXPECT_EQ(producer.next(), std::nullopt);  // exhausted
-}
-
 TEST(Producer, DatasetProducerReplaysInOrder) {
   StratifiedParams p;
   p.nx = 8;
   p.ny = 8;
   p.nz = 8;
   p.snapshots = 2;
-  const auto ds = generate_stratified(p);
+  const auto ds = generate<StratifiedProducer>(p);
   DatasetProducer producer(ds);
   const auto replayed = materialize(producer, "replay");
   expect_datasets_identical(replayed, ds);

@@ -16,7 +16,8 @@ field::Dataset small_stratified() {
   p.nz = 16;
   p.snapshots = 2;
   p.seed = 3;
-  return flow::generate_stratified(p);
+  flow::StratifiedProducer producer(p);
+  return flow::materialize(producer, "SST");
 }
 
 PipelineConfig small_config() {

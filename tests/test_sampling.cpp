@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "cluster/kmeans.hpp"
 #include "common/rng.hpp"
 #include "field/field_source.hpp"
 #include "field/hypercube.hpp"
@@ -353,13 +354,21 @@ TEST(HypercubeSelector, MaxEntPrefersDistinctCubes) {
   const auto snap = make_structured_snapshot();
   field::CubeTiling tiling(snap.shape(), {8, 8, 8});
   // Strengths: the two "hot" cubes (ix<8, iy<8, both z-tiles) should carry
-  // the largest node strengths.
-  HypercubeSelectorConfig cfg;
-  cfg.method = "maxent";
-  cfg.num_hypercubes = 4;
-  cfg.cluster_var = "cv";
-  cfg.num_clusters = 6;
-  const auto strengths = hypercube_strengths(snap, tiling, cfg);
+  // the largest node strengths. They are scored as the maxent selector
+  // scores them: a k-means fit on the whole (small) snapshot, then label
+  // counts, PMFs and KL node strengths.
+  const auto cv = snap.get("cv").data();
+  cluster::KMeansOptions opts;
+  opts.k = 6;
+  opts.max_iterations = 50;
+  Rng rng(0, 0x4C);
+  const auto clusters = cluster::minibatch_kmeans(cv, cv.size(), 1, opts, rng);
+  const auto counts =
+      count_cube_labels(field::SnapshotSource(snap), tiling, clusters, "cv");
+  const auto pmfs = pmfs_from_counts(std::span<const std::uint32_t>(counts),
+                                     clusters.k, tiling.spec().points());
+  const auto strengths = kl_node_strengths(std::span<const double>(pmfs),
+                                           tiling.count(), clusters.k);
   ASSERT_EQ(strengths.size(), tiling.count());
   // Identify hot cube ids: cx = 0, cy = 0, any cz.
   std::vector<std::size_t> hot;

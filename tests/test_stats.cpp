@@ -75,15 +75,6 @@ TEST(HistogramND, DensityReflectsClustering) {
   EXPECT_GT(h.density_at(dense), h.density_at(sparse));
 }
 
-TEST(Kde1D, NormalDensityShape) {
-  Rng rng(2);
-  std::vector<double> v(4000);
-  for (auto& x : v) x = rng.normal();
-  Kde1D kde(v);
-  EXPECT_GT(kde(0.0), kde(2.0));
-  EXPECT_NEAR(kde(0.0), 1.0 / std::sqrt(2.0 * 3.14159265), 0.05);
-}
-
 TEST(Entropy, UniformIsMaximal) {
   const std::vector<double> uniform{0.25, 0.25, 0.25, 0.25};
   const std::vector<double> skewed{0.7, 0.1, 0.1, 0.1};
@@ -269,20 +260,12 @@ TEST(Moments, GaussianSkewKurtosisNearZero) {
 
 TEST(Quantile, LinearInterpolation) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.5);
-}
-
-TEST(Quantiles, MatchSingleCalls) {
-  Rng rng(5);
-  std::vector<double> v(1000);
-  for (auto& x : v) x = rng.uniform();
-  const std::vector<double> qs{0.1, 0.5, 0.9};
-  const auto multi = quantiles(v, qs);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(multi[i], quantile(v, qs[i]));
-  }
+  const std::vector<double> qs{0.0, 1.0, 0.5};
+  const auto q = quantiles(v, qs);
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_DOUBLE_EQ(q[0], 1.0);
+  EXPECT_DOUBLE_EQ(q[1], 4.0);
+  EXPECT_DOUBLE_EQ(q[2], 2.5);
 }
 
 TEST(TailCoverage, PerfectSamplerReproducesTailMass) {
