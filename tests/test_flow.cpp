@@ -3,9 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <map>
-#include <numbers>
 #include <string>
 
 #include "common/mathx.hpp"
@@ -14,12 +12,16 @@
 #include "flow/combustion.hpp"
 #include "flow/cylinder.hpp"
 #include "flow/spectral_turbulence.hpp"
+#include "golden.hpp"
 #include "sickle/dataset_zoo.hpp"
 #include "stats/descriptive.hpp"
-#include "store/chunk_layout.hpp"
 
 namespace sickle::flow {
 namespace {
+
+using golden::digest;
+using golden::generator_libm_matches;
+using golden::libm_matches;
 
 /// Drain a fresh `Producer` built from `params`, checking the contract
 /// every producer keeps: exactly num_snapshots() snapshots, then nullopt.
@@ -374,48 +376,11 @@ TEST(Producer, DatasetProducerReplaysInOrder) {
 
 // ------------------------------------------------------- generator golden
 
-/// FNV-1a over the raw bytes of a range, continuing from `seed` so that
-/// several ranges chain into one digest.
-template <typename T>
-std::uint64_t digest(std::span<const T> v,
-                     std::uint64_t seed = store::kFnvOffsetBasis) {
-  return store::fnv1a64(
-      std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(v.data()), v.size_bytes()),
-      seed);
-}
-
-/// Every libm function the spectral generators call: Box-Muller's log,
-/// sqrt and cos, the spectrum's pow and exp, realize's exp, cos and sin
-/// (with sweep phases up to a few hundred radians), and the FFT
-/// twiddles' cos and sin.
-std::uint64_t generator_libm_probe() {
-  std::vector<double> out;
-  for (int i = 1; i <= 4000; ++i) {
-    const double u = static_cast<double>(i) / 4001.0;
-    out.push_back(std::log(u));
-    out.push_back(std::sqrt(-2.0 * std::log(u)));
-    out.push_back(std::cos(2.0 * std::numbers::pi * u));
-    out.push_back(std::sin(2.0 * std::numbers::pi * u));
-    out.push_back(std::cos(400.0 * (u - 0.5)));
-    out.push_back(std::sin(400.0 * (u - 0.5)));
-    out.push_back(std::exp(-20.0 * u));
-    out.push_back(std::pow(1.0 + 100.0 * u, 17.0 / 6.0));
-  }
-  for (std::size_t len = 2; len <= (std::size_t{1} << 16); len <<= 1) {
-    for (const double sign : {-2.0, 2.0}) {
-      const double ang = sign * std::numbers::pi / static_cast<double>(len);
-      out.push_back(std::cos(ang));
-      out.push_back(std::sin(ang));
-    }
-  }
-  return digest(std::span<const double>(out));
-}
-
-/// The libm calls of the 2-D generators that the probe above does not
-/// reach: TC2D's tanh front (arguments within about +-50) and wrinkle
-/// sines (up to ~80 radians), and OF2D's Lamb-Oseen and shielding exp
-/// (arguments down to about -1500).
+/// The libm calls of the 2-D generators that
+/// golden::generator_libm_probe does not reach: TC2D's tanh front
+/// (arguments within about +-50) and wrinkle sines (up to ~80 radians),
+/// and OF2D's Lamb-Oseen and shielding exp (arguments down to about
+/// -1500).
 std::uint64_t planar_libm_probe() {
   std::vector<double> out;
   for (int i = 0; i <= 4000; ++i) {
@@ -426,20 +391,6 @@ std::uint64_t planar_libm_probe() {
     out.push_back(std::exp(-1500.0 * u));
   }
   return digest(std::span<const double>(out));
-}
-
-/// True when `probe` matches the digest this platform's libm gave when the
-/// goldens were captured; otherwise reports and returns false.
-bool libm_matches(const char* what, std::uint64_t probe, std::uint64_t want) {
-  if (probe == want) return true;
-  std::printf("%s libm differs on this platform (%016llx); skipped\n", what,
-              static_cast<unsigned long long>(probe));
-  return false;
-}
-
-bool generator_libm_matches() {
-  return libm_matches("spectral", generator_libm_probe(),
-                      0xdb06003b269de341ull);
 }
 
 /// Digest of each variable over the first `limit` snapshots a producer

@@ -1,11 +1,14 @@
 // Integration tests: two-phase pipeline, serial vs SPMD equivalence.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "flow/spectral_turbulence.hpp"
+#include "golden.hpp"
 #include "parallel/world.hpp"
 #include "sampling/pipeline.hpp"
+#include "sickle/dataset_zoo.hpp"
 
 namespace sickle::sampling {
 namespace {
@@ -205,6 +208,65 @@ TEST(SampleSet, ColumnExtractionAndAppend) {
   c.indices = {0};
   c.features = {0.0};
   EXPECT_THROW(a.append(c), CheckError);
+}
+
+// ------------------------------------------------------- sampling golden
+
+/// Sampling may get faster, never different: the sample sets of the
+/// ledger's three maxent shapes are pinned as one FNV-1a digest per run,
+/// chained over every cube's snapshot, cube id, sampled indices and
+/// sampled values. SST-P1F4 at scale 0.25 is the served dataset (16 x 16 x
+/// 8, so k-means fits whole snapshots); GESTS-2048 at scale 1 (64^3)
+/// makes the hypercube selector fit k-means on its 65,536-point
+/// subsample. A change that moves a sample (a new clustering update rule,
+/// say) re-pins them on purpose. Generation and the samplers go through
+/// libm, so the generator probe guards the test as it guards
+/// GeneratorGolden.
+TEST(SamplingGolden, SampleSetsArePinned) {
+  if (!golden::generator_libm_matches()) GTEST_SKIP();
+  struct Golden {
+    const char* dataset;
+    double scale;
+    std::uint64_t seed;
+    const char* hypercubes;
+    const char* points;
+    std::size_t clusters;
+    std::uint64_t digest;
+  };
+  const std::vector<Golden> goldens = {
+      {"SST-P1F4", 0.25, 1, "maxent", "maxent", 8, 0x2679441bdbbf6d13ull},
+      {"SST-P1F4", 0.25, 1, "random", "maxent", 3, 0x3a973f570177df8aull},
+      {"SST-P1F4", 0.25, 1, "maxent", "uips", 8, 0x71e4103d557e7188ull},
+      {"SST-P1F4", 0.25, 7, "maxent", "maxent", 8, 0x0be7c868c7d46e0bull},
+      {"SST-P1F4", 0.25, 7, "random", "maxent", 3, 0xc500b454d632de72ull},
+      {"SST-P1F4", 0.25, 7, "maxent", "uips", 8, 0xf8dc6534cc097680ull},
+      {"GESTS-2048", 1.0, 1, "maxent", "maxent", 8, 0x259df954aaed3102ull},
+  };
+  for (const Golden& g : goldens) {
+    const DatasetBundle data = make_dataset(g.dataset, g.seed, g.scale);
+    PipelineConfig cfg;
+    cfg.cube = {8, 8, 8};
+    cfg.hypercube_method = g.hypercubes;
+    cfg.point_method = g.points;
+    cfg.num_hypercubes = 2;
+    cfg.num_samples = 17;
+    cfg.num_clusters = g.clusters;
+    cfg.input_vars = data.input_vars;
+    cfg.output_vars = data.output_vars;
+    cfg.cluster_var = data.cluster_var;
+    cfg.seed = g.seed;
+    const auto result = run_pipeline(data.data, cfg);
+    std::uint64_t h = store::kFnvOffsetBasis;
+    for (const auto& c : result.cubes) {
+      const std::size_t where[] = {c.snapshot, c.cube_id};
+      h = golden::digest(std::span<const std::size_t>(where), h);
+      h = golden::digest(std::span<const std::size_t>(c.samples.indices), h);
+      h = golden::digest(std::span<const double>(c.samples.features), h);
+    }
+    EXPECT_EQ(h, g.digest) << g.dataset << " @ " << g.scale << " seed "
+                           << g.seed << " " << g.hypercubes << "/" << g.points
+                           << ": 0x" << std::hex << h;
+  }
 }
 
 }  // namespace
