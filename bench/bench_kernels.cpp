@@ -5,6 +5,7 @@
 // against the committed baseline in bench/baselines/ (docs/PERF.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -88,12 +89,40 @@ void BM_MiniBatchKMeans(benchmark::State& state) {
   opts.max_iterations = 20;
   for (auto _ : state) {
     Rng r(4);
-    auto result = cluster::minibatch_kmeans(data, n, 1, opts, r);
+    auto result = cluster::minibatch_kmeans(data, opts, r);
     benchmark::DoNotOptimize(result.inertia);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_MiniBatchKMeans)->Arg(1 << 12)->Arg(1 << 15);
+
+// The samplers' fit (50 iterations of 1,024 draws) at the ledger's (n, k):
+// a served cube (512, 3), a curate-series cube (512, 8) and the phase-1
+// subsample (65,536, 8). Items are draws.
+void BM_MiniBatchKMeans1D(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(3);
+  std::vector<double> data(n);
+  for (auto& x : data) x = rng.normal();
+  cluster::KMeansOptions opts;
+  opts.k = static_cast<std::size_t>(state.range(1));
+  opts.max_iterations = 50;
+  opts.batch_size = 1024;
+  for (auto _ : state) {
+    Rng r(4);
+    auto result = cluster::minibatch_kmeans(data, opts, r);
+    benchmark::DoNotOptimize(result.centroids.data());
+    benchmark::DoNotOptimize(result.labels.data());
+    benchmark::DoNotOptimize(result.inertia);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(opts.max_iterations *
+                                               std::min(opts.batch_size, n)));
+}
+BENCHMARK(BM_MiniBatchKMeans1D)
+    ->Args({512, 3})
+    ->Args({512, 8})
+    ->Args({65536, 8});
 
 void BM_Histogram(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -169,9 +198,8 @@ struct CubeScoringFixture {
     opts.k = 8;
     opts.max_iterations = 20;
     Rng fit_rng(9);
-    clusters = cluster::minibatch_kmeans(
-        std::span<const double>(f.data()), f.data().size(), 1, opts,
-        fit_rng);
+    clusters = cluster::minibatch_kmeans(std::span<const double>(f.data()),
+                                         opts, fit_rng);
   }
 
   static const CubeScoringFixture& instance() {

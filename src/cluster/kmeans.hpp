@@ -1,13 +1,34 @@
-// MiniBatchKMeans (Sculley 2010) with k-means++ seeding.
+// MiniBatchKMeans (Sculley 2010) with k-means++ seeding, on 1-D data.
 //
 // The paper's MaxEnt sampler clusters the target variable with scikit-learn
 // MiniBatchKMeans before computing per-cluster entropy weights; both the
-// hypercube selector and the MaxEnt point sampler fit with it.
+// hypercube selector and the MaxEnt point sampler fit with it. Each caller
+// clusters one variable, so a point is one double and a centroid is one
+// double.
 //
-// Data layout: row-major flat array, `n` points of `dims` doubles.
+// The loop is online: each drawn point is assigned against the centres as
+// the draws before it in its batch left them, then moves its centre by the
+// per-centre rate 1/count (ROADMAP R10 weighs the batch form of Alg. 1).
+//
+// Arithmetic contract, pinned memcmp-equal by
+// Kernels.MiniBatchKMeansMatchesOnlineLoop (tests/test_cluster.cpp):
+// - Draws. k-means++ seeding runs first, on the n points or, when n exceeds
+//   16,384, on 16,384 points drawn with uniform_int(n). Then come
+//   max_iterations * min(batch_size, n) calls to uniform_int(n), one per
+//   drawn point, and no other draw.
+// - Nearest centre. The distance is (v - c_j)^2, taken with a strict `<`
+//   from +inf in ascending j: the lowest index wins a tie, a NaN distance
+//   is never chosen, and index 0 is kept when no distance is below +inf.
+// - Update. c += eta * (v - c) with eta = 1.0 / double(count), count taken
+//   after the increment.
+// - Final pass. Labels, sizes and inertia (summed in point order) come from
+//   one scan with the same select.
+// - sickle_cluster builds without -march, FMA, -ffast-math or
+//   -ffp-contract=fast, so every operation above rounds as written.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,35 +44,23 @@ struct KMeansOptions {
 
 struct KMeansResult {
   std::size_t k = 0;
-  std::size_t dims = 0;
-  std::vector<double> centroids;      ///< k * dims, row-major
+  std::vector<double> centroids;      ///< k
   std::vector<std::uint32_t> labels;  ///< n, cluster id per point
   std::vector<std::size_t> sizes;     ///< k, points per cluster
   double inertia = 0.0;               ///< sum of squared distances to centroid
   std::size_t iterations = 0;
 
-  /// Assign an arbitrary point to its nearest centroid.
-  [[nodiscard]] std::uint32_t assign(std::span<const double> point) const;
-
-  /// Assign a batch of points in one call: labels[i] is the nearest
-  /// centroid of values[i*dims .. i*dims+dims). The 1-D case (the selector
-  /// hot path) runs a fused loop over a local centroid table — no per-point
-  /// span construction or per-centroid function calls. Bitwise identical to
-  /// calling assign() per point.
+  /// labels[i] is the nearest centroid of values[i], selected as the
+  /// contract above states. The selector labels every grid point through
+  /// here.
   void assign_batch(std::span<const double> values,
                     std::span<std::uint32_t> labels) const;
 };
 
-/// MiniBatchKMeans: per-centre learning-rate updates over random batches,
-/// followed by one full labeling pass. Matches the reference pipeline's
-/// clustering cost profile on large fields.
-[[nodiscard]] KMeansResult minibatch_kmeans(std::span<const double> data,
-                                            std::size_t n, std::size_t dims,
+/// Fit k centres to `values` under the contract above. Throws CheckError
+/// unless 0 < opts.k <= values.size().
+[[nodiscard]] KMeansResult minibatch_kmeans(std::span<const double> values,
                                             const KMeansOptions& opts,
                                             Rng& rng);
-
-/// Squared Euclidean distance between a point and a centroid row.
-[[nodiscard]] double squared_distance(std::span<const double> a,
-                                      std::span<const double> b);
 
 }  // namespace sickle::cluster

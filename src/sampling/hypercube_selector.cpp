@@ -32,15 +32,13 @@ cluster::KMeansResult fit_clusters(const field::FieldSource& src,
     std::iota(all.begin(), all.end(), std::size_t{0});
     const auto cv = src.gather(cfg.cluster_var,
                                std::span<const std::size_t>(all));
-    return cluster::minibatch_kmeans(std::span<const double>(cv), n, 1, opts,
-                                     rng);
+    return cluster::minibatch_kmeans(std::span<const double>(cv), opts, rng);
   }
   std::vector<std::size_t> pick(kClusterSubsample);
   for (std::size_t& i : pick) i = rng.uniform_int(n);
   const auto sub = src.gather(cfg.cluster_var,
                               std::span<const std::size_t>(pick));
-  return cluster::minibatch_kmeans(std::span<const double>(sub), sub.size(),
-                                   1, opts, rng);
+  return cluster::minibatch_kmeans(std::span<const double>(sub), opts, rng);
 }
 
 /// Fused scoring: label counts -> PMFs -> maxent strengths or entropies.
@@ -137,7 +135,6 @@ std::vector<std::size_t> select_hypercubes(const field::Snapshot& snap,
   comm.broadcast(centroids, 0);
   cluster::KMeansResult clusters;
   clusters.k = centroids.size();
-  clusters.dims = 1;
   clusters.centroids = centroids;
 
   // Each rank counts labels for its block of cubes through the same fused

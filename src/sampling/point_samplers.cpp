@@ -227,8 +227,8 @@ std::vector<std::size_t> MaxEntSampler::select(const field::Hypercube& cube,
   cluster::KMeansOptions opts;
   opts.k = num_clusters;
   opts.max_iterations = 50;
-  cluster::KMeansResult clusters = cluster::minibatch_kmeans(
-      std::span<const double>(cv), n, 1, opts, rng);
+  cluster::KMeansResult clusters =
+      cluster::minibatch_kmeans(std::span<const double>(cv), opts, rng);
   if (ctx.energy != nullptr) {
     ctx.energy->add_flops(static_cast<double>(n) *
                           static_cast<double>(num_clusters) *

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "cluster/kmeans.hpp"
@@ -362,7 +363,7 @@ TEST(HypercubeSelector, MaxEntPrefersDistinctCubes) {
   opts.k = 6;
   opts.max_iterations = 50;
   Rng rng(0, 0x4C);
-  const auto clusters = cluster::minibatch_kmeans(cv, cv.size(), 1, opts, rng);
+  const auto clusters = cluster::minibatch_kmeans(cv, opts, rng);
   const auto counts =
       count_cube_labels(field::SnapshotSource(snap), tiling, clusters, "cv");
   const auto pmfs = pmfs_from_counts(std::span<const std::uint32_t>(counts),
@@ -422,15 +423,29 @@ TEST(CubeScoring, CountsMatchPerPointAssignment) {
   opts.k = 5;
   Rng rng(3);
   const auto& cv = snap.get("cv").data();
-  const auto clusters = cluster::minibatch_kmeans(
-      std::span<const double>(cv), cv.size(), 1, opts, rng);
+  const auto clusters =
+      cluster::minibatch_kmeans(std::span<const double>(cv), opts, rng);
 
+  // The nearest centroid by a plain scan: strict `<` from +inf in
+  // ascending j, so the lowest index wins a tie.
+  auto nearest = [&](double v) {
+    std::size_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < clusters.k; ++j) {
+      const double diff = v - clusters.centroids[j];
+      if (diff * diff < best_d) {
+        best_d = diff * diff;
+        best = j;
+      }
+    }
+    return best;
+  };
   const auto counts = count_cube_labels(src, tiling, clusters, "cv");
   ASSERT_EQ(counts.size(), tiling.count() * clusters.k);
   for (std::size_t c = 0; c < tiling.count(); ++c) {
     std::vector<std::uint32_t> expected(clusters.k, 0);
     for (const std::size_t p : tiling.point_indices(tiling.coord(c))) {
-      ++expected[clusters.assign(std::span<const double>(&cv[p], 1))];
+      ++expected[nearest(cv[p])];
     }
     for (std::size_t l = 0; l < clusters.k; ++l) {
       EXPECT_EQ(counts[c * clusters.k + l], expected[l])
@@ -447,8 +462,8 @@ TEST(CubeScoring, ParallelCountsAndStrengthsAreBitExact) {
   opts.k = 6;
   Rng rng(4);
   const auto& cv = snap.get("cv").data();
-  const auto clusters = cluster::minibatch_kmeans(
-      std::span<const double>(cv), cv.size(), 1, opts, rng);
+  const auto clusters =
+      cluster::minibatch_kmeans(std::span<const double>(cv), opts, rng);
 
   ThreadPool pool(4);
   const auto serial = count_cube_labels(src, tiling, clusters, "cv");
@@ -473,8 +488,8 @@ TEST(CubeScoring, SubrangeCountsMatchFullScan) {
   opts.k = 4;
   Rng rng(5);
   const auto& cv = snap.get("cv").data();
-  const auto clusters = cluster::minibatch_kmeans(
-      std::span<const double>(cv), cv.size(), 1, opts, rng);
+  const auto clusters =
+      cluster::minibatch_kmeans(std::span<const double>(cv), opts, rng);
 
   const auto full = count_cube_labels(src, tiling, clusters, "cv");
   const std::size_t begin = 2, end = 5;
