@@ -17,10 +17,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kSeedPoints = 16 * 1024;
 
 /// The nearest of the k centroids to v, and its squared distance. Both
-/// selects are branch-free (a min and a conditional move): the compares
-/// depend on the data, and in the draw loop a mispredicted branch would
-/// throw away the RNG work already in flight. `closer` is the contract's
-/// strict `<`, so neither a NaN d nor a tie replaces the best so far.
+/// selects are written branch-free (they compile to a min and a
+/// conditional move): the compares depend on the data, and in the draw
+/// loop a mispredicted branch would throw away the RNG work already in
+/// flight. `closer` is the contract's strict `<`, so neither a NaN d nor
+/// a tie replaces the best so far.
 inline std::uint32_t nearest(double v, const double* centroids,
                              std::size_t k, double& best_d) {
   std::uint32_t best = 0;

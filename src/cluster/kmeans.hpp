@@ -15,7 +15,7 @@
 // - Draws. k-means++ seeding runs first, on the n points or, when n exceeds
 //   16,384, on 16,384 points drawn with uniform_int(n). Then come
 //   max_iterations * min(batch_size, n) calls to uniform_int(n), one per
-//   drawn point, and no other draw.
+//   drawn point. The final pass draws nothing.
 // - Nearest centre. The distance is (v - c_j)^2, taken with a strict `<`
 //   from +inf in ascending j: the lowest index wins a tie, a NaN distance
 //   is never chosen, and index 0 is kept when no distance is below +inf.

@@ -15,6 +15,7 @@
 #include "golden.hpp"
 #include "sickle/dataset_zoo.hpp"
 #include "stats/descriptive.hpp"
+#include "store/chunk_layout.hpp"
 
 namespace sickle::flow {
 namespace {

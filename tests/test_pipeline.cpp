@@ -9,6 +9,7 @@
 #include "parallel/world.hpp"
 #include "sampling/pipeline.hpp"
 #include "sickle/dataset_zoo.hpp"
+#include "store/chunk_layout.hpp"
 
 namespace sickle::sampling {
 namespace {
