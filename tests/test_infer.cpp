@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <vector>
 
+#include "golden.hpp"
 #include "infer/engine.hpp"
 #include "infer/prune.hpp"
 #include "ml/models.hpp"
@@ -364,6 +366,124 @@ TEST(InferPrune, CandidatePicksSmallestMagnitudeChannel) {
   const auto [c1, c2] = find_pruning_candidate(engine);
   EXPECT_EQ(c1, 0u);
   EXPECT_EQ(c2, 0u);
+}
+
+
+// ------------------------------------------------------- prediction golden
+
+/// Digest of five predictions of `engine` on N(0,1) windows of `steps`
+/// timesteps drawn from `rng`.
+std::uint64_t prediction_digest(Engine& engine, Rng rng, std::size_t steps) {
+  std::uint64_t h = store::kFnvOffsetBasis;
+  std::vector<float> out(engine.output_features());
+  for (int call = 0; call < 5; ++call) {
+    const std::vector<float> window =
+        random_window(rng, steps * engine.input_features());
+    engine.predict(window, out);
+    h = golden::digest(std::span<const float>(out), h);
+  }
+  return h;
+}
+
+/// Digest of an MLP engine's outputs on fixed weights and inputs, built
+/// without libm. The engine's `dot` is a simd reduction and the activations
+/// may contract to FMA, so under -march=native these bits follow the host's
+/// vector width and FMA support; they vouch for the prediction goldens.
+std::uint64_t simd_probe() {
+  std::vector<PackedDense> chain(2);
+  const std::size_t widths[] = {67, 33, 5};
+  const Act acts[] = {Act::kTanh, Act::kGelu};
+  for (std::size_t l = 0; l < chain.size(); ++l) {
+    PackedDense& d = chain[l];
+    d.in = widths[l];
+    d.out = widths[l + 1];
+    d.act = acts[l];
+    for (std::size_t k = 0; k < d.in * d.out; ++k) {
+      d.w.push_back(static_cast<float>((k * 37) % 29) / 29.0f - 0.5f);
+    }
+    for (std::size_t o = 0; o < d.out; ++o) {
+      d.b.push_back(static_cast<float>(o % 7) / 16.0f - 0.2f);
+    }
+  }
+  Engine engine = Engine::from_mlp(std::move(chain));
+  std::uint64_t h = store::kFnvOffsetBasis;
+  std::vector<float> x(67), out(5);
+  for (int call = 0; call < 8; ++call) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<float>((i * 13 + static_cast<std::size_t>(call)) %
+                                17) /
+                 8.0f -
+             1.0f;
+    }
+    engine.predict(x, out);
+    h = golden::digest(std::span<const float>(out), h);
+  }
+  return h;
+}
+
+Engine compile_random(std::size_t in, std::size_t hidden, std::uint64_t seed) {
+  Rng rng(seed);
+  ml::LstmModelConfig cfg;
+  cfg.in_channels = in;
+  cfg.hidden = hidden;
+  ml::LstmModel model(cfg, rng);
+  return compile(model);
+}
+
+/// Serving may get faster, never different: the engine's predictions are
+/// pinned as FNV-1a digests of their bits at the bench_inference shapes,
+/// small and odd hidden sizes, an engine pruned from 16 to 8 channels, and
+/// that engine after a save/load round trip. The weights and windows come
+/// from Box-Muller, so the generator libm probe guards the test, and the
+/// host's simd reductions are probed through an MLP engine; on a host where
+/// either differs the test is reported and skipped rather than failed.
+TEST(InferGolden, PredictionsArePinned) {
+  if (!golden::generator_libm_matches()) GTEST_SKIP();
+  const std::uint64_t probe = simd_probe();
+  if (probe != 0x98bfed27874ce7baull) {
+    GTEST_SKIP() << "engine simd reductions differ on this host (0x"
+                 << std::hex << probe << ")";
+  }
+  struct Golden {
+    std::size_t in, hidden, steps;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {270, 16, 3, 0x2850f2dfc517bfebull},
+      {540, 16, 3, 0x57fa7a8c393a5111ull},
+      {1080, 16, 3, 0x80335a8e15d91634ull},
+      {270, 32, 8, 0x30a034d41537fdc6ull},
+      {2, 2, 3, 0x815ef27987cfa2e3ull},
+      {3, 5, 4, 0xeaefe417813d71faull},
+      {6, 27, 5, 0x4aebdf7062b132a0ull},
+  };
+  for (const Golden& g : goldens) {
+    Engine engine = compile_random(g.in, g.hidden, g.hidden * 1000 + g.in);
+    const std::uint64_t h = prediction_digest(engine, Rng(g.in + g.steps),
+                                              g.steps);
+    EXPECT_EQ(h, g.digest) << "in " << g.in << " hidden " << g.hidden
+                           << " steps " << g.steps << ": 0x" << std::hex << h;
+  }
+
+  Engine pruned = compile_random(270, 16, 16270);
+  const std::size_t num_probes = 16;
+  Rng prng(7);
+  const std::vector<float> probes =
+      random_window(prng, num_probes * 3 * 270);
+  PruneOptions opts;
+  opts.rms_threshold = 1e9;
+  opts.max_channels = 8;
+  (void)prune(pruned, probes, num_probes, opts);
+  ASSERT_EQ(pruned.hidden(), 8u);
+  const std::uint64_t h = prediction_digest(pruned, Rng(273), 3);
+  EXPECT_EQ(h, 0x24ee6335c3bb00f2ull) << "pruned: 0x" << std::hex << h;
+
+  const auto path =
+      (fs::temp_directory_path() / "sickle_infer_golden.bin").string();
+  pruned.save(path);
+  Engine loaded = Engine::load(path);
+  fs::remove(path);
+  EXPECT_EQ(prediction_digest(loaded, Rng(273), 3), h);
 }
 
 }  // namespace
