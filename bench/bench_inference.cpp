@@ -1,8 +1,8 @@
 // Batch-1 surrogate serving latency: the training-path forward vs the
 // compiled inference engine (src/infer/), across the drag-surrogate
 // shapes the paper's fig6 sweep trains ({135, 270, 540} sensors -> 2*ns
-// input channels, hidden 16, window 3) plus a deeper window and an MLP
-// stack. Each row is repeated kRepeats times and folded through
+// input channels, hidden 16, window 3) plus a deeper window, a wider
+// hidden size and an MLP stack. Each row is repeated kRepeats times and folded through
 // JsonReport::add_sample, so BENCH_inference.json carries the median
 // with min/max dispersion; tools/check_bench.py gates the engine's
 // "ns_per_op" against the committed baseline, and CI separately asserts
@@ -153,6 +153,8 @@ int main(int argc, char** argv) {
   lstm_row(report, /*in=*/1080, /*hidden=*/16, /*window=*/3, /*prune_to=*/0);
   // Deeper window: the precompute path's 4-timestep blocks engage fully.
   lstm_row(report, /*in=*/270, /*hidden=*/32, /*window=*/8, /*prune_to=*/0);
+  // A hidden size past 32: its 4H = 160 gate rows end in a 32-row tile.
+  lstm_row(report, /*in=*/270, /*hidden=*/40, /*window=*/3, /*prune_to=*/0);
   mlp_row(report);
   report.write(json_path);
   return 0;

@@ -1,8 +1,8 @@
 #include "infer/engine.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <type_traits>
 
 #include "ml/layers_basic.hpp"
 #include "ml/models.hpp"
@@ -64,55 +64,59 @@ constexpr std::uint32_t kVersion = 1;
   return chain;
 }
 
-void validate_weights(const LstmWeights& w) {
-  if (w.hidden < static_cast<std::size_t>(kMinHidden) ||
-      w.hidden > static_cast<std::size_t>(kMaxHidden)) {
-    throw RuntimeError(
-        "infer: hidden size " + std::to_string(w.hidden) +
-        " outside the compiled variant ladder [" +
-        std::to_string(kMinHidden) + ", " + std::to_string(kMaxHidden) +
-        "]");
+/// True when a vector of `size` elements holds exactly rows x cols, tested
+/// by division so that no product of untrusted extents can wrap.
+[[nodiscard]] bool holds(std::size_t size, std::size_t rows,
+                         std::size_t cols) noexcept {
+  return rows != 0 && size % rows == 0 && size / rows == cols;
+}
+
+/// A dense chain with nonzero widths, weights and biases of its widths,
+/// and each layer consuming its predecessor's output.
+void validate_chain(const std::vector<PackedDense>& chain) {
+  if (chain.empty()) {
+    throw RuntimeError("infer: empty dense chain");
   }
+  for (std::size_t l = 0; l < chain.size(); ++l) {
+    const PackedDense& d = chain[l];
+    if (d.in == 0 || !holds(d.w.size(), d.out, d.in) ||
+        (!d.b.empty() && d.b.size() != d.out)) {
+      throw RuntimeError("infer: dense extents inconsistent");
+    }
+    if (l > 0 && chain[l - 1].out != d.in) {
+      throw RuntimeError("infer: dense chain width mismatch");
+    }
+  }
+}
+
+/// Every extent of the canonical weights, checked by division before any
+/// product is formed; the vectors' own sizes are then what bounds them.
+void validate_weights(const LstmWeights& w) {
   const std::size_t H = w.hidden;
-  if (w.in == 0 || w.horizon == 0 || w.out_channels == 0) {
+  if (H == 0 || w.in == 0 || w.horizon == 0 || w.out_channels == 0) {
     throw RuntimeError("infer: degenerate surrogate extents");
   }
-  if (w.wx1.size() != 4 * H * w.in || w.wh1.size() != 4 * H * H ||
-      w.b1.size() != 4 * H || w.wx2.size() != 4 * H * H ||
-      w.wh2.size() != 4 * H * H || w.b2.size() != 4 * H) {
+  // b1 holds 4H, so G = 4H is a vector size and cannot have wrapped.
+  const std::size_t G = w.b1.size();
+  if (!holds(G, 4, H) || !holds(w.wx1.size(), G, w.in) ||
+      !holds(w.wh1.size(), G, H) || !holds(w.wx2.size(), G, H) ||
+      !holds(w.wh2.size(), G, H) || w.b2.size() != G) {
     throw RuntimeError("infer: LSTM weight extents do not match config");
   }
-  if (w.head.empty() || w.head.front().in != H) {
+  validate_chain(w.head);
+  if (w.head.front().in != H) {
     throw RuntimeError("infer: head does not consume the hidden state");
   }
-  for (std::size_t l = 0; l < w.head.size(); ++l) {
-    const PackedDense& d = w.head[l];
-    if (d.w.size() != d.in * d.out ||
-        (!d.b.empty() && d.b.size() != d.out)) {
-      throw RuntimeError("infer: head weight extents inconsistent");
-    }
-    if (l > 0 && w.head[l - 1].out != d.in) {
-      throw RuntimeError("infer: head chain width mismatch");
-    }
-  }
-  if (w.head.back().out != w.horizon * w.out_channels) {
+  if (!holds(w.head.back().out, w.horizon, w.out_channels)) {
     throw RuntimeError("infer: head output does not match horizon");
   }
 }
 
-/// Recursive dispatch down the ladder: emplace the SurrogateT matching a
-/// runtime hidden size.
-template <int H = kMaxHidden>
-void emplace_for_hidden(std::size_t hidden, ModelVariant& v) {
-  if (hidden == static_cast<std::size_t>(H)) {
-    v.template emplace<SurrogateT<H>>();
-    return;
-  }
-  if constexpr (H > kMinHidden) {
-    emplace_for_hidden<H - 1>(hidden, v);
-  } else {
-    throw RuntimeError("infer: hidden size not on the variant ladder");
-  }
+/// Room for the widest layer of a dense chain.
+[[nodiscard]] std::size_t widest(const std::vector<PackedDense>& chain) {
+  std::size_t n = 1;
+  for (const auto& d : chain) n = std::max(n, d.out);
+  return n;
 }
 
 // --- binary checkpoint helpers -------------------------------------------
@@ -158,8 +162,8 @@ void write_floats(std::FILE* f, const std::vector<float>& v) {
 }
 [[nodiscard]] std::vector<float> read_floats(std::FILE* f) {
   const std::uint64_t n = read_u64(f);
-  // 1 GiB of floats is far beyond any engine this ladder can express —
-  // reject early instead of letting a corrupt length drive a huge alloc.
+  // 1 GiB of floats is far beyond any surrogate a case trains — reject
+  // early instead of letting a corrupt length drive a huge alloc.
   if (n > (1u << 28)) {
     throw RuntimeError("infer: engine checkpoint corrupt (vector length)");
   }
@@ -195,39 +199,23 @@ Engine Engine::from_weights(LstmWeights w) {
   Engine e;
   e.arch_ = Arch::kLstmSurrogate;
   e.lw_ = std::move(w);
-  emplace_for_hidden(e.lw_.hidden, e.model_);
-  std::visit(
-      [&](auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (!std::is_same_v<T, std::monostate>) {
-          m.pack(e.lw_);
-        }
-      },
-      e.model_);
+  const LstmWeights& lw = e.lw_;
+  e.lstm1_.pack(lw.in, lw.hidden, lw.wx1.data(), lw.wh1.data(),
+                lw.b1.data());
+  e.lstm2_.pack(lw.hidden, lw.hidden, lw.wx2.data(), lw.wh2.data(),
+                lw.b2.data());
+  e.scratch0_.assign(widest(lw.head), 0.0f);
+  e.scratch1_.assign(widest(lw.head), 0.0f);
   return e;
 }
 
 Engine Engine::from_mlp(std::vector<PackedDense> layers) {
-  if (layers.empty()) {
-    throw RuntimeError("infer: empty dense chain");
-  }
-  std::size_t widest = 1;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const PackedDense& d = layers[l];
-    if (d.in == 0 || d.out == 0 || d.w.size() != d.in * d.out ||
-        (!d.b.empty() && d.b.size() != d.out)) {
-      throw RuntimeError("infer: dense extents inconsistent");
-    }
-    if (l > 0 && layers[l - 1].out != d.in) {
-      throw RuntimeError("infer: dense chain width mismatch");
-    }
-    widest = std::max(widest, d.out);
-  }
+  validate_chain(layers);
   Engine e;
   e.arch_ = Arch::kMlp;
   e.mlp_ = std::move(layers);
-  e.scratch0_.assign(widest, 0.0f);
-  e.scratch1_.assign(widest, 0.0f);
+  e.scratch0_.assign(widest(e.mlp_), 0.0f);
+  e.scratch1_.assign(widest(e.mlp_), 0.0f);
   return e;
 }
 
@@ -265,30 +253,36 @@ void Engine::predict(std::span<const float> input, std::span<float> out) {
   SICKLE_CHECK_MSG(compiled(), "infer: predict on an empty engine");
   SICKLE_CHECK_MSG(out.size() == output_features(),
                    "infer: output span size mismatch");
+  const float* cur = input.data();
   if (arch_ == Arch::kLstmSurrogate) {
     SICKLE_CHECK_MSG(
         input.size() >= lw_.in && input.size() % lw_.in == 0,
         "infer: LSTM input must be a whole number of timesteps");
     const std::size_t steps = input.size() / lw_.in;
-    std::visit(
-        [&](auto& m) {
-          using T = std::decay_t<decltype(m)>;
-          if constexpr (!std::is_same_v<T, std::monostate>) {
-            m.forward(input.data(), steps, out.data());
-          }
-        },
-        model_);
+    lstm1_.reset();
+    lstm2_.reset();
+    // The first (wide-input) layer sees the whole window up front, so its
+    // input-weight matrix is streamed once for all timesteps; the second
+    // layer's input is h_t of the first — recurrent-dependent — so it
+    // runs the fused per-step path.
+    lstm1_.precompute_inputs(cur, steps);
+    for (std::size_t t = 0; t < steps; ++t) {
+      lstm1_.step_pre(t);
+      lstm2_.step(lstm1_.h.data());
+    }
+    cur = lstm2_.h.data();
   } else {
     SICKLE_CHECK_MSG(input.size() == mlp_.front().in,
                      "infer: MLP input size mismatch");
-    const float* cur = input.data();
-    for (std::size_t l = 0; l < mlp_.size(); ++l) {
-      float* dst = (l + 1 == mlp_.size()) ? out.data()
-                   : (l % 2 == 0)         ? scratch0_.data()
-                                          : scratch1_.data();
-      mlp_[l].forward(cur, dst);
-      cur = dst;
-    }
+  }
+  const std::vector<PackedDense>& chain =
+      arch_ == Arch::kLstmSurrogate ? lw_.head : mlp_;
+  for (std::size_t l = 0; l < chain.size(); ++l) {
+    float* dst = (l + 1 == chain.size()) ? out.data()
+                 : (l % 2 == 0)          ? scratch0_.data()
+                                         : scratch1_.data();
+    chain[l].forward(cur, dst);
+    cur = dst;
   }
 }
 

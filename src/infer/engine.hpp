@@ -3,29 +3,23 @@
 // Training (src/ml/) runs every prediction through the dynamic Tensor
 // path — per-layer heap allocation, shape checks, virtual dispatch, and
 // activation caching for a backward pass that inference never takes.
-// This module compiles a trained checkpoint once into a packed,
-// compile-time-specialized form and serves batch-1 forwards from it:
+// This module compiles a trained checkpoint once into a packed form and
+// serves batch-1 forwards from it:
 //
 //   ml::LstmModel / ml::Sequential
 //        --compile()-->  infer::Engine      (validates shapes, packs
-//                                            weights, builds the variant)
+//                                            weights)
 //        --prune()---->  smaller Engine     (magnitude pruning, prune.hpp)
 //        --predict()-->  output             (allocation-free, simd dots)
 //
-// The LSTM surrogate dispatches through ModelVariant — a std::variant
-// over SurrogateT<H> for every hidden size H in [kMinHidden, kMaxHidden],
-// built by template recursion (the RTNeural ModelT/Model_Variant_Builder
-// idiom): one std::visit at the predict boundary, then a fully-specialized
-// forward with statically-known recurrent extents. The one-step ladder
-// exists because magnitude pruning removes a single hidden channel at a
-// time, so every intermediate size must be dispatchable.
+// The LSTM surrogate is two runtime-extent LstmLayers (layers.hpp) and a
+// dense head, so one code path serves every hidden size, including each
+// size pruning passes through on its way down one channel at a time.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -33,17 +27,10 @@
 
 namespace sickle::infer {
 
-/// Hidden-size ladder the variant is instantiated over. Checkpoints with
-/// hidden sizes outside [kMinHidden, kMaxHidden] are rejected by
-/// compile() with a typed error; widen the ladder here if a case needs a
-/// bigger surrogate (compile time grows linearly with the span).
-inline constexpr int kMinHidden = 2;
-inline constexpr int kMaxHidden = 32;
-
 /// Canonical runtime-extent form of a compiled LSTM drag surrogate:
 /// two stacked LSTM layers sharing one hidden size plus a dense head.
 /// This is the form pruning does index surgery on and save()/load()
-/// serialize; the packed variant is always re-derived from it.
+/// serialize; the packed layers are always re-derived from it.
 /// Layouts match ml::Lstm: gate-major [4H, *] row-major, gate order
 /// i|f|g|o.
 struct LstmWeights {
@@ -56,77 +43,6 @@ struct LstmWeights {
   std::vector<PackedDense> head;    ///< dense stack fed the last hidden
 };
 
-/// Fully-specialized surrogate for one compile-time hidden size.
-template <int H>
-struct SurrogateT {
-  static constexpr int kHidden = H;
-  LstmLayerT<H> lstm1;
-  LstmLayerT<H> lstm2;
-  std::vector<PackedDense> head;
-  std::vector<float> scratch0, scratch1;
-
-  void pack(const LstmWeights& w) {
-    lstm1.pack(w.in, w.wx1.data(), w.wh1.data(), w.b1.data());
-    lstm2.pack(static_cast<std::size_t>(H), w.wx2.data(), w.wh2.data(),
-               w.b2.data());
-    head = w.head;
-    std::size_t widest = 1;
-    for (const auto& d : head) widest = std::max(widest, d.out);
-    scratch0.assign(widest, 0.0f);
-    scratch1.assign(widest, 0.0f);
-  }
-
-  void forward(const float* x, std::size_t steps, float* out) {
-    lstm1.reset();
-    lstm2.reset();
-    // The first (wide-input) layer sees the whole window up front, so its
-    // input-weight matrix is streamed once for all timesteps; the second
-    // layer's input is h_t of the first — recurrent-dependent — so it
-    // runs the fused per-step path.
-    lstm1.precompute_inputs(x, steps);
-    for (std::size_t t = 0; t < steps; ++t) {
-      lstm1.step_pre(t);
-      lstm2.step(lstm1.h());
-    }
-    const float* cur = lstm2.h();
-    for (std::size_t l = 0; l < head.size(); ++l) {
-      float* dst = (l + 1 == head.size()) ? out
-                   : (l % 2 == 0)         ? scratch0.data()
-                                          : scratch1.data();
-      head[l].forward(cur, dst);
-      cur = dst;
-    }
-  }
-};
-
-namespace detail {
-
-template <typename V, typename T>
-struct append_variant;
-template <typename... Ts, typename T>
-struct append_variant<std::variant<Ts...>, T> {
-  using type = std::variant<Ts..., T>;
-};
-
-/// Template recursion over the hidden-size ladder: ladder<H> is the
-/// variant of every SurrogateT from kMinHidden up to H (plus monostate
-/// for the empty engine).
-template <int H>
-struct ladder {
-  using type =
-      typename append_variant<typename ladder<H - 1>::type,
-                              SurrogateT<H>>::type;
-};
-template <>
-struct ladder<kMinHidden> {
-  using type = std::variant<std::monostate, SurrogateT<kMinHidden>>;
-};
-
-}  // namespace detail
-
-/// variant<monostate, SurrogateT<2>, ..., SurrogateT<kMaxHidden>>.
-using ModelVariant = typename detail::ladder<kMaxHidden>::type;
-
 /// A compiled model ready to serve batch-1 predictions. Engines are
 /// cheap to copy and single-threaded by design (the recurrent state and
 /// head scratch live inside); clone one per thread for concurrent
@@ -138,8 +54,8 @@ class Engine {
   Engine() = default;
 
   /// Build from canonical surrogate weights: validates every extent,
-  /// packs the matching SurrogateT<H>. Throws RuntimeError on any
-  /// inconsistency (including hidden outside the ladder).
+  /// then packs both LSTM layers. Throws RuntimeError on any
+  /// inconsistency.
   [[nodiscard]] static Engine from_weights(LstmWeights w);
 
   /// Build a plain MLP engine from a packed dense chain.
@@ -176,10 +92,11 @@ class Engine {
 
  private:
   Arch arch_ = Arch::kNone;
-  LstmWeights lw_;                 ///< canonical form (kLstmSurrogate)
-  ModelVariant model_;             ///< packed specialization
-  std::vector<PackedDense> mlp_;   ///< dense chain (kMlp)
-  std::vector<float> scratch0_, scratch1_;  ///< MLP activations
+  LstmWeights lw_;                ///< canonical form (kLstmSurrogate)
+  LstmLayer lstm1_, lstm2_;       ///< packed from lw_
+  std::vector<PackedDense> mlp_;  ///< dense chain (kMlp)
+  /// Activations between dense layers (MLP or surrogate head).
+  std::vector<float> scratch0_, scratch1_;
 };
 
 // Forward declarations of the training-side types compile() converts;
@@ -194,8 +111,8 @@ class Sequential;
 namespace sickle::infer {
 
 /// Compile a trained drag surrogate: validates the checkpoint's shapes
-/// against its config, copies the weights into the packed layout, and
-/// dispatches the matching variant. Traced as `infer.compile`.
+/// against its config and copies the weights into the packed layout.
+/// Traced as `infer.compile`.
 [[nodiscard]] Engine compile(ml::LstmModel& model);
 
 /// Compile a plain Dense/Activation stack (anything else is rejected).

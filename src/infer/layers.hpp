@@ -1,5 +1,5 @@
-// Compile-time-sized inference kernels: the flat-storage building blocks
-// the surrogate variant ladder (engine.hpp) is assembled from.
+// Inference kernels: the flat-storage building blocks the compiled engine
+// (engine.hpp) is assembled from.
 //
 // Everything here is allocation-free after construction and built around
 // two ideas the training path cannot use:
@@ -21,12 +21,10 @@
 // with the training forward is asserted at 1e-6 RMS in tests/test_infer.cpp.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 namespace sickle::infer {
@@ -85,12 +83,6 @@ inline void tanh_inplace(float* x, std::size_t n) noexcept {
   }
 }
 
-/// Scalar reference sigmoid (libm), used where bit-parity with the
-/// training path matters more than throughput.
-[[nodiscard]] inline float sigmoidf(float x) noexcept {
-  return 1.0f / (1.0f + std::exp(-x));
-}
-
 /// Activation kinds the packed dense layer supports; mirrors
 /// ml::Activation plus an explicit identity for un-activated heads.
 enum class Act : std::uint8_t {
@@ -146,163 +138,97 @@ struct PackedDense {
   }
 };
 
-/// One LSTM layer with a statically-known hidden extent H: the recurrent
-/// state and the gate scratch live in flat std::arrays sized at compile
-/// time, so the update loops have constant trip counts and the state
-/// stays in L1 across timesteps. The input extent stays dynamic — drag
-/// surrogates see 2*ns sensor channels, which varies per case.
-///
-/// Weights are stored COLUMN-major: wt[j * 4H + r] holds input j's
-/// coefficient for gate row r, with the recurrent block appended as
-/// columns [in, in+H). Every matvec is then an axpy sweep over columns —
-/// gates[0..4H) += column_j * z_j — whose inner loop is the compile-time
-/// 4H gate dimension. That kills the per-row horizontal reductions of
-/// the dot-product form, which dominate at LSTM row lengths (a [4H=64,
-/// H=16] recurrent update measures ~20x faster column-major: 64
-/// 16-float dots are almost all reduction latency, 16 64-float axpys
-/// are almost all FMA throughput).
-///
-/// Semantics replicate ml::Lstm: gate order i|f|g|o, zero initial state,
+/// Allocator whose blocks start on a 64-byte cache line, so that no
+/// 64-byte vector load from the start of a column splits a line.
+template <typename T>
+struct LineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kLine{64};
+  LineAllocator() = default;
+  template <typename U>
+  LineAllocator(const LineAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kLine));
+  }
+  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kLine); }
+  bool operator==(const LineAllocator&) const noexcept { return true; }
+};
+using LineFloats = std::vector<float, LineAllocator<float>>;
+
+/// One LSTM layer with runtime extents, `in` input channels per timestep
+/// and `hidden` recurrent channels. Semantics replicate ml::Lstm: gate
+/// order i|f|g|o, zero initial state,
 ///   c = f*c_prev + i*g;  h = o*tanh(c)
 /// with sums re-associated and activations through the polynomial exp
 /// (both ~1e-7 deviations; parity is asserted at the engine level).
-template <int H>
-struct LstmLayerT {
-  static_assert(H >= 1);
-  static constexpr int R = 4 * H;  ///< gate rows
-  std::vector<float> wt;  ///< column-major [in + H, 4H]; cols [in,in+H) = w_h
-  std::array<float, R> bias{};
-  std::size_t in = 0;
+///
+/// Weights are stored COLUMN-major: wt[j * rows + r] holds input j's
+/// coefficient for gate row r, with the recurrent block appended as
+/// columns [in, in + hidden). Every matvec is then an axpy sweep over
+/// columns — gates[r] += column_j[r] * z_j — whose inner loop runs down
+/// the gate rows. That kills the per-row horizontal reductions of the
+/// dot-product form, which dominate at LSTM row lengths (a [4H=64, H=16]
+/// recurrent update measures ~20x faster column-major: 64 16-float dots
+/// are almost all reduction latency, 16 64-float axpys are almost all FMA
+/// throughput).
+///
+/// The arithmetic contract of the kernels (layers.cpp):
+///  - Same bits. Each gate row starts from its bias, or from its bias plus
+///    the window precompute's input term, and adds its columns in
+///    ascending j: input columns first, then recurrent columns. The
+///    precompute sums a row's input columns from zero, four timesteps per
+///    column sweep, and adds the bias once. The activations are the
+///    exp_lane polynomials. The compiler may contract a multiply-add to an
+///    FMA; it contracts every row the same way, so a row's bits do not
+///    depend on the tile that sweeps it (InferGolden pins them).
+///  - Accumulators stay in registers. The 4*hidden gate rows are
+///    zero-padded to `rows`, a whole number of 16-row tiles, and swept in
+///    tiles of compile-time width: 64 rows, then 32, then 16. Each tile's
+///    accumulators are a fixed set of vector registers across its whole
+///    column sweep; a runtime-width loop accumulating in memory ran 1.5x
+///    slower (docs/PERF.md).
+///  - Loads stay within a line. `wt` and `gx` start on a cache line and
+///    every column is a multiple of 16 floats, so each tile's loads are
+///    whole lines; left to the heap's placement, split loads moved a
+///    prediction's latency by up to 1.4x.
+///  - The kernels compile once, in sickle_infer with its flags.
+///  - Allocation-free once warm: only precompute_inputs grows its scratch,
+///    the first time it sees a longer window.
+struct LstmLayer {
+  std::size_t in = 0;      ///< input channels per timestep
+  std::size_t hidden = 0;  ///< recurrent channels
+  std::size_t rows = 0;    ///< 4 * hidden rounded up to a 16-row tile
+  LineFloats wt;           ///< column-major [in + hidden, rows]
+  std::vector<float> bias;   ///< [rows]; padding rows are zero
+  std::vector<float> h, c;   ///< recurrent state, [hidden] each
+  std::vector<float> gates;  ///< [rows] pre-activations, then activations
+  LineFloats gx;  ///< [steps, rows] bias plus input term per step
 
-  std::array<float, H> hst{};  ///< hidden state h_t
-  std::array<float, H> c{};
-  std::array<float, R> gates{};
-  std::array<float, H> h_tanh{};  ///< tanh(c) scratch
+  /// Transpose row-major w_x [4H, in] / w_h [4H, H] into the padded
+  /// column-major layout, and size the state for H = hidden_size.
+  void pack(std::size_t input_width, std::size_t hidden_size,
+            const float* w_x, const float* w_h, const float* b);
 
-  /// Transpose row-major w_x [4H, in] / w_h [4H, H] into the fused
-  /// column-major layout.
-  void pack(std::size_t input_width, const float* w_x, const float* w_h,
-            const float* b) {
-    in = input_width;
-    wt.assign((in + H) * R, 0.0f);
-    for (std::size_t r = 0; r < static_cast<std::size_t>(R); ++r) {
-      for (std::size_t j = 0; j < in; ++j) {
-        wt[j * R + r] = w_x[r * in + j];
-      }
-      for (std::size_t j = 0; j < static_cast<std::size_t>(H); ++j) {
-        wt[(in + j) * R + r] = w_h[r * H + j];
-      }
-    }
-    for (std::size_t r = 0; r < static_cast<std::size_t>(R); ++r) {
-      bias[r] = b[r];
-    }
-  }
+  void reset() noexcept;
 
-  [[nodiscard]] const float* h() const noexcept { return hst.data(); }
+  /// One timestep fed x [in]: sweeps the input and recurrent columns.
+  void step(const float* x) noexcept;
 
-  void reset() noexcept {
-    hst.fill(0.0f);
-    c.fill(0.0f);
-  }
+  /// The bias plus input term of every timestep of a [steps, in] window,
+  /// in one pass: each weight column is loaded once for up to four
+  /// timesteps instead of once per timestep, so the sweep runs at FMA
+  /// throughput and the sequential recurrent loop touches only the small
+  /// [H, 4H] block. This is the wide-input layer's fast path (drag
+  /// surrogates: in = 2*ns sensor channels >> H).
+  void precompute_inputs(const float* x, std::size_t steps);
 
-  void step(const float* x) noexcept {
-    float acc[R];
-    for (int k = 0; k < R; ++k) acc[k] = bias[k];
-    axpy_cols(acc, wt.data(), x, in);
-    axpy_cols(acc, wt.data() + in * R, hst.data(),
-              static_cast<std::size_t>(H));
-    std::copy(acc, acc + R, gates.data());
-    finish_step();
-  }
-
-  /// Input-weight contributions for a whole [steps, in] window in one
-  /// pass: gx[t * 4H + r] = w_x row r . x_t. Each weight column is
-  /// loaded once for up to four timesteps instead of once per timestep,
-  /// so the sweep runs at FMA throughput; the sequential recurrent loop
-  /// then touches only the small [H, 4H] block. This is the wide-input
-  /// layer's fast path (drag surrogates: in = 2*ns sensor channels
-  /// >> H).
-  void precompute_inputs(const float* x, std::size_t steps) {
-    if (gx.size() < steps * R) gx.resize(steps * R);
-    std::size_t t = 0;
-    for (; t + 4 <= steps; t += 4) {
-      pre_block<4>(x + t * in, gx.data() + t * R);
-    }
-    switch (steps - t) {
-      case 3: pre_block<3>(x + t * in, gx.data() + t * R); break;
-      case 2: pre_block<2>(x + t * in, gx.data() + t * R); break;
-      case 1: pre_block<1>(x + t * in, gx.data() + t * R); break;
-      default: break;
-    }
-  }
-
-  /// One timestep consuming precompute_inputs' result: only the
-  /// recurrent columns are swept inside the sequential loop.
-  void step_pre(std::size_t t) noexcept {
-    float acc[R];
-    const float* gxt = gx.data() + t * R;
-    for (int k = 0; k < R; ++k) acc[k] = bias[k] + gxt[k];
-    axpy_cols(acc, wt.data() + in * R, hst.data(),
-              static_cast<std::size_t>(H));
-    std::copy(acc, acc + R, gates.data());
-    finish_step();
-  }
+  /// One timestep consuming precompute_inputs' result: only the recurrent
+  /// columns are swept inside the sequential loop.
+  void step_pre(std::size_t t) noexcept;
 
  private:
-  std::vector<float> gx;  ///< [steps, 4H] input-gate pre-activations
-
-  /// acc[0..4H) += sum_j cols[j] * z[j]; the accumulators live in
-  /// registers across the whole sweep (4H floats = a handful of vector
-  /// registers).
-  static void axpy_cols(float* acc, const float* cols, const float* z,
-                        std::size_t n) noexcept {
-    for (std::size_t j = 0; j < n; ++j) {
-      const float zj = z[j];
-      const float* wc = cols + j * R;
-#pragma omp simd
-      for (int k = 0; k < R; ++k) acc[k] += wc[k] * zj;
-    }
-  }
-
-  /// T timesteps' input contributions in one weight sweep: T*4H
-  /// accumulators (T <= 4 keeps them in registers), each column loaded
-  /// once and fused against T broadcast input scalars.
-  template <int T>
-  void pre_block(const float* x, float* out) noexcept {
-    float acc[T][R] = {};
-    for (std::size_t j = 0; j < in; ++j) {
-      const float* wc = wt.data() + j * R;
-      for (int tt = 0; tt < T; ++tt) {
-        const float xt = x[static_cast<std::size_t>(tt) * in + j];
-#pragma omp simd
-        for (int k = 0; k < R; ++k) acc[tt][k] += wc[k] * xt;
-      }
-    }
-    for (int tt = 0; tt < T; ++tt) {
-      std::copy(acc[tt], acc[tt] + R, out + tt * R);
-    }
-  }
-
   /// Gate activations and the c/h update shared by both step flavors.
-  void finish_step() noexcept {
-    float* ig = gates.data();
-    float* fg = ig + H;
-    float* gg = fg + H;
-    float* og = gg + H;
-    sigmoid_inplace(ig, 2 * H);  // i and f are adjacent segments
-    tanh_inplace(gg, H);
-    sigmoid_inplace(og, H);
-#pragma omp simd
-    for (std::size_t j = 0; j < static_cast<std::size_t>(H); ++j) {
-      c[j] = fg[j] * c[j] + ig[j] * gg[j];
-      h_tanh[j] = c[j];
-    }
-    tanh_inplace(h_tanh.data(), H);
-#pragma omp simd
-    for (std::size_t j = 0; j < static_cast<std::size_t>(H); ++j) {
-      hst[j] = og[j] * h_tanh[j];
-    }
-  }
+  void finish_step() noexcept;
 };
 
 }  // namespace sickle::infer

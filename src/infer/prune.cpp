@@ -1,5 +1,6 @@
 #include "infer/prune.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -198,8 +199,7 @@ PruneReport prune(Engine& engine, std::span<const float> probes,
                    std::span<float>(ref).subspan(p * out_f, out_f));
   }
 
-  const std::size_t floor_hidden =
-      std::max(opts.min_hidden, static_cast<std::size_t>(kMinHidden));
+  const std::size_t floor_hidden = std::max<std::size_t>(opts.min_hidden, 1);
   while (engine.hidden() > floor_hidden &&
          (opts.max_channels == 0 ||
           report.accepted.size() < opts.max_channels)) {

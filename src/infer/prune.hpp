@@ -1,8 +1,8 @@
 // Magnitude pruning for compiled LSTM surrogates: the neural-pruning
 // candidate search (drop the smallest-magnitude hidden channel, re-measure
 // RMS error on a held-out probe set, accept while under threshold) applied
-// to infer::Engine. Each accepted step shrinks the dispatched variant by
-// one rung of the hidden-size ladder.
+// to infer::Engine. Each accepted step re-packs the engine one hidden
+// channel smaller.
 #pragma once
 
 #include <span>
@@ -19,9 +19,8 @@ struct PruneOptions {
   /// candidate exceeding it, so the returned engine always satisfies
   /// final_rms <= rms_threshold.
   double rms_threshold = 0.0;
-  /// Hard floor on the hidden size (clamped to the variant ladder's
-  /// kMinHidden).
-  std::size_t min_hidden = static_cast<std::size_t>(kMinHidden);
+  /// Hard floor on the hidden size; an engine keeps at least one channel.
+  std::size_t min_hidden = 2;
   /// Stop after this many accepted channels; 0 = threshold-bounded only.
   /// Lets benches prune to an exact target size with a large threshold.
   std::size_t max_channels = 0;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "file_bytes.hpp"
 #include "golden.hpp"
 #include "infer/engine.hpp"
 #include "infer/prune.hpp"
@@ -50,11 +51,14 @@ TEST(InferParity, LstmZooWithinTolerance) {
   struct Shape {
     std::size_t in, hidden, out, horizon, steps;
   };
-  // The hidden-size ladder ends (2, 32) plus the fig6 drag-surrogate
-  // shape (hidden 16, window 3) and odd intermediate sizes.
+  // The pruning floor's default (hidden 2), the fig6 drag-surrogate shape
+  // (hidden 16, window 3), and odd sizes whose 4H gate rows, padded to
+  // 16, end in every tile width: 5 (32), 27 (64 + 32 + 16), 33 (2 x 64 +
+  // 16) and 40 (2 x 64 + 32).
   const Shape zoo[] = {
-      {2, 2, 1, 1, 3},  {3, 5, 1, 1, 4},   {4, 8, 2, 2, 3},
-      {2, 16, 1, 1, 3}, {6, 27, 1, 3, 5},  {2, 32, 2, 1, 3},
+      {2, 2, 1, 1, 3},  {3, 5, 1, 1, 4},  {4, 8, 2, 2, 3},
+      {2, 16, 1, 1, 3}, {6, 27, 1, 3, 5}, {2, 32, 2, 1, 3},
+      {3, 33, 1, 1, 4}, {2, 40, 2, 1, 3},
   };
   std::uint64_t seed = 100;
   for (const Shape& s : zoo) {
@@ -121,21 +125,70 @@ TEST(InferParity, RejectsUnsupportedChains) {
   EXPECT_THROW((void)compile(norm), RuntimeError);
 }
 
-TEST(InferEngine, HiddenOutsideLadderThrows) {
-  for (const std::size_t hidden :
-       {static_cast<std::size_t>(kMinHidden - 1),
-        static_cast<std::size_t>(kMaxHidden + 1)}) {
-    LstmWeights w;
-    w.in = 2;
-    w.hidden = hidden;
-    EXPECT_THROW((void)Engine::from_weights(std::move(w)), RuntimeError);
+TEST(InferEngine, HiddenZeroThrows) {
+  LstmWeights w;
+  w.in = 2;
+  w.hidden = 0;
+  EXPECT_THROW((void)Engine::from_weights(std::move(w)), RuntimeError);
+}
+
+/// SKIF v1 bytes, appended field by field in Engine::save's order.
+struct SkifBytes {
+  std::vector<std::uint8_t> bytes;
+
+  template <typename T>
+  SkifBytes& put(T v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(T));
+    return *this;
   }
-  Rng rng(9);
-  ml::LstmModelConfig cfg;
-  cfg.in_channels = 2;
-  cfg.hidden = static_cast<std::size_t>(kMaxHidden) + 2;
-  ml::LstmModel model(cfg, rng);
-  EXPECT_THROW((void)compile(model), RuntimeError);
+  SkifBytes& floats(std::uint64_t n) {
+    put(n);
+    for (std::uint64_t i = 0; i < n; ++i) put(0.25f);
+    return *this;
+  }
+  SkifBytes& dense(std::uint64_t in, std::uint64_t out, std::uint64_t nw,
+                   std::uint64_t nb) {
+    return put(in).put(out).put(std::uint8_t{0}).floats(nw).floats(nb);
+  }
+  SkifBytes& header(Engine::Arch arch) {
+    return put(std::uint32_t{0x534B4946}).put(std::uint32_t{1}).put(arch);
+  }
+};
+
+/// Checkpoints whose extents multiply past 2^64: a surrogate with
+/// in = 2^62 and hidden 2 (4*H*in wraps to 0) and an empty wx1, everything
+/// else sized for hidden 2; and an MLP layer with in = 2^63 and out 2 over
+/// an empty weight vector. Both must be refused before anything is packed
+/// or read through.
+TEST(InferEngine, CraftedCheckpointIsRejected) {
+  const auto path =
+      (fs::temp_directory_path() / "sickle_infer_crafted.bin").string();
+  SkifBytes lstm;
+  lstm.header(Engine::Arch::kLstmSurrogate)
+      .put(std::uint64_t{1} << 62)  // in
+      .put(std::uint64_t{2})        // hidden
+      .put(std::uint64_t{1})        // horizon
+      .put(std::uint64_t{1})        // out_channels
+      .floats(0)                    // wx1: 4*H*in wrapped to 0
+      .floats(16)
+      .floats(8)
+      .floats(16)
+      .floats(16)
+      .floats(8)
+      .put(std::uint64_t{1})  // head depth
+      .dense(2, 1, 2, 1);
+  ASSERT_EQ(lstm.bytes.size(), 398u);
+  store::testing::write_bytes(path, lstm.bytes);
+  EXPECT_THROW((void)Engine::load(path), RuntimeError);
+
+  SkifBytes mlp;
+  mlp.header(Engine::Arch::kMlp)
+      .put(std::uint64_t{1})                   // depth
+      .dense(std::uint64_t{1} << 63, 2, 0, 0);  // in*out wraps to 0
+  store::testing::write_bytes(path, mlp.bytes);
+  EXPECT_THROW((void)Engine::load(path), RuntimeError);
+  fs::remove(path);
 }
 
 TEST(InferEngine, PredictValidatesExtents) {
@@ -235,8 +288,8 @@ TEST(InferPrune, GreedyRmsGrowsMonotonically) {
   opts.rms_threshold = 1e9;  // magnitude order alone drives the search
   PruneReport report = prune(engine, probes, num_probes, opts);
   EXPECT_FALSE(report.refused);
-  EXPECT_EQ(report.final_hidden, static_cast<std::size_t>(kMinHidden));
-  ASSERT_EQ(report.accepted.size(), H - static_cast<std::size_t>(kMinHidden));
+  EXPECT_EQ(report.final_hidden, opts.min_hidden);
+  ASSERT_EQ(report.accepted.size(), H - opts.min_hidden);
   for (std::size_t i = 0; i + 1 < report.accepted.size(); ++i) {
     // Error vs the original engine is cumulative: each further channel
     // removal can only lose information the probes exercised.
@@ -354,6 +407,29 @@ TEST(InferPrune, MaxChannelsPrunesToExactTarget) {
   EXPECT_EQ(engine.hidden(), 8u);
   EXPECT_EQ(report.initial_hidden, 12u);
   EXPECT_EQ(report.final_hidden, 8u);
+}
+
+TEST(InferPrune, MinHiddenOnePrunesToOneChannel) {
+  Rng rng(17);
+  ml::LstmModelConfig cfg;
+  cfg.in_channels = 2;
+  cfg.hidden = 4;
+  ml::LstmModel model(cfg, rng);
+  Engine engine = compile(model);
+
+  const std::size_t num_probes = 8, steps = 3;
+  const std::vector<float> probes =
+      random_window(rng, num_probes * steps * cfg.in_channels);
+  PruneOptions opts;
+  opts.rms_threshold = 1e9;
+  opts.min_hidden = 1;
+  const PruneReport report = prune(engine, probes, num_probes, opts);
+  EXPECT_FALSE(report.refused);
+  EXPECT_EQ(report.accepted.size(), 3u);
+  EXPECT_EQ(engine.hidden(), 1u);
+  std::vector<float> out(engine.output_features());
+  engine.predict(random_window(rng, steps * cfg.in_channels), out);
+  EXPECT_TRUE(std::isfinite(out[0]));
 }
 
 TEST(InferPrune, CandidatePicksSmallestMagnitudeChannel) {
