@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   lstm_row(report, /*in=*/1080, /*hidden=*/16, /*window=*/3, /*prune_to=*/0);
   // Deeper window: the precompute path's 4-timestep blocks engage fully.
   lstm_row(report, /*in=*/270, /*hidden=*/32, /*window=*/8, /*prune_to=*/0);
-  // A hidden size past 32: its 4H = 160 gate rows end in a 32-row tile.
+  // A wider surrogate: its 4H = 160 gate rows end in a 32-row tile.
   lstm_row(report, /*in=*/270, /*hidden=*/40, /*window=*/3, /*prune_to=*/0);
   mlp_row(report);
   report.write(json_path);

@@ -185,8 +185,8 @@ using LineFloats = std::vector<float, LineAllocator<float>>;
 ///    zero-padded to `rows`, a whole number of 16-row tiles, and swept in
 ///    tiles of compile-time width: 64 rows, then 32, then 16. Each tile's
 ///    accumulators are a fixed set of vector registers across its whole
-///    column sweep; a runtime-width loop accumulating in memory ran 1.5x
-///    slower (docs/PERF.md).
+///    column sweep; a loop over a runtime row count that accumulates in
+///    memory ran 2-3x slower (docs/PERF.md).
 ///  - Loads stay within a line. `wt` and `gx` start on a cache line and
 ///    every column is a multiple of 16 floats, so each tile's loads are
 ///    whole lines; left to the heap's placement, split loads moved a

@@ -89,7 +89,7 @@ struct InferenceOptions {
   /// engine is still compiled and parity-checked).
   double prune_rms = 0.0;
   std::size_t probes = 32;      ///< held-out windows for the prune search
-  std::size_t min_hidden = 2;   ///< pruning floor (clamped to the ladder)
+  std::size_t min_hidden = 2;   ///< pruning floor on the hidden size
   std::string engine_path;      ///< write the compiled engine here ("" = no)
 };
 
